@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import BoundExceededError, ConstructionError, MalformedTableError
@@ -355,10 +356,16 @@ def cmd_dis_lattice(args) -> int:
     return 0
 
 
+def _split_generator_list(text: str) -> list[str]:
+    """Split at commas outside parentheses, so vector keys like s:(0,1)
+    stay whole; element keys never nest parentheses."""
+    return re.split(r",(?![^()]*\))", text)
+
+
 def cmd_compare_gensets(args) -> int:
     backend, data = load_spec(args.spec)
-    gens_a = parse_generator_expressions(backend, args.genset_a.split(","))
-    gens_b = parse_generator_expressions(backend, args.genset_b.split(","))
+    gens_a = parse_generator_expressions(backend, _split_generator_list(args.genset_a))
+    gens_b = parse_generator_expressions(backend, _split_generator_list(args.genset_b))
     base = backend.parse_key(args.base) if args.base else default_basepoint(backend)
     constant = args.constant
     if constant is None:

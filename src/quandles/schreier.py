@@ -14,6 +14,17 @@ Distances to the basepoint are always certified.  Both endpoints must
 also lie strictly inside the ball (d < R), which keeps certificates
 monotone under radius growth.
 
+Pair queries run on an integer view of the ball: vertices numbered in
+BFS order, a numpy array of basepoint distances and a padded neighbor
+table.  One block of source rows at a time advances as a flat frontier of
+(row, vertex) cells, so the work is the number of edges visited.  The
+certificate caps the search depth at 2R+1 - d(x), and in fact at R: the
+path through the basepoint gives d(x, y) <= d(x) + d(y), so a certified
+pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
+``_BLOCK_CELLS`` fixes, and never grows with the square of the ball: no
+pair table is kept, and a single ``distance`` query keeps only the last
+source row.
+
 Ends are estimated from an annulus: the number of connected components of
 {v : n < d(v) <= N} that touch the outer frontier d(v) = N.  For graphs
 where the annulus structure has stabilized (paths, lattices, trees) this
@@ -26,9 +37,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import BoundExceededError
 
 DEFAULT_VERTEX_BOUND = 1_000_000
+# cells (source rows x ball vertices x neighbor slots) one BFS block may
+# touch: bounds the memory of every pair pass
+_BLOCK_CELLS = 1 << 20
 
 Edge = tuple[str, str, str]  # (key_u, key_v, generator name) with key_u <= key_v
 
@@ -134,7 +150,7 @@ class LabeledBall:
     edges: list[Edge]
     elements: dict[str, object] = field(repr=False, default_factory=dict)
     _adjacency: Optional[dict[str, list[str]]] = field(repr=False, default=None)
-    _sssp: Optional[dict[str, dict[str, int]]] = field(repr=False, default=None)
+    _pair_index: Optional["_BallIndex"] = field(repr=False, default=None, compare=False)
 
     @property
     def vertex_count(self) -> int:
@@ -160,33 +176,18 @@ class LabeledBall:
             self._adjacency = adj
         return self._adjacency
 
+    def _index(self) -> "_BallIndex":
+        if self._pair_index is None:
+            self._pair_index = _BallIndex(self)
+        return self._pair_index
+
     def distances_from(self, key: str) -> dict[str, int]:
         """BFS distances inside the ball subgraph from one vertex."""
         if key not in self.distances:
             raise KeyError(f"vertex {key!r} not in ball")
-        if self._sssp is None:
-            self._sssp = {}
-        if key not in self._sssp:
-            adj = self.adjacency()
-            dist = {key: 0}
-            frontier = [key]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            self._sssp[key] = dist
-        return self._sssp[key]
-
-    def same_component_in_ball(self, x: str, y: str) -> bool:
-        """True when y was reached from x inside the ball; False means
-        "not within this radius", not definitive separation."""
-        if x not in self.distances or y not in self.distances:
-            return False
-        return y in self.distances_from(x)
+        index = self._index()
+        row = index.row(index.pos[key]).tolist()
+        return {k: d for k, d in zip(index.keys, row) if d >= 0}
 
     def distance(self, x: str, y: str, require_certified: bool = True) -> Optional[int]:
         """Distance between two vertices, or None when the ball cannot
@@ -200,8 +201,9 @@ class LabeledBall:
             return self.distances[y]
         if y == self.basepoint:
             return self.distances[x]
-        d = self.distances_from(x).get(y)
-        if d is None:
+        index = self._index()
+        d = int(index.row(index.pos[x])[index.pos[y]])
+        if d < 0:
             return None
         if not require_certified:
             return d
@@ -214,12 +216,129 @@ class LabeledBall:
 
     def certified_pairs(self):
         """Yield (x, y, d) over certified unordered pairs, x < y."""
-        keys = self.vertices()
-        for i, x in enumerate(keys):
-            for y in keys[i + 1 :]:
-                d = self.distance(x, y)
-                if d is not None:
-                    yield x, y, d
+        index = self._index()
+        keys = index.keys
+        order = np.arange(len(keys))
+        for i0, i1, upper in _upper_blocks(len(keys), index.block_rows):
+            d = index.certified(order[i0:i1], order[i0 + 1 :])
+            for r, c in zip(*np.nonzero(upper & (d >= 0))):
+                yield keys[i0 + r], keys[i0 + 1 + c], int(d[r, c])
+
+
+class _BallIndex:
+    """Integer view of a ball for pair queries.
+
+    Vertex i is the i-th key of ``distances`` (BFS order), ``radial[i]``
+    its basepoint distance, and ``neighbors[i]`` its distinct neighbors
+    without self-loops, padded with the sentinel V (one past the last
+    vertex).
+    """
+
+    def __init__(self, ball: LabeledBall):
+        self.keys = list(ball.distances)
+        self.pos = {k: i for i, k in enumerate(self.keys)}
+        self.radius = ball.radius
+        n = len(self.keys)
+        self.radial = np.fromiter(ball.distances.values(), dtype=np.int64, count=n)
+        ends = np.array(
+            [(self.pos[u], self.pos[v]) for u, v, _name in ball.edges if u != v], dtype=np.int64
+        ).reshape(-1, 2)
+        # one code per undirected pair merges parallel edges
+        lo, hi = np.divmod(np.unique(ends.min(axis=1) * n + ends.max(axis=1)), n)
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        degree = np.bincount(src, minlength=n)
+        width = max(1, int(degree.max(initial=0)))
+        slot = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
+        self.neighbors = np.full((n, width), n, dtype=np.int64)
+        self.neighbors[src, slot] = dst
+        self.block_rows = max(1, _BLOCK_CELLS // ((n + 1) * width))
+        self._last: tuple[int, Optional[np.ndarray]] = (-1, None)
+
+    def bfs(self, sources: np.ndarray, depth: int) -> np.ndarray:
+        """Ball-subgraph distances from each source to every vertex, -1
+        past ``depth`` or when unreachable; one row per source."""
+        n = self.radial.size
+        width = n + 1
+        dist = np.full((sources.size, width), -1, dtype=np.int32)
+        dist[:, n] = 0  # the sentinel counts as visited, so padding is never expanded
+        flat = dist.reshape(-1)
+        cells = np.arange(sources.size) * width + sources
+        flat[cells] = 0
+        for d in range(1, depth + 1):
+            if not cells.size:
+                break
+            row_start = cells - cells % width
+            nxt = (row_start[:, None] + self.neighbors[cells % width]).ravel()
+            nxt = nxt[flat[nxt] < 0]
+            # a cell reached twice keeps only the copy whose tag the last
+            # write left in place, so each cell enters the frontier once
+            tag = np.arange(-2, -2 - nxt.size, -1, dtype=np.int32)
+            flat[nxt] = tag
+            cells = nxt[flat[nxt] == tag]
+            flat[cells] = d
+        return dist[:, :n]
+
+    def row(self, i: int) -> np.ndarray:
+        """Uncapped distances from vertex i; only the last row is kept."""
+        if self._last[0] != i:
+            self._last = (i, self.bfs(np.array([i]), self.radial.size)[0])
+        return self._last[1]
+
+    def certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Certified distances from each vertex of ``rows`` to each of
+        ``cols``, -1 where the ball cannot certify the pair.  Agrees with
+        ``LabeledBall.distance`` on pairs of distinct vertices."""
+        R = self.radius
+        dx, dy = self.radial[rows], self.radial[cols]
+        out = np.full((rows.size, cols.size), -1, dtype=np.int64)
+        inner = (dx > 0) & (dx < R)
+        if inner.any():
+            # certified pairs lie at most R apart (see the module docstring)
+            d = self.bfs(rows[inner], R)[:, cols]
+            ok = (d >= 0) & (dy < R) & (d + dx[inner, None] + dy <= 2 * R + 1)
+            out[inner] = np.where(ok, d, -1)
+        out[dx == 0] = dy  # the basepoint row is exact out to the frontier
+        out[:, dy == 0] = dx[:, None]
+        return out
+
+
+def _upper_blocks(m: int, step: int):
+    """Blocks of rows of the pairs i < j < m: yields (i0, i1, upper) for
+    rows i0..i1-1 against columns i0+1..m-1, with ``upper`` marking i < j."""
+    for i0 in range(0, m - 1, step):
+        i1 = min(i0 + step, m - 1)
+        yield i0, i1, np.arange(i0, i1)[:, None] < np.arange(i0 + 1, m)
+
+
+def first_failing_pair(ball_a: LabeledBall, keys_a, ball_b: LabeledBall, keys_b, fails):
+    """Walk pairs i < j of two matched vertex lists in row order, over
+    the pairs certified in both balls.
+
+    ``fails(d_a, d_b)`` takes arrays of certified distances and marks the
+    failing pairs.  Returns ``(checked, failure)``: the number of pairs
+    certified in both balls up to and including the first failing one,
+    and that pair as ``(i, j, d_a, d_b)``, or None when no pair fails.
+    """
+    index_a, index_b = ball_a._index(), ball_b._index()
+    rows_a = np.array([index_a.pos[k] for k in keys_a], dtype=np.int64)
+    rows_b = np.array([index_b.pos[k] for k in keys_b], dtype=np.int64)
+    checked = 0
+    step = min(index_a.block_rows, index_b.block_rows)
+    for i0, i1, upper in _upper_blocks(len(rows_a), step):
+        da = index_a.certified(rows_a[i0:i1], rows_a[i0 + 1 :])
+        db = index_b.certified(rows_b[i0:i1], rows_b[i0 + 1 :])
+        both = upper & (da >= 0) & (db >= 0)
+        bad = both & fails(da, db)
+        if bad.any():
+            k = int(np.argmax(bad))  # first failure in (i, j) order
+            checked += int(np.count_nonzero(both.ravel()[: k + 1]))
+            r, c = divmod(k, bad.shape[1])
+            return checked, (i0 + r, i0 + 1 + c, int(da[r, c]), int(db[r, c]))
+        checked += int(np.count_nonzero(both))
+    return checked, None
 
 
 def build_ball(
@@ -376,21 +495,17 @@ def bilipschitz_compare(
     if constant < 1:
         raise ValueError("constant must be >= 1")
     shared = [k for k in ball_a.vertices() if k in ball_b.distances]
-    checked = 0
-    for i, x in enumerate(shared):
-        for y in shared[i + 1 :]:
-            da = ball_a.distance(x, y)
-            db = ball_b.distance(x, y)
-            if da is None or db is None:
-                continue
-            checked += 1
-            if not (da <= constant * db and db <= constant * da):
-                return ComparisonResult(
-                    "fail",
-                    constant,
-                    {"x": x, "y": y, "d_a": da, "d_b": db},
-                    checked,
-                )
+    # distances are below 2**31, so every constant from there on decides
+    # alike; the cap keeps the products inside int64
+    bound = min(constant, 2**31)
+    checked, failure = first_failing_pair(
+        ball_a, shared, ball_b, shared, lambda da, db: (da > bound * db) | (db > bound * da)
+    )
+    if failure is not None:
+        i, j, da, db = failure
+        return ComparisonResult(
+            "fail", constant, {"x": shared[i], "y": shared[j], "d_a": da, "d_b": db}, checked
+        )
     if checked == 0:
         return ComparisonResult("inconclusive", constant, None, 0)
     return ComparisonResult("pass", constant, None, checked)

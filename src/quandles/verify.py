@@ -28,6 +28,7 @@ from .schreier import (
     build_ball,
     cayley_action,
     displacement_action,
+    first_failing_pair,
     inner_action,
 )
 
@@ -516,23 +517,19 @@ def verify_free_action_isometry(
                 None,
             )
 
-    checked = 0
     keys = list(mapping)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            dw = word_ball.distance(a, b)
-            do = orbit_ball.distance(mapping[a], mapping[b])
-            if dw is None or do is None:
-                continue
-            checked += 1
-            if dw != do:
-                return TheoremReport(
-                    statement,
-                    instance,
-                    False,
-                    {"pair": (a, b), "word_distance": dw, "orbit_distance": do},
-                    None,
-                )
+    checked, failure = first_failing_pair(
+        word_ball, keys, orbit_ball, [mapping[k] for k in keys], lambda dw, do: dw != do
+    )
+    if failure is not None:
+        i, j, dw, do = failure
+        return TheoremReport(
+            statement,
+            instance,
+            False,
+            {"pair": (keys[i], keys[j]), "word_distance": dw, "orbit_distance": do},
+            None,
+        )
     return TheoremReport(
         statement,
         instance,

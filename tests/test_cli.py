@@ -209,6 +209,17 @@ def test_compare_gensets(dihinf):
     assert json.loads(forced.stdout)["status"] == "fail"
 
 
+def test_compare_gensets_lattice_keys(rot90):
+    """Vector keys carry commas; only commas between expressions split."""
+    gens = ["--genset-a", "s:(0,0),s:(1,0),s:(0,1)", "--genset-b", "s:(0,0),s:(1,0),s:(0,1),s:(1,1)"]
+    out = run_cli("compare-gensets", rot90, *gens, "--radius", "4")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {"constant": 3, "pairs_checked": 163, "status": "pass", "witness": None}
+    forced = run_cli("compare-gensets", rot90, *gens, "--radius", "4", "--constant", "1")
+    assert forced.returncode == 1
+    assert json.loads(forced.stdout)["witness"] == {"x": "(0,0)", "y": "(0,2)", "d_a": 2, "d_b": 1}
+
+
 def test_cap_exit_code(dihinf):
     out = run_cli("ball", dihinf, "--radius", "50", "--max-vertices", "10")
     assert out.returncode == 3

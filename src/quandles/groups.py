@@ -1,9 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
-Only what the quandle constructions need: identity and inverses, the
-regular permutation representation (so subgroup questions can reuse the
-permutation machinery), conjugacy closure tests, and a handful of stock
-groups for tests and demos.
+This module owns the group algebra of the package, all on element
+indices: identity and inverses, element orders, subgroup closures,
+normal closures, commutator subgroups, subgroups and quotients re-indexed
+as tables of their own, cyclicity, abelian invariants and conjugacy
+closure tests.  An enumerated ``perms.PermGroup`` reaches it through its
+Cayley table (``PermGroup.table()``).  Also a handful of stock groups for
+tests and demos.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from itertools import permutations as iter_permutations
 from typing import Optional, Sequence
 
 from .errors import MalformedTableError
-from .perms import PermGroup, Permutation, abelianization_invariants
+from .perms import Permutation
 
 
 class GroupTable:
@@ -45,6 +48,13 @@ class GroupTable:
             if inv[a] is None:
                 raise MalformedTableError(f"element {a} has no inverse")
         self.inverse = tuple(inv)
+
+    def element_order(self, x: int) -> int:
+        k, cur = 1, x
+        while cur != self.identity:
+            cur = self.mul[cur][x]
+            k += 1
+        return k
 
     def conj(self, x: int, by: int) -> int:
         """by^-1 * x * by."""
@@ -79,10 +89,6 @@ class GroupTable:
         """The permutation y -> y*x of the regular representation."""
         return Permutation(tuple(self.mul[y][x] for y in range(self.size)))
 
-    def regular_group(self, elements: Optional[Sequence[int]] = None) -> PermGroup:
-        els = range(self.size) if elements is None else elements
-        return PermGroup([(f"r{x}", self.right_translation(x)) for x in els])
-
     def subgroup_closure(self, subset: Sequence[int]) -> list[int]:
         """Elements of the subgroup generated by ``subset``, sorted."""
         seen = {self.identity}
@@ -116,11 +122,43 @@ class GroupTable:
         }
         return self.subgroup_closure(sorted(comms))
 
+    def subgroup(self, subset: Sequence[int]) -> "GroupTable":
+        """The subgroup on ``subset`` (which must be closed under products)
+        as a table of its own: index i is the i-th smallest of ``subset``."""
+        els = sorted(subset)
+        pos = {x: i for i, x in enumerate(els)}
+        return GroupTable([[pos[self.mul[a][b]] for b in els] for a in els])
+
+    def quotient(self, normal: Sequence[int]) -> "GroupTable":
+        """The table of G/N for the normal subgroup N = ``normal``.  Each
+        coset Nx is keyed by its smallest element min(n*x for n in N), and
+        cosets are numbered in increasing key order."""
+        key = [min(self.mul[n][x] for n in normal) for x in range(self.size)]
+        keys = sorted(set(key))
+        pos = {k: i for i, k in enumerate(keys)}
+        return GroupTable([[pos[key[self.mul[a][b]]] for b in keys] for a in keys])
+
+    def is_cyclic(self) -> bool:
+        return any(self.element_order(x) == self.size for x in range(self.size))
+
+    def abelian_invariants(self) -> list[int]:
+        """Invariant factors of this group, which must be abelian, ascending.
+
+        Peels off a cyclic factor of maximal order (always a direct summand
+        in the abelian case), then recurses on the quotient, whose factors
+        all divide that order.
+        """
+        if self.size == 1:
+            return []
+        orders = [self.element_order(x) for x in range(self.size)]
+        best = orders.index(max(orders))
+        rest = self.quotient(self.subgroup_closure([best])).abelian_invariants()
+        return rest + [orders[best]]
+
     def abelian_invariants_of_subgroup(self, subset: Sequence[int]) -> list[int]:
         """Invariant factors of H/[H, H] for the subgroup H = subset."""
-        sub = sorted(subset)
-        perms = [(f"r{x}", self.right_translation(x)) for x in sub]
-        return abelianization_invariants(PermGroup(perms))
+        sub = self.subgroup(subset)
+        return sub.quotient(sub.commutator_of_subgroup(range(sub.size))).abelian_invariants()
 
     def __repr__(self):
         return f"GroupTable(size={self.size})"
@@ -206,12 +244,6 @@ def find_element(group: GroupTable, order: Optional[int] = None) -> int:
     for x in range(group.size):
         if x == group.identity:
             continue
-        if order is None:
-            return x
-        k, cur = 1, x
-        while cur != group.identity:
-            cur = group.mul[cur][x]
-            k += 1
-        if k == order:
+        if order is None or group.element_order(x) == order:
             return x
     raise ValueError(f"no element of order {order}")

@@ -1,9 +1,12 @@
-"""Finite permutation groups by explicit enumeration.
+"""Permutations and the groups they generate, as actions on points.
 
-Everything here is desk scale: groups are enumerated fully (breadth first
-over generator words, shortest word first, generator order breaking ties)
-and all questions (normality, quotients, abelian invariants) are answered
-by walking the element list.  No stabilizer chains.
+This module owns what acts on points: ``Permutation``, the breadth-first
+enumeration of a ``PermGroup`` (shortest word first, generator order
+breaking ties), orbits, free actions and word lengths.  Group algebra
+(normal closures, commutators, quotients, abelian invariants, element
+orders) lives in ``quandles.groups`` and runs on indices: an enumerated
+``PermGroup`` hands it its Cayley table through ``PermGroup.table()``.
+No stabilizer chains; everything is desk scale.
 
 Composition convention, used consistently across the package: the product
 ``f * g`` means "apply f, then g".  Acting on the right, ``x . (f g) =
@@ -14,7 +17,8 @@ g(f(x))``.  Inverses and conjugation follow the same reading, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceededError
@@ -79,10 +83,24 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
-def _named(generators) -> list[tuple[str, Permutation]]:
+@dataclass(frozen=True)
+class NamedGenerator:
+    name: str
+    aut: object
+
+    @property
+    def involution(self) -> bool:
+        return self.aut == self.aut.inverse()
+
+
+def _named(generators) -> list[tuple[str, object]]:
+    """(name, automorphism) pairs from NamedGenerators, (name, aut) pairs
+    or bare automorphisms; a bare one at position i is named g<i>."""
     named = []
     for i, g in enumerate(generators):
-        if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
+        if isinstance(g, NamedGenerator):
+            named.append((g.name, g.aut))
+        elif isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
             named.append(g)
         else:
             named.append((f"g{i}", g))
@@ -106,22 +124,32 @@ class PermGroup:
             if g.degree != self.degree:
                 raise ValueError(f"generator {name} has mismatched degree")
         self.bound = bound
-        self._elements: Optional[tuple[Permutation, ...]] = None
+        self._table = None
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(
-                group_closure([g for _, g in self.generators], bound=self.bound)
-            )
-        return self._elements
+        return tuple(group_closure([g for _, g in self.generators], bound=self.bound))
+
+    @cached_property
+    def index(self) -> dict[Permutation, int]:
+        """Position of each element in ``elements``."""
+        return {p: i for i, p in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def table(self):
+        """The Cayley table as a ``groups.GroupTable``: index i is
+        ``elements[i]``, so the identity is 0."""
+        if self._table is None:
+            from .groups import group_from_elements
+
+            self._table = group_from_elements(list(self.elements), mul)
+        return self._table
+
     def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
+        return p in self.index
 
     def __iter__(self):
         return iter(self.elements)
@@ -201,115 +229,10 @@ def is_free_action(elements: Iterable[Permutation], orbit: Iterable[int]) -> boo
     return True
 
 
-def normal_closure(group: PermGroup, g: Permutation, bound: Optional[int] = None) -> PermGroup:
-    """Smallest normal subgroup of ``group`` containing ``g``.
-
-    Built from the full conjugate set h^-1 g h over the enumerated parent,
-    which is normal by construction.
-    """
-    bound = bound if bound is not None else group.bound
-    conj = {h.inverse() * g * h for h in group.elements}
-    gens = sorted(conj, key=lambda p: p.images)
-    return PermGroup([(f"c{i}", c) for i, c in enumerate(gens)], bound=bound)
-
-
-def commutator_subgroup(group: PermGroup, bound: Optional[int] = None) -> PermGroup:
-    """Subgroup generated by all commutators a^-1 b^-1 a b of ``group``."""
-    bound = bound if bound is not None else group.bound
-    els = group.elements
-    comms = set()
-    for a, b in combinations(els, 2):
-        comms.add(a.inverse() * b.inverse() * a * b)
-    comms.discard(Permutation.identity(group.degree))
-    if not comms:
-        return PermGroup([("id", Permutation.identity(group.degree))], bound=bound)
-    gens = sorted(comms, key=lambda p: p.images)
-    return PermGroup([(f"k{i}", c) for i, c in enumerate(gens)], bound=bound)
-
-
-def _coset_table(elements: Sequence[Permutation], sub: Sequence[Permutation]):
-    """Cosets of ``sub`` in ``elements`` as (labels, mult table, identity index)."""
-    subset = set(sub)
-
-    def coset_key(p: Permutation) -> tuple:
-        return min((d * p).images for d in subset)
-
-    keys = []
-    index = {}
-    reps = []
-    for p in elements:
-        k = coset_key(p)
-        if k not in index:
-            index[k] = len(keys)
-            keys.append(k)
-            reps.append(p)
-    m = len(reps)
-    table = [[index[coset_key(reps[i] * reps[j])] for j in range(m)] for i in range(m)]
-    ident = index[coset_key(Permutation.identity(elements[0].degree))]
-    return reps, table, ident
-
-
 def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:
     """Whether group/sub is cyclic (sub must be normal).  Returns (flag, order)."""
-    _, table, ident = _coset_table(group.elements, sub.elements)
-    m = len(table)
-    for start in range(m):
-        seen = {ident}
-        cur = ident
-        while True:
-            cur = table[cur][start]
-            if cur in seen:
-                break
-            seen.add(cur)
-        if len(seen) == m:
-            return True, m
-    return m == 1, m
-
-
-def _abelian_invariants_from_table(table: list[list[int]], ident: int) -> list[int]:
-    """Invariant factors of a finite abelian group given by its table.
-
-    Peels off a cyclic factor of maximal order (always a direct summand in
-    the abelian case), then recurses on the quotient.
-    """
-    m = len(table)
-    if m == 1:
-        return []
-
-    def order_of(x: int) -> int:
-        k, cur = 1, x
-        while cur != ident:
-            cur = table[cur][x]
-            k += 1
-        return k
-
-    best = max(range(m), key=lambda x: (order_of(x), -x))
-    e = order_of(best)
-    cyc = {ident}
-    cur = best
-    while cur != ident:
-        cyc.add(cur)
-        cur = table[cur][best]
-    # quotient by <best>
-    def ckey(x: int) -> int:
-        return min(table[x][c] for c in cyc)
-
-    keys = sorted({ckey(x) for x in range(m)})
-    idx = {k: i for i, k in enumerate(keys)}
-    qtable = [[idx[ckey(table[a][b])] for b in keys] for a in keys]
-    rest = _abelian_invariants_from_table(qtable, idx[ckey(ident)])
-    return sorted(rest + [e])
-
-
-def abelianization_invariants(group: PermGroup) -> list[int]:
-    """Invariant factors of group/[group, group], ascending.
-
-    Empty list for a perfect or trivial abelianization; [2] for S3; [2, 2]
-    for the Klein four-group.
-    """
-    derived = commutator_subgroup(group)
-    _, table, ident = _coset_table(group.elements, derived.elements)
-    return _abelian_invariants_from_table(table, ident)
+    quotient = group.table().quotient([group.index[p] for p in sub.elements])
+    return quotient.is_cyclic(), quotient.size
 
 
 def word_length(generators, target, max_length: int) -> Optional[int]:
@@ -319,12 +242,7 @@ def word_length(generators, target, max_length: int) -> Optional[int]:
     Works for any automorphism representation with exact equality and
     hashing, not just Permutation; mixing representations is a TypeError.
     """
-    named = []
-    for i, g in enumerate(generators):
-        if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
-            named.append(g)
-        else:
-            named.append((f"g{i}", g))
+    named = _named(generators)
     if not named:
         raise ValueError("word_length needs at least one generator")
     family = type(named[0][1])

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BoundExceededError
+from .perms import NamedGenerator, _named, word_length
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -47,16 +48,6 @@ DEFAULT_VERTEX_BOUND = 1_000_000
 _BLOCK_CELLS = 1 << 20
 
 Edge = tuple[str, str, str]  # (key_u, key_v, generator name) with key_u <= key_v
-
-
-@dataclass(frozen=True)
-class NamedGenerator:
-    name: str
-    aut: object
-
-    @property
-    def involution(self) -> bool:
-        return self.aut == self.aut.inverse()
 
 
 class GeneratorSet:
@@ -67,14 +58,7 @@ class GeneratorSet:
     """
 
     def __init__(self, generators: Iterable):
-        named = []
-        for i, g in enumerate(generators):
-            if isinstance(g, NamedGenerator):
-                named.append(g)
-            elif isinstance(g, tuple) and len(g) == 2:
-                named.append(NamedGenerator(g[0], g[1]))
-            else:
-                named.append(NamedGenerator(f"g{i}", g))
+        named = [NamedGenerator(name, aut) for name, aut in _named(generators)]
         names = [g.name for g in named]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate generator names: {names}")
@@ -469,13 +453,11 @@ def bilipschitz_constant(gens_a, gens_b, max_length: int) -> Optional[int]:
     """Smallest L with every generator of each set a word of length <= L
     in the other; None if some generator is not expressible within
     max_length."""
-    from .perms import word_length
-
+    a, b = _named(gens_a), _named(gens_b)
     worst = 1
-    for one, other in ((gens_a, gens_b), (gens_b, gens_a)):
-        for item in one:
-            aut = item[1] if isinstance(item, tuple) else item.aut
-            n = word_length(list(other), aut, max_length)
+    for one, other in ((a, b), (b, a)):
+        for _, aut in one:
+            n = word_length(other, aut, max_length)
             if n is None:
                 return None
             worst = max(worst, n)

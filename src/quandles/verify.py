@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .families import GAlexFiniteQuandle, conjugation_automorphism, galex_finite
-from .groups import GroupTable
+from .groups import GroupTable, group_from_elements
 from .perms import (
     PermGroup,
     Permutation,
@@ -56,10 +57,6 @@ class TheoremReport:
         return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def _perm_set(group: PermGroup) -> frozenset:
-    return frozenset(group.elements)
-
-
 def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremReport]:
     """Four structural facts tying the displacement group to the inner one.
 
@@ -71,18 +68,21 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
 
     The zero-sum enumeration in (3) runs to word length 2 * |Inn|, enough
     to express any element of a group of that order with sign balancing.
+    (1) and (3) run on the indices of the Cayley table of Inn.
     """
     instance = instance or repr(q)
     inn = q.inner_group()
     dis = q.displacement_group()
-    inn_set, dis_set = _perm_set(inn), _perm_set(dis)
+    table = inn.table()
+    dis_index = [inn.index[d] for d in dis.elements]
+    dis_set = set(dis_index)
     reports = []
 
     bad = None
-    for g in inn.elements:
-        for d in dis.elements:
-            if g.inverse() * d * g not in dis_set:
-                bad = {"conjugator": g.key(), "element": d.key()}
+    for g in range(table.size):
+        for d in dis_index:
+            if table.conj(d, g) not in dis_set:
+                bad = {"conjugator": inn.elements[g].key(), "element": inn.elements[d].key()}
                 break
         if bad:
             break
@@ -109,35 +109,34 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
 
     # breadth-first over words in the s_y^(+-1), tracking exponent sums
     max_len = 2 * inn.order
-    symmetries = [q.symmetry(y) for y in range(q.size)]
-    identity = Permutation.identity(q.size)
-    start = (identity, 0)
+    steps = []
+    for _, sym in inn.generators:
+        i = inn.index[sym]
+        steps += [(i, 1), (table.inverse[i], -1)]
+    start = (table.identity, 0)
     seen = {start}
     frontier = [start]
-    zero_sum = {identity}
+    zero_sum = {table.identity}
     for _ in range(max_len):
         nxt = []
-        for perm, total in frontier:
-            for s in symmetries:
-                for step, exp in ((s, 1), (s.inverse(), -1)):
-                    t = total + exp
-                    if abs(t) > max_len:
-                        continue
-                    state = (perm * step, t)
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-                        if t == 0:
-                            zero_sum.add(state[0])
+        for x, total in frontier:
+            for step, exp in steps:
+                t = total + exp
+                if abs(t) > max_len:
+                    continue
+                state = (table.mul[x][step], t)
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+                    if t == 0:
+                        zero_sum.add(state[0])
         frontier = nxt
     if zero_sum == dis_set:
         bad = None
     else:
-        extra = zero_sum - dis_set
-        missing = dis_set - zero_sum
         bad = {
-            "zero_sum_not_in_dis": sorted(p.key() for p in extra)[:3],
-            "dis_not_zero_sum": sorted(p.key() for p in missing)[:3],
+            "zero_sum_not_in_dis": sorted(inn.elements[x].key() for x in zero_sum - dis_set)[:3],
+            "dis_not_zero_sum": sorted(inn.elements[x].key() for x in dis_set - zero_sum)[:3],
         }
     reports.append(
         TheoremReport(
@@ -240,9 +239,7 @@ def verify_free_transitive_reconstruction(
 
     elements = sorted(subgroup, key=lambda p: p.images)
     index = {p: i for i, p in enumerate(elements)}
-    group = GroupTable(
-        [[index[elements[a] * elements[b]] for b in range(len(elements))] for a in range(len(elements))]
-    )
+    group = group_from_elements(elements, mul)
     s0 = q.symmetry(basepoint)
     sigma = []
     for p in elements:
@@ -314,7 +311,7 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
                     statement, instance, False, {"not_homomorphism": (a, b)}, None
                 )
 
-    dis_set = _perm_set(q.displacement_group())
+    dis_set = set(q.displacement_group().elements)
     image = set(translations.values())
     if image != dis_set:
         return TheoremReport(
@@ -379,7 +376,7 @@ def verify_inner_case_commutator(
     closure = group.normal_closure_of(g)
     commutator = set(group.commutator_of_subgroup(closure))
     invariants = group.abelian_invariants_of_subgroup(closure)
-    order_g = _element_order(group, g)
+    order_g = group.element_order(g)
     details = {
         "closure_order": len(closure),
         "commutator_order": len(commutator),
@@ -457,14 +454,6 @@ def verify_inner_case_identity_component(
             details,
         )
     return TheoremReport(statement, instance, True, None, details)
-
-
-def _element_order(group: GroupTable, g: int) -> int:
-    k, cur = 1, g
-    while cur != group.identity:
-        cur = group.mul[cur][g]
-        k += 1
-    return k
 
 
 def verify_free_action_isometry(

@@ -3,14 +3,18 @@ import random
 import pytest
 
 from quandles.errors import BoundExceededError
+from quandles.groups import (
+    alternating_group,
+    cyclic_group,
+    dihedral_group,
+    quaternion_group,
+    symmetric_group,
+)
 from quandles.perms import (
     PermGroup,
     Permutation,
-    abelianization_invariants,
-    commutator_subgroup,
     group_closure,
     is_free_action,
-    normal_closure,
     orbits,
     quotient_is_cyclic,
     word_length,
@@ -119,17 +123,18 @@ def test_normal_closure_a3():
     a = Permutation((1, 0, 2))
     c = Permutation((1, 2, 0))
     s3 = PermGroup([("a", a), ("c", c)])
-    n = normal_closure(s3, c)
-    assert n.order == 3
-    n2 = normal_closure(s3, a)  # transpositions generate everything
-    assert n2.order == 6
+    table = s3.table()
+    n = table.normal_closure_of(s3.index[c])
+    assert len(n) == 3
+    n2 = table.normal_closure_of(s3.index[a])  # transpositions generate everything
+    assert len(n2) == 6
 
 
 def test_commutator_subgroup():
-    s3 = PermGroup([("a", Permutation((1, 0, 2))), ("c", Permutation((1, 2, 0)))])
-    assert commutator_subgroup(s3).order == 3
-    v4 = PermGroup([("x", Permutation((1, 0, 3, 2))), ("y", Permutation((2, 3, 0, 1)))])
-    assert commutator_subgroup(v4).order == 1
+    s3 = PermGroup([("a", Permutation((1, 0, 2))), ("c", Permutation((1, 2, 0)))]).table()
+    assert len(s3.commutator_of_subgroup(range(s3.size))) == 3
+    v4 = PermGroup([("x", Permutation((1, 0, 3, 2))), ("y", Permutation((2, 3, 0, 1)))]).table()
+    assert len(v4.commutator_of_subgroup(range(v4.size))) == 1
 
 
 def test_quotient_is_cyclic():
@@ -142,15 +147,88 @@ def test_quotient_is_cyclic():
     assert not ok and order == 6
 
 
+def _abelianization(group: PermGroup) -> list[int]:
+    table = group.table()
+    return table.abelian_invariants_of_subgroup(range(table.size))
+
+
 def test_abelianization_invariants():
     s3 = PermGroup([("a", Permutation((1, 0, 2))), ("c", Permutation((1, 2, 0)))])
-    assert abelianization_invariants(s3) == [2]
+    assert _abelianization(s3) == [2]
     v4 = PermGroup([("x", Permutation((1, 0, 3, 2))), ("y", Permutation((2, 3, 0, 1)))])
-    assert abelianization_invariants(v4) == [2, 2]
+    assert _abelianization(v4) == [2, 2]
     z6 = PermGroup([("c", Permutation((1, 2, 3, 4, 5, 0)))])
-    assert abelianization_invariants(z6) == [6]
+    assert _abelianization(z6) == [6]
     d4 = PermGroup([("r", Permutation((1, 2, 3, 0))), ("f", Permutation((0, 3, 2, 1)))])
-    assert abelianization_invariants(d4) == [2, 2]
+    assert _abelianization(d4) == [2, 2]
+
+
+def test_perm_group_table_indices():
+    d4 = PermGroup([("r", Permutation((1, 2, 3, 0))), ("f", Permutation((0, 3, 2, 1)))])
+    table = d4.table()
+    assert table.identity == 0 and table.size == d4.order == 8
+    for a, p in enumerate(d4.elements):
+        assert d4.index[p] == a
+        for b, q in enumerate(d4.elements):
+            assert d4.elements[table.mul[a][b]] == p * q
+
+
+def _prime_powers(n: int) -> list[int]:
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append(q)
+        p += 1
+    return out
+
+
+ORACLE_GROUPS = {
+    "s3": lambda: symmetric_group(3),
+    "s4": lambda: symmetric_group(4),
+    "a4": lambda: alternating_group(4),
+    "a5": lambda: alternating_group(5),
+    "d4": lambda: dihedral_group(4),
+    "d6": lambda: dihedral_group(6),
+    "q8": quaternion_group,
+    "z6": lambda: cyclic_group(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_group_table_algebra_against_sympy(name):
+    """Abelian invariants, quotients and element orders against sympy, on
+    the regular representation of the whole group and of the normal
+    closure of its first non-identity element."""
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
+
+    group = ORACLE_GROUPS[name]()
+    regular = [SymPerm(list(group.right_translation(x).images)) for x in range(group.size)]
+    whole = SymGroup(regular)
+    assert whole.order() == group.size
+    for x in range(group.size):
+        assert group.element_order(x) == regular[x].order()
+
+    g = next(x for x in range(group.size) if x != group.identity)
+    closure = group.normal_closure_of(g)
+    sym_closure = whole.normal_closure(regular[g])
+    assert {regular[x] for x in closure} == set(sym_closure.elements)
+    for sub, sym_sub in ((list(range(group.size)), whole), (closure, sym_closure)):
+        primary = sorted(p for n in group.abelian_invariants_of_subgroup(sub) for p in _prime_powers(n))
+        assert primary == sorted(sym_sub.abelian_invariants())
+
+    quotient = group.quotient(closure)
+    assert quotient.size == whole.order() // sym_closure.order()
+    # G/N is cyclic iff one element together with N generates G
+    sym_cyclic = any(
+        SymGroup(list(sym_closure.generators) + [r]).order() == whole.order() for r in regular
+    )
+    assert quotient.is_cyclic() == sym_cyclic
+    assert group.is_cyclic() == whole.is_cyclic
 
 
 def test_word_length():

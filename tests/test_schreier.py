@@ -159,6 +159,16 @@ def test_bilipschitz_constant_golden():
     assert bilipschitz_constant(gens_a, [("s5", dq.symmetry(5))], 4) is None
 
 
+def test_bilipschitz_constant_named_generators():
+    # NamedGenerator input on both sides, as a GeneratorSet yields it
+    dq = dihedral_quandle("inf")
+    gens_a = dq.inner_generators()
+    gens_b = gens_a + [("s2", dq.symmetry(2))]
+    assert bilipschitz_constant(GeneratorSet(gens_a), GeneratorSet(gens_b), 5) == 3
+    assert bilipschitz_constant(GeneratorSet(gens_a), gens_b, 5) == 3
+    assert bilipschitz_constant(GeneratorSet(gens_a), [dq.symmetry(5)], 4) is None
+
+
 def test_bilipschitz_compare():
     dq = dihedral_quandle("inf")
     gens_a = dq.inner_generators()

@@ -531,7 +531,10 @@ def main(argv=None) -> int:
         sys.stderr.write(e.as_json() + "\n")
         return 2
     except BoundExceededError as e:
-        sys.stderr.write(json.dumps({"error": "bound-exceeded", "message": str(e)}) + "\n")
+        record = {"error": "bound-exceeded", "message": str(e)}
+        if e.radius is not None:
+            record.update(radius=e.radius, vertices=e.vertices)
+        sys.stderr.write(json.dumps(record) + "\n")
         return 3
     except (ConstructionError, ValueError) as e:
         sys.stderr.write(json.dumps({"error": "bad-input", "message": str(e)}) + "\n")

@@ -9,6 +9,8 @@ witness attached, so callers can report exactly what failed.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class BoundExceededError(RuntimeError):
     """An enumeration hit its cap before closing.
@@ -16,12 +18,20 @@ class BoundExceededError(RuntimeError):
     Attributes:
         what: short tag for the enumeration that overflowed.
         bound: the cap that was hit.
+        radius: for a ball, the last radius that was completed within
+            the cap, else None.
+        vertices: the vertex count of the ball of that radius, else None.
     """
 
-    def __init__(self, what: str, bound: int):
-        super().__init__(f"{what}: enumeration exceeded bound {bound}")
+    def __init__(self, what: str, bound: int, radius: Optional[int] = None, vertices: Optional[int] = None):
+        message = f"{what}: enumeration exceeded bound {bound}"
+        if radius is not None:
+            message += f" after radius {radius} ({vertices} vertices)"
+        super().__init__(message)
         self.what = what
         self.bound = bound
+        self.radius = radius
+        self.vertices = vertices
 
 
 class ConstructionError(ValueError):

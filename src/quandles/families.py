@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .affine import SignedAffine
 from .errors import ConstructionError
 from .freewords import FreeQuandleElement, FreeWordAut, fq_normalize, fq_op, parse_fq_key, word_inverse, word_mul
@@ -118,8 +120,8 @@ def dihedral_quandle(n) -> "FiniteQuandle | DihedralInfinite":
     n = int(n)
     if n < 2:
         raise ConstructionError(f"dihedral quandle needs n >= 2, got {n}")
-    table = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
-    return FiniteQuandle(table, validate=False)
+    x = np.arange(n)
+    return FiniteQuandle((2 * x[None, :] - x[:, None]) % n, validate=False)
 
 
 # ---------------------------------------------------------------------------

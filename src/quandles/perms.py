@@ -198,6 +198,7 @@ def orbits(group, domain: Iterable[int]) -> list[list[int]]:
     Permutations.
     """
     gens = [g for _, g in group.generators] if isinstance(group, PermGroup) else list(group)
+    steps = [s for g in gens for s in (g, g.inverse())]
     domain = list(domain)
     remaining = set(domain)
     parts = []
@@ -208,11 +209,11 @@ def orbits(group, domain: Iterable[int]) -> list[list[int]]:
         queue = [start]
         while queue:
             x = queue.pop()
-            for g in gens:
-                for y in (g.act(x), g.inverse().act(x)):
-                    if y not in orbit:
-                        orbit.add(y)
-                        queue.append(y)
+            for s in steps:
+                y = s.act(x)
+                if y not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
         parts.append(sorted(orbit))
         remaining -= orbit
     return parts

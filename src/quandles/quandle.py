@@ -126,7 +126,7 @@ class FiniteQuandle:
 
     def symmetry(self, y: int) -> Permutation:
         """The point symmetry s_y as a Permutation (x -> x ◁ y)."""
-        return Permutation(tuple(int(v) for v in self.table[:, y]))
+        return Permutation(tuple(self.table[:, y].tolist()))
 
     def inner_generators(self) -> list[tuple[str, Permutation]]:
         return [(f"s{y}", self.symmetry(y)) for y in range(self.size)]
@@ -168,12 +168,11 @@ class FiniteQuandle:
         raise ValueError(f"element {x} out of range")
 
     def is_automorphism(self, p: Permutation) -> Optional[tuple[int, int]]:
-        """None if p preserves ◁, else the first (x, y) where it fails."""
-        for x in range(self.size):
-            for y in range(self.size):
-                if p.act(self.op(x, y)) != self.op(p.act(x), p.act(y)):
-                    return (x, y)
-        return None
+        """None if p preserves ◁, else the first (x, y) in row-major order
+        where p(x ◁ y) != p(x) ◁ p(y)."""
+        img = np.asarray(p.images, dtype=np.int64)
+        bad = np.argwhere(img[self.table] != self.table[img][:, img])
+        return None if not bad.size else (int(bad[0, 0]), int(bad[0, 1]))
 
     def key(self, x: int) -> str:
         return str(int(x))

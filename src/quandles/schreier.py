@@ -14,13 +14,26 @@ Distances to the basepoint are always certified.  Both endpoints must
 also lie strictly inside the ball (d < R), which keeps certificates
 monotone under radius growth.
 
-Pair queries run on an integer view of the ball: vertices numbered in
-BFS order, a numpy array of basepoint distances and a padded neighbor
-table.  One block of source rows at a time advances as a flat frontier of
-(row, vertex) cells, so the work is the number of edges visited.  The
-certificate caps the search depth at 2R+1 - d(x), and in fact at R: the
-path through the basepoint gives d(x, y) <= d(x) + d(y), so a certified
-pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
+A ball numbers its vertices in BFS order and keeps one edge source, a
+(vertex x move) neighbor table of vertex indices with -1 for moves that
+leave the ball; a move is a generator or, unless it is an involution,
+its inverse.  The BFS fills the rows of every vertex inside radius R as
+it goes; the rows of the last sphere, whose moves may leave the ball,
+get their second look only when edges or pair queries first need them.
+When the action is the default point action and every move is a
+``Permutation`` (every finite quandle), the BFS is a numpy gather over
+the moves' image arrays; otherwise it applies and keys one move at a
+time.  Both walks discover vertices in the same order.  The labeled,
+sorted edge list is built from the table on first use, so growth and
+distances from the basepoint never build it.
+
+Pair queries run on an integer view of the ball: a numpy array of
+basepoint distances and a padded table of distinct neighbors.  One block
+of source rows at a time advances as a flat frontier of (row, vertex)
+cells, so the work is the number of edges visited.  The certificate caps
+the search depth at 2R+1 - d(x), and in fact at R: the path through the
+basepoint gives d(x, y) <= d(x) + d(y), so a certified pair has
+2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
 ``_BLOCK_CELLS`` fixes, and never grows with the square of the ball: no
 pair table is kept, and a single ``distance`` query keeps only the last
 source row.
@@ -34,13 +47,15 @@ equals the number of ends.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+import operator
+from array import array
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import BoundExceededError
-from .perms import NamedGenerator, _named, word_length
+from .perms import NamedGenerator, Permutation, _named, word_length
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -91,7 +106,12 @@ class SchreierAction:
         self.backend_id = backend_id
         self.generators = generators if isinstance(generators, GeneratorSet) else GeneratorSet(generators)
         self.key = key
-        self.apply = apply if apply is not None else (lambda aut, x: aut.act(x))
+        self.apply = apply if apply is not None else _act
+
+
+def _act(aut, x):
+    """The default point action."""
+    return aut.act(x)
 
 
 def inner_action(backend, generators=None) -> SchreierAction:
@@ -117,24 +137,51 @@ def cayley_action(backend_id: str, generators) -> SchreierAction:
     )
 
 
-@dataclass
 class LabeledBall:
     """A radius-R ball in a Schreier graph.
 
     ``distances`` maps vertex keys to basepoint distance in BFS discovery
-    order; ``edges`` holds every generator edge between discovered
-    vertices, including self-loops, sorted.
+    order, which is also the vertex numbering; ``elements`` maps keys to
+    the acted-on objects (empty for a ball read back from JSON).
+    ``edges`` holds every generator edge between ball vertices, including
+    self-loops, as sorted ``(key_u, key_v, name)`` with key_u <= key_v.
+    A ball from ``build_ball`` keeps its neighbor table as the one edge
+    source and builds ``edges`` from it on first use; a ball given an
+    edge list (JSON input, or assignment to ``edges``) uses that list.
     """
 
-    backend_id: str
-    basepoint: str
-    radius: int
-    generator_names: list[str]
-    distances: dict[str, int]
-    edges: list[Edge]
-    elements: dict[str, object] = field(repr=False, default_factory=dict)
-    _adjacency: Optional[dict[str, list[str]]] = field(repr=False, default=None)
-    _pair_index: Optional["_BallIndex"] = field(repr=False, default=None, compare=False)
+    def __init__(
+        self,
+        backend_id: str,
+        basepoint: str,
+        radius: int,
+        generator_names: list[str],
+        distances: dict[str, int],
+        edges: Optional[list[Edge]] = None,
+        elements: Optional[dict[str, object]] = None,
+        neighbors: Optional["_NeighborTable"] = None,
+    ):
+        self.backend_id = backend_id
+        self.basepoint = basepoint
+        self.radius = radius
+        self.generator_names = generator_names
+        self.distances = distances
+        self.elements = {} if elements is None else elements
+        self._neighbors = neighbors
+        self._edges = sorted(edges or ()) if neighbors is None else None
+        self._pair_index: Optional[_BallIndex] = None
+
+    @property
+    def edges(self) -> list[Edge]:
+        if self._edges is None:
+            self._edges = self._neighbors.edges(list(self.distances), self.generator_names)
+        return self._edges
+
+    @edges.setter
+    def edges(self, edges: list[Edge]) -> None:
+        self._edges = list(edges)
+        self._neighbors = None
+        self._pair_index = None
 
     @property
     def vertex_count(self) -> int:
@@ -149,16 +196,13 @@ class LabeledBall:
             counts[d] += 1
         return counts
 
-    def adjacency(self) -> dict[str, list[str]]:
-        """Neighbor lists without self-loops, in deterministic order."""
-        if self._adjacency is None:
-            adj: dict[str, list[str]] = {k: [] for k in self.distances}
-            for u, v, _name in self.edges:
-                if u != v:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            self._adjacency = adj
-        return self._adjacency
+    def _neighbor_pairs(self, pos: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) vertex indices of every move inside the ball."""
+        if self._neighbors is None:
+            ends = np.array([(pos[u], pos[v]) for u, v, _name in self.edges], dtype=np.int64)
+            return ends.reshape(-1, 2).T
+        src, _move, dst = self._neighbors.moves()
+        return src, dst
 
     def _index(self) -> "_BallIndex":
         if self._pair_index is None:
@@ -214,8 +258,8 @@ class _BallIndex:
 
     Vertex i is the i-th key of ``distances`` (BFS order), ``radial[i]``
     its basepoint distance, and ``neighbors[i]`` its distinct neighbors
-    without self-loops, padded with the sentinel V (one past the last
-    vertex).
+    in index order without self-loops, padded with the sentinel V (one
+    past the last vertex).
     """
 
     def __init__(self, ball: LabeledBall):
@@ -224,11 +268,11 @@ class _BallIndex:
         self.radius = ball.radius
         n = len(self.keys)
         self.radial = np.fromiter(ball.distances.values(), dtype=np.int64, count=n)
-        ends = np.array(
-            [(self.pos[u], self.pos[v]) for u, v, _name in ball.edges if u != v], dtype=np.int64
-        ).reshape(-1, 2)
+        u, v = ball._neighbor_pairs(self.pos)
+        loop = u == v
+        u, v = u[~loop], v[~loop]
         # one code per undirected pair merges parallel edges
-        lo, hi = np.divmod(np.unique(ends.min(axis=1) * n + ends.max(axis=1)), n)
+        lo, hi = np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n)
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         order = np.argsort(src, kind="stable")
@@ -325,6 +369,125 @@ def first_failing_pair(ball_a: LabeledBall, keys_a, ball_b: LabeledBall, keys_b,
     return checked, None
 
 
+class _NeighborTable:
+    """A ball's (vertex x move) neighbor indices, -1 off the ball.
+
+    ``blocks`` hold the rows the BFS filled, in vertex order; ``finish``
+    returns the rows of the remaining vertices (the last sphere) and is
+    called once, on first use.  ``move_gen[m]`` is the generator index of
+    move m, generators being sorted by name.
+    """
+
+    def __init__(self, blocks: list[np.ndarray], finish: Callable[[], np.ndarray], move_gen: np.ndarray):
+        self._blocks = blocks
+        self._finish = finish
+        self.move_gen = move_gen
+
+    def array(self) -> np.ndarray:
+        if self._finish is not None:
+            self._blocks = [np.concatenate([*self._blocks, self._finish()])]
+            self._finish = None
+        return self._blocks[0]
+
+    def moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vertex, move, target) for every move that stays in the ball."""
+        table = self.array()
+        src, move = np.nonzero(table >= 0)
+        return src, move, table[src, move]
+
+    def edges(self, keys: list[str], names: list[str]) -> list[Edge]:
+        """Sorted, distinct ``(key_u, key_v, name)`` with key_u <= key_v."""
+        n, g = len(keys), len(names)
+        order = sorted(range(n), key=keys.__getitem__)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        src, move, dst = self.moves()
+        src, dst = rank[src], rank[dst]
+        # codes sort as (key_u, key_v, name): ranks follow key order and
+        # generator indices follow name order; n*n*g stays inside int64
+        # for any ball that fits in memory
+        codes = np.minimum(src, dst)
+        np.maximum(src, dst, out=dst)
+        codes *= n
+        codes += dst
+        codes *= g
+        codes += self.move_gen[move]
+        codes = _distinct(codes)
+        pair, label = np.divmod(codes, g)
+        lo, hi = np.divmod(pair, n)
+        # object arrays hand out the existing strings, not new ints
+        by_rank = np.array([keys[i] for i in order], dtype=object)
+        names = np.array(names, dtype=object)
+        return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct values; ``np.unique`` would import numpy.ma."""
+    codes = np.sort(codes)
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The moves of a permutation action as a (point x move) image array,
+    with each move's generator index; None unless the action is the
+    default point action, every generator is a ``Permutation`` of one
+    degree and the basepoint is one of its points."""
+    auts = [gen.aut for gen in action.generators]
+    if action.apply is not _act or not auts or any(type(a) is not Permutation for a in auts):
+        return None
+    degree = auts[0].degree
+    try:
+        base = operator.index(basepoint)
+    except TypeError:
+        return None
+    if any(a.degree != degree for a in auts) or not 0 <= base < degree:
+        return None
+    img = np.array([a.images for a in auts], dtype=np.int64)  # generator x point
+    involution = (np.take_along_axis(img, img, axis=1) == np.arange(degree)).all(axis=1)
+    # a generator, then its inverse unless it is an involution
+    move_gen = np.repeat(np.arange(len(auts)), np.where(involution, 1, 2))
+    first = np.concatenate(([True], move_gen[1:] != move_gen[:-1]))
+    moves = np.empty((degree, move_gen.size), dtype=np.int64)
+    moves[:, first] = img.T
+    if not involution.all():
+        img = img[~involution]
+        inv = np.empty_like(img)
+        inv[np.arange(len(img))[:, None], img] = np.arange(degree)
+        moves[:, ~first] = inv.T
+    return moves, move_gen
+
+
+def _permutation_bfs(moves: np.ndarray, base: int, radius: int, max_vertices: int):
+    """BFS over points with numpy gathers; returns (points in BFS order,
+    sphere sizes, neighbor blocks, finish)."""
+    vertex = np.full(moves.shape[0], -1, dtype=np.int64)  # point -> vertex index
+    vertex[base] = 0
+    frontier = np.array([base])
+    spheres, blocks = [frontier], []
+    count = 1
+    for d in range(1, radius + 1):
+        if not frontier.size:
+            break
+        targets = moves[frontier]  # frontier-major, move-minor
+        row = vertex[targets]
+        new = row < 0
+        unseen = targets[new]
+        _, first = np.unique(unseen, return_index=True)
+        fresh = unseen[np.sort(first)]  # first-occurrence order
+        if count + fresh.size > max_vertices:
+            raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=count)
+        vertex[fresh] = np.arange(count, count + fresh.size)
+        row[new] = vertex[unseen]
+        count += fresh.size
+        blocks.append(row)
+        spheres.append(fresh)
+        frontier = fresh
+    last = frontier
+    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[last]]
+
+
 def build_ball(
     action: SchreierAction,
     basepoint,
@@ -333,74 +496,102 @@ def build_ball(
 ) -> LabeledBall:
     """Breadth-first ball of the action at ``basepoint``.
 
-    Vertices appear in BFS order with generator name breaking ties; edges
-    cover every generator move between discovered vertices, including
-    those between two radius-R vertices.
+    Vertices appear in BFS order with generator name breaking ties; the
+    ball's edges cover every generator move between its vertices,
+    including those between two radius-R vertices.  Raises
+    BoundExceededError, carrying the last completed radius and its vertex
+    count, iff a vertex beyond the basepoint takes the count past
+    ``max_vertices``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    moves = []
-    for gen in action.generators:
-        moves.append((gen.name, gen.aut))
-        if not gen.involution:
-            moves.append((gen.name, gen.aut.inverse()))
-
-    base_key = action.key(basepoint)
-    dist: dict[str, int] = {base_key: 0}
-    element: dict[str, object] = {base_key: basepoint}
-    frontier = [basepoint]
-    for d in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for _name, aut in moves:
-                y = action.apply(aut, x)
-                ky = action.key(y)
-                if ky not in dist:
-                    dist[ky] = d
-                    element[ky] = y
-                    nxt.append(y)
-                    if len(dist) > max_vertices:
-                        raise BoundExceededError("schreier ball", max_vertices)
-        frontier = nxt
-
-    edges = set()
-    for kx, x in element.items():
-        for name, aut in moves:
-            y = action.apply(aut, x)
-            ky = action.key(y)
-            if ky in dist:
-                a, b = (kx, ky) if kx <= ky else (ky, kx)
-                edges.add((a, b, name))
-
+    fast = _permutation_moves(action, basepoint)
+    if fast is not None:
+        moves, move_gen = fast
+        points, sizes, blocks, finish = _permutation_bfs(moves, operator.index(basepoint), radius, max_vertices)
+        key = action.key
+        elements = [basepoint, *points[1:].tolist()]
+        keys = [key(x) for x in elements]
+        distances = dict(zip(keys, np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    else:
+        keys, elements, distances, blocks, finish, move_gen = _generic_bfs(
+            action, basepoint, radius, max_vertices
+        )
     return LabeledBall(
         backend_id=action.backend_id,
-        basepoint=base_key,
+        basepoint=keys[0],
         radius=radius,
         generator_names=action.generators.names(),
-        distances=dist,
-        edges=sorted(edges),
-        elements=element,
+        distances=distances,
+        elements=dict(zip(keys, elements)),
+        neighbors=_NeighborTable(blocks, finish, move_gen),
     )
 
 
-def _components(vertices: Sequence[str], adjacency: dict[str, list[str]]) -> list[list[str]]:
-    seen = set()
-    comps = []
-    for start in vertices:
-        if start in seen:
+def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: int):
+    """BFS applying and keying one move at a time."""
+    moves, move_gen = [], []
+    for i, gen in enumerate(action.generators):
+        moves.append(gen.aut)
+        move_gen.append(i)
+        if not gen.involution:
+            moves.append(gen.aut.inverse())
+            move_gen.append(i)
+    apply, key = action.apply, action.key
+    keys, elements = [key(basepoint)], [basepoint]
+    distances = {keys[0]: 0}
+    index = {keys[0]: 0}
+    table = array("q")
+    record = table.append
+    done = 0  # vertices whose rows are in the table
+    for d in range(1, radius + 1):
+        end = len(keys)
+        if done == end:
+            break
+        for x in elements[done:end]:
+            for aut in moves:
+                y = apply(aut, x)
+                ky = key(y)
+                j = index.get(ky)
+                if j is None:
+                    j = len(keys)
+                    if j >= max_vertices:
+                        raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=end)
+                    index[ky] = j
+                    distances[ky] = d
+                    keys.append(ky)
+                    elements.append(y)
+                record(j)
+        done = end
+    width = len(moves)
+
+    def finish() -> np.ndarray:
+        rows = array("q", (index.get(key(apply(aut, x)), -1) for x in elements[done:] for aut in moves))
+        return np.frombuffer(rows, dtype=np.int64).reshape(-1, width)
+
+    blocks = [np.frombuffer(table, dtype=np.int64).reshape(done, width)]
+    return keys, elements, distances, blocks, finish, np.array(move_gen, dtype=np.int64)
+
+
+def _component_labels(index: "_BallIndex", inside: np.ndarray) -> np.ndarray:
+    """Connected components of the subgraph on the vertices marked
+    ``inside``: a label per vertex (its component's first vertex), -1
+    outside."""
+    n = inside.size
+    label = np.where(inside, n, -1).tolist()  # n: inside, not yet labeled
+    neighbors = index.neighbors.tolist()
+    for start in range(n):
+        if label[start] != n:
             continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in adjacency.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+        label[start] = start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in neighbors[u]:
+                if v < n and label[v] == n:
+                    label[v] = start
+                    stack.append(v)
+    return np.array(label, dtype=np.int64)
 
 
 def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
@@ -413,16 +604,9 @@ def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
     """
     if not 0 <= inner_radius < ball.radius:
         raise ValueError("need 0 <= inner_radius < ball radius")
-    annulus = {k for k, d in ball.distances.items() if inner_radius < d <= ball.radius}
-    adj = {
-        u: [v for v in ball.adjacency()[u] if v in annulus]
-        for u in annulus
-    }
-    count = 0
-    for comp in _components(sorted(annulus), adj):
-        if any(ball.distances[v] == ball.radius for v in comp):
-            count += 1
-    return count
+    index = ball._index()
+    label = _component_labels(index, index.radial > inner_radius)
+    return int(np.count_nonzero(np.bincount(label[index.radial == ball.radius])))
 
 
 def loopless_forest_check(ball: LabeledBall) -> bool:
@@ -433,8 +617,10 @@ def loopless_forest_check(ball: LabeledBall) -> bool:
     while a generator and its inverse never double-count.
     """
     simple = [e for e in ball.edges if e[0] != e[1]]
-    comps = _components(ball.vertices(), ball.adjacency())
-    return len(simple) == ball.vertex_count - len(comps)
+    index = ball._index()
+    n = index.radial.size
+    components = np.count_nonzero(_component_labels(index, np.ones(n, dtype=bool)) == np.arange(n))
+    return len(simple) == n - components
 
 
 @dataclass(frozen=True)
@@ -566,7 +752,7 @@ def ball_from_json_lines(text: str) -> LabeledBall:
         radius=header["radius"],
         generator_names=list(header["generators"]),
         distances=distances,
-        edges=sorted(edges),
+        edges=edges,
     )
 
 

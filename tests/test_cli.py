@@ -226,6 +226,22 @@ def test_cap_exit_code(dihinf):
     assert json.loads(out.stderr)["error"] == "bound-exceeded"
 
 
+def test_cap_reports_progress(dihinf, tmp_path):
+    # the inner ball of the dihedral quandle on Z is a path, one vertex a sphere
+    out = run_cli("ball", dihinf, "--radius", "50", "--max-vertices", "10")
+    err = json.loads(out.stderr)
+    assert out.returncode == 3
+    assert (err["radius"], err["vertices"]) == (9, 10)
+    # translation by 2 on R_12: a 6-cycle, spheres of sizes 1, 2, 2, 1
+    r12 = write_spec(tmp_path, "r12.json", {"family": "dihedral", "n": 12, "generators": ["s:1 s:0^-1"]})
+    assert json.loads(run_cli("growth", r12, "--radius", "4").stdout)["sphere_sizes"] == [1, 2, 2, 1, 0]
+    out = run_cli("growth", r12, "--radius", "4", "--max-vertices", "4")
+    err = json.loads(out.stderr)
+    assert out.returncode == 3
+    assert (err["radius"], err["vertices"]) == (1, 3)
+    assert run_cli("growth", r12, "--radius", "4", "--max-vertices", "6").returncode == 0
+
+
 def test_verify_suites(tmp_path, dih5):
     ok = run_cli("verify", dih5, "--suite", "dis-properties")
     assert ok.returncode == 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from quandles.errors import ConstructionError
@@ -35,6 +36,16 @@ def test_dihedral_finite_table():
     for x in range(5):
         for y in range(5):
             assert q.op(x, y) == (2 * y - x) % 5
+
+
+def test_dihedral_table_and_symmetries_are_plain_ints():
+    for n in (2, 3, 8, 101):
+        q = dihedral_quandle(n)
+        assert q.table.tolist() == [[(2 * y - x) % n for y in range(n)] for x in range(n)]
+        assert q.table.dtype == np.int64
+        s = q.symmetry(n - 1)
+        assert s.images == tuple((2 * (n - 1) - x) % n for x in range(n))
+        assert all(type(v) is int for v in s.images)
 
 
 def test_dihedral_infinite_ops():

@@ -111,6 +111,51 @@ def test_orbits_partition():
         assert seen == list(range(n))
 
 
+def _orbits_loop(gens, domain):
+    """The original orbit walk, inverting each generator at every point."""
+    remaining, parts = set(domain), []
+    for start in domain:
+        if start not in remaining:
+            continue
+        orbit, queue = {start}, [start]
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                for y in (g.act(x), g.inverse().act(x)):
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+        parts.append(sorted(orbit))
+        remaining -= orbit
+    return parts
+
+
+def test_orbits_of_quandles_unchanged():
+    from quandles.families import conjugation_quandle, dihedral_quandle
+    from quandles.quandle import FiniteQuandle
+
+    # two components, {0, 1, 2} and {3}, with non-involutive symmetries
+    disconnected = FiniteQuandle([[0, 2, 1, 0], [2, 1, 0, 1], [1, 0, 2, 2], [3, 3, 3, 3]])
+    cases = [
+        (dihedral_quandle(12), [list(range(0, 12, 2)), list(range(1, 12, 2))]),
+        (dihedral_quandle(9), [list(range(9))]),
+        (conjugation_quandle(symmetric_group(4)), None),
+        (disconnected, [[0, 1, 2], [3]]),
+    ]
+    for q, expected in cases:
+        gens = [g for _, g in q.inner_generators()]
+        parts = orbits(gens, range(q.size))
+        assert parts == _orbits_loop(gens, list(range(q.size)))
+        assert q.components() == parts
+        if expected is not None:
+            assert parts == expected
+        else:
+            # conj(S4): the five conjugacy classes
+            assert sorted(len(p) for p in parts) == [1, 3, 6, 6, 8]
+        disp = [g for _, g in q.displacement_generators()]
+        assert orbits(disp, range(q.size)) == _orbits_loop(disp, list(range(q.size)))
+
+
 def test_is_free_action():
     rot = PermGroup([("r", Permutation((1, 2, 3, 0)))])
     assert is_free_action(rot.elements, range(4))

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -134,6 +135,39 @@ def test_symmetry_is_automorphism():
     assert bad is not None
     x, y = bad
     assert swap.act(q.op(x, y)) != q.op(swap.act(x), swap.act(y))
+
+
+def _is_automorphism_loop(q, p):
+    """The original check: the first (x, y) in row-major order."""
+    for x in range(q.size):
+        for y in range(q.size):
+            if p.act(q.op(x, y)) != q.op(p.act(x), p.act(y)):
+                return (x, y)
+    return None
+
+
+def test_is_automorphism_witness_matches_double_loop():
+    from quandles.families import conjugation_quandle
+    from quandles.groups import symmetric_group
+
+    rng = random.Random(7)
+    r7 = FiniteQuandle(_dihedral_table(7))
+    affine = [Permutation(tuple((a * x + b) % 7 for x in range(7))) for a in range(1, 7) for b in (0, 3)]
+    shuffled = []
+    for _ in range(40):
+        images = list(range(7))
+        rng.shuffle(images)
+        shuffled.append(Permutation(tuple(images)))
+    swaps = [Permutation.from_mapping({i: j, j: i}, 7) for i in range(7) for j in range(i + 1, 7)]
+    conj = conjugation_quandle(symmetric_group(3))
+    cases = [(r7, p) for p in affine + shuffled + swaps]
+    cases += [(conj, Permutation(images)) for images in permutations(range(6))]
+    failures = 0
+    for q, p in cases:
+        expected = _is_automorphism_loop(q, p)
+        assert q.is_automorphism(p) == expected
+        failures += expected is not None
+    assert 0 < failures < len(cases)
 
 
 def test_inner_and_displacement_generators():

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import operator
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -509,9 +508,8 @@ def build_ball(
     if fast is not None:
         moves, move_gen = fast
         points, sizes, blocks, finish = _permutation_bfs(moves, operator.index(basepoint), radius, max_vertices)
-        key = action.key
         elements = [basepoint, *points[1:].tolist()]
-        keys = [key(x) for x in elements]
+        keys = list(map(action.key, elements))
         distances = dict(zip(keys, np.repeat(np.arange(len(sizes)), sizes).tolist()))
     else:
         keys, elements, distances, blocks, finish, move_gen = _generic_bfs(
@@ -529,7 +527,8 @@ def build_ball(
 
 
 def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: int):
-    """BFS applying and keying one move at a time."""
+    """BFS applying and keying one move at a time; returns (keys,
+    elements, distances, neighbor blocks, finish, move_gen)."""
     moves, move_gen = [], []
     for i, gen in enumerate(action.generators):
         moves.append(gen.aut)
@@ -541,13 +540,13 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
     keys, elements = [key(basepoint)], [basepoint]
     distances = {keys[0]: 0}
     index = {keys[0]: 0}
-    table = array("q")
-    record = table.append
-    done = 0  # vertices whose rows are in the table
+    blocks = []
+    done = 0  # vertices whose rows are in blocks
     for d in range(1, radius + 1):
         end = len(keys)
         if done == end:
             break
+        row = []
         for x in elements[done:end]:
             for aut in moves:
                 y = apply(aut, x)
@@ -561,15 +560,15 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
                     distances[ky] = d
                     keys.append(ky)
                     elements.append(y)
-                record(j)
+                row.append(j)
+        blocks.append(np.array(row, dtype=np.int64).reshape(end - done, len(moves)))
         done = end
-    width = len(moves)
 
     def finish() -> np.ndarray:
-        rows = array("q", (index.get(key(apply(aut, x)), -1) for x in elements[done:] for aut in moves))
-        return np.frombuffer(rows, dtype=np.int64).reshape(-1, width)
+        last = elements[done:]
+        row = [index.get(key(apply(aut, x)), -1) for x in last for aut in moves]
+        return np.array(row, dtype=np.int64).reshape(len(last), len(moves))
 
-    blocks = [np.frombuffer(table, dtype=np.int64).reshape(done, width)]
     return keys, elements, distances, blocks, finish, np.array(move_gen, dtype=np.int64)
 
 

@@ -133,6 +133,15 @@ def test_both_paths_stop_at_the_same_cap(name, action, base, radius):
             assert outcomes[0] == (cap, first - 1, sum(sizes[:first]))
 
 
+def test_ball_without_generators():
+    q = dihedral_quandle(5)
+    ball = build_ball(SchreierAction("none", [], q.key), 2, 3)
+    assert list(ball.distances.items()) == [("2", 0)]
+    assert ball.edges == []
+    assert list(ball.certified_pairs()) == []
+    assert ball.distance("2", "2") == 0
+
+
 def test_cap_progress_on_an_infinite_backend():
     fq = free_quandle(["a", "b", "c"])
     sizes = build_ball(inner_action(fq), fq.generator("a"), 4).sphere_sizes()

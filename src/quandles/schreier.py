@@ -195,14 +195,6 @@ class LabeledBall:
             counts[d] += 1
         return counts
 
-    def _neighbor_pairs(self, pos: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) vertex indices of every move inside the ball."""
-        if self._neighbors is None:
-            ends = np.array([(pos[u], pos[v]) for u, v, _name in self.edges], dtype=np.int64)
-            return ends.reshape(-1, 2).T
-        src, _move, dst = self._neighbors.moves()
-        return src, dst
-
     def _index(self) -> "_BallIndex":
         if self._pair_index is None:
             self._pair_index = _BallIndex(self)
@@ -267,7 +259,11 @@ class _BallIndex:
         self.radius = ball.radius
         n = len(self.keys)
         self.radial = np.fromiter(ball.distances.values(), dtype=np.int64, count=n)
-        u, v = ball._neighbor_pairs(self.pos)
+        if ball._neighbors is not None:
+            u, _move, v = ball._neighbors.moves()
+        else:
+            ends = [(self.pos[a], self.pos[b]) for a, b, _name in ball.edges]
+            u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
         loop = u == v
         u, v = u[~loop], v[~loop]
         # one code per undirected pair merges parallel edges

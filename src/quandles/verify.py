@@ -194,8 +194,9 @@ def verify_free_transitive_reconstruction(
     sub_set = frozenset(subgroup)
 
     for h in ambient.elements:
+        h_inv = h.inverse()
         for g in subgroup:
-            if h.inverse() * g * h not in sub_set:
+            if h_inv * g * h not in sub_set:
                 return TheoremReport(
                     statement,
                     instance,

@@ -133,6 +133,38 @@ def test_both_paths_stop_at_the_same_cap(name, action, base, radius):
             assert outcomes[0] == (cap, first - 1, sum(sizes[:first]))
 
 
+def _ends_oracle(ball, inner_radius):
+    """Components of the annulus subgraph that reach d = R, by networkx."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(v for v, d in ball.distances.items() if d > inner_radius)
+    graph.add_edges_from((u, v) for u, v, _name in ball.edges if u != v and u in graph and v in graph)
+    return sum(
+        1 for comp in nx.connected_components(graph) if any(ball.distances[v] == ball.radius for v in comp)
+    )
+
+
+def test_ends_estimate_matches_networkx():
+    r15 = dihedral_quandle(15)
+    fq = free_quandle(["a", "b"])
+    cases = [
+        # one annulus component dead-ends at d = 5, the other reaches 6
+        (SchreierAction("r15:s3,s5", [("s3", r15.symmetry(3)), ("s5", r15.symmetry(5))], r15.key), 0, 6),
+        # the ball closes at d = 5, so no component reaches R
+        (SchreierAction("r15:s0,s3", [("s0", r15.symmetry(0)), ("s3", r15.symmetry(3))], r15.key), 1, 6),
+        (inner_action(dihedral_quandle(9)), 0, 3),
+        (displacement_action(dihedral_quandle("inf")), 0, 8),
+        (inner_action(fq), fq.generator("a"), 4),
+    ]
+    for action, base, radius in cases:
+        for ball in (build_ball(action, base, radius), build_ball(_generic(action), base, radius)):
+            assert [ends_estimate(ball, k) for k in range(radius)] == [
+                _ends_oracle(ball, k) for k in range(radius)
+            ]
+    assert ends_estimate(build_ball(cases[0][0], 0, 6), 2) == 1
+    assert ends_estimate(build_ball(cases[1][0], 1, 6), 2) == 0
+
+
 def test_ball_without_generators():
     q = dihedral_quandle(5)
     ball = build_ball(SchreierAction("none", [], q.key), 2, 3)

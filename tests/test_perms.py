@@ -3,6 +3,7 @@ import random
 import pytest
 
 from quandles.errors import BoundExceededError
+from quandles.families import conjugation_quandle, dihedral_quandle
 from quandles.groups import (
     alternating_group,
     cyclic_group,
@@ -19,6 +20,7 @@ from quandles.perms import (
     quotient_is_cyclic,
     word_length,
 )
+from quandles.quandle import FiniteQuandle
 
 
 def _random_perm(rng, n):
@@ -131,9 +133,6 @@ def _orbits_loop(gens, domain):
 
 
 def test_orbits_of_quandles_unchanged():
-    from quandles.families import conjugation_quandle, dihedral_quandle
-    from quandles.quandle import FiniteQuandle
-
     # two components, {0, 1, 2} and {3}, with non-involutive symmetries
     disconnected = FiniteQuandle([[0, 2, 1, 0], [2, 1, 0, 1], [1, 0, 2, 2], [3, 3, 3, 3]])
     cases = [

@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 
 from quandles.errors import ConstructionError, MalformedTableError
+from quandles.families import conjugation_quandle
+from quandles.groups import symmetric_group
 from quandles.perms import Permutation
 from quandles.quandle import (
     FiniteQuandle,
@@ -147,9 +149,6 @@ def _is_automorphism_loop(q, p):
 
 
 def test_is_automorphism_witness_matches_double_loop():
-    from quandles.families import conjugation_quandle
-    from quandles.groups import symmetric_group
-
     rng = random.Random(7)
     r7 = FiniteQuandle(_dihedral_table(7))
     affine = [Permutation(tuple((a * x + b) % 7 for x in range(7))) for a in range(1, 7) for b in (0, 3)]

@@ -45,7 +45,6 @@ from .schreier import (
     GeneratorSet,
     LabeledBall,
     NamedGenerator,
-    QIWitness,
     SchreierAction,
     ball_from_json_lines,
     ball_to_dot,
@@ -58,7 +57,6 @@ from .schreier import (
     ends_estimate,
     inner_action,
     loopless_forest_check,
-    qi_embedding_check,
 )
 from .verify import (
     TheoremReport,
@@ -92,7 +90,6 @@ __all__ = [
     "NamedGenerator",
     "PermGroup",
     "Permutation",
-    "QIWitness",
     "SchreierAction",
     "TheoremReport",
     "UnimodularMatrix",
@@ -122,7 +119,6 @@ __all__ = [
     "inner_action",
     "loopless_forest_check",
     "orbits",
-    "qi_embedding_check",
     "quandle_word_value",
     "quaternion_group",
     "symmetric_group",

@@ -219,15 +219,18 @@ def orbits(group, domain: Iterable[int]) -> list[list[int]]:
     return parts
 
 
-def is_free_action(elements: Iterable[Permutation], orbit: Iterable[int]) -> bool:
-    """True iff no non-identity element fixes any point of ``orbit``."""
+def first_fixed_point(
+    elements: Iterable[Permutation], orbit: Iterable[int]
+) -> Optional[tuple[Permutation, int]]:
+    """The first (element, point) of ``orbit`` that a non-identity element
+    fixes, element-major; None iff the elements act freely on ``orbit``."""
     pts = list(orbit)
     for g in elements:
-        if g.is_identity():
-            continue
-        if any(g.act(p) == p for p in pts):
-            return False
-    return True
+        if not g.is_identity():
+            for p in pts:
+                if g.act(p) == p:
+                    return g, p
+    return None
 
 
 def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:

@@ -14,26 +14,29 @@ Distances to the basepoint are always certified.  Both endpoints must
 also lie strictly inside the ball (d < R), which keeps certificates
 monotone under radius growth.
 
-A ball numbers its vertices in BFS order and keeps one edge source, a
-(vertex x move) neighbor table of vertex indices with -1 for moves that
-leave the ball; a move is a generator or, unless it is an involution,
-its inverse.  The BFS fills the rows of every vertex inside radius R as
-it goes; the rows of the last sphere, whose moves may leave the ball,
+A ball numbers its vertices in BFS order and keeps its graph in one
+place, a (vertex x slot) neighbor table of vertex indices.  For a built
+ball the slots are the moves, a generator and, unless it is an
+involution, its inverse, and the vertex count V stands for a move that
+leaves the ball.  The BFS fills the rows of every vertex inside radius R
+as it goes; the rows of the last sphere, the only ones that can hold V,
 get their second look only when edges or pair queries first need them.
 When the action is the default point action and every move is a
 ``Permutation`` (every finite quandle), the BFS is a numpy gather over
 the moves' image arrays; otherwise it applies and keys one move at a
-time.  Both walks discover vertices in the same order.  The labeled,
-sorted edge list is built from the table on first use, so growth and
-distances from the basepoint never build it.
+time.  Both walks discover vertices in the same order.  An edge list
+(JSON input) is converted once into the same kind of table, padded with
+V.  The labeled, sorted edge list is rendered from the table on first
+use, so growth and distances from the basepoint never build it.
 
-Pair queries run on an integer view of the ball: a numpy array of
-basepoint distances and a padded table of distinct neighbors.  One block
-of source rows at a time advances as a flat frontier of (row, vertex)
-cells, so the work is the number of edges visited.  The certificate caps
-the search depth at 2R+1 - d(x), and in fact at R: the path through the
-basepoint gives d(x, y) <= d(x) + d(y), so a certified pair has
-2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
+Pair queries walk that table directly, with a numpy array of basepoint
+distances beside it; self-loops, parallel moves and V need no special
+case, since a visited vertex is never entered again.  One block of
+source rows at a time advances as a flat frontier of (row, vertex)
+cells, so the work is the number of table cells visited.  The
+certificate caps the search depth at 2R+1 - d(x), and in fact at R: the
+path through the basepoint gives d(x, y) <= d(x) + d(y), so a certified
+pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
 ``_BLOCK_CELLS`` fixes, and never grows with the square of the ball: no
 pair table is kept, and a single ``distance`` query keeps only the last
 source row.
@@ -49,6 +52,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -141,12 +145,13 @@ class LabeledBall:
 
     ``distances`` maps vertex keys to basepoint distance in BFS discovery
     order, which is also the vertex numbering; ``elements`` maps keys to
-    the acted-on objects (empty for a ball read back from JSON).
-    ``edges`` holds every generator edge between ball vertices, including
-    self-loops, as sorted ``(key_u, key_v, name)`` with key_u <= key_v.
-    A ball from ``build_ball`` keeps its neighbor table as the one edge
-    source and builds ``edges`` from it on first use; a ball given an
-    edge list (JSON input, or assignment to ``edges``) uses that list.
+    the acted-on objects (empty for a ball read back from JSON).  The
+    ball's one graph is a ``_NeighborTable`` over those vertex numbers:
+    ``build_ball`` records it, and an edge list (JSON input, or
+    assignment to ``edges``) is converted into it.  ``edges`` renders it
+    as the sorted, distinct ``(key_u, key_v, name)`` with key_u <= key_v,
+    self-loops included, on first use; pair queries, ends and the forest
+    check walk the table itself.
     """
 
     def __init__(
@@ -156,7 +161,7 @@ class LabeledBall:
         radius: int,
         generator_names: list[str],
         distances: dict[str, int],
-        edges: Optional[list[Edge]] = None,
+        edges: Iterable[Edge] = (),
         elements: Optional[dict[str, object]] = None,
         neighbors: Optional["_NeighborTable"] = None,
     ):
@@ -167,20 +172,22 @@ class LabeledBall:
         self.distances = distances
         self.elements = {} if elements is None else elements
         self._neighbors = neighbors
-        self._edges = sorted(edges or ()) if neighbors is None else None
-        self._pair_index: Optional[_BallIndex] = None
+        self._edges: Optional[list[Edge]] = None  # rendered from the table on first use
+        self._last: tuple[int, Optional[np.ndarray]] = (-1, None)  # the last uncapped row
+        if neighbors is None:
+            self.edges = edges
 
     @property
     def edges(self) -> list[Edge]:
         if self._edges is None:
-            self._edges = self._neighbors.edges(list(self.distances), self.generator_names)
+            self._edges = self._neighbors.edges(self.vertices())
         return self._edges
 
     @edges.setter
-    def edges(self, edges: list[Edge]) -> None:
-        self._edges = list(edges)
-        self._neighbors = None
-        self._pair_index = None
+    def edges(self, edges: Iterable[Edge]) -> None:
+        self._neighbors = _NeighborTable.from_edges(self._pos, edges)
+        self._edges = None
+        self._last = (-1, None)
 
     @property
     def vertex_count(self) -> int:
@@ -195,20 +202,54 @@ class LabeledBall:
             counts[d] += 1
         return counts
 
-    def _index(self) -> "_BallIndex":
-        if self._pair_index is None:
-            self._pair_index = _BallIndex(self)
-        return self._pair_index
+    # the integer view that pair queries use, built on the first one
+    @cached_property
+    def _keys(self) -> list[str]:
+        return list(self.distances)
+
+    @cached_property
+    def _pos(self) -> dict[str, int]:
+        return {k: i for i, k in enumerate(self._keys)}
+
+    @cached_property
+    def _radial(self) -> np.ndarray:
+        return np.fromiter(self.distances.values(), dtype=np.int64, count=len(self.distances))
+
+    def _block_rows(self) -> int:
+        n, width = self._neighbors.array().shape
+        return max(1, _BLOCK_CELLS // ((n + 1) * max(1, width)))
+
+    def _row(self, i: int) -> np.ndarray:
+        """Uncapped distances from vertex i; only the last row is kept."""
+        if self._last[0] != i:
+            self._last = (i, _bfs(self._neighbors.array(), np.array([i]), self.vertex_count)[0])
+        return self._last[1]
+
+    def _certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Certified distances from each vertex of ``rows`` to each of
+        ``cols``, -1 where the ball cannot certify the pair.  Agrees with
+        ``distance`` on pairs of distinct vertices."""
+        R = self.radius
+        dx, dy = self._radial[rows], self._radial[cols]
+        out = np.full((rows.size, cols.size), -1, dtype=np.int64)
+        inner = (dx > 0) & (dx < R)
+        if inner.any():
+            # certified pairs lie at most R apart (see the module docstring)
+            d = _bfs(self._neighbors.array(), rows[inner], R)[:, cols]
+            ok = (d >= 0) & (dy < R) & (d + dx[inner, None] + dy <= 2 * R + 1)
+            out[inner] = np.where(ok, d, -1)
+        out[dx == 0] = dy  # the basepoint row is exact out to the frontier
+        out[:, dy == 0] = dx[:, None]
+        return out
 
     def distances_from(self, key: str) -> dict[str, int]:
         """BFS distances inside the ball subgraph from one vertex."""
         if key not in self.distances:
             raise KeyError(f"vertex {key!r} not in ball")
-        index = self._index()
-        row = index.row(index.pos[key]).tolist()
-        return {k: d for k, d in zip(index.keys, row) if d >= 0}
+        row = self._row(self._pos[key]).tolist()
+        return {k: d for k, d in zip(self._keys, row) if d >= 0}
 
-    def distance(self, x: str, y: str, require_certified: bool = True) -> Optional[int]:
+    def distance(self, x: str, y: str) -> Optional[int]:
         """Distance between two vertices, or None when the ball cannot
         certify it (vertex undiscovered, no path inside the ball, or the
         certificate inequality fails)."""
@@ -220,14 +261,9 @@ class LabeledBall:
             return self.distances[y]
         if y == self.basepoint:
             return self.distances[x]
-        index = self._index()
-        d = int(index.row(index.pos[x])[index.pos[y]])
-        if d < 0:
-            return None
-        if not require_certified:
-            return d
+        d = int(self._row(self._pos[x])[self._pos[y]])
         dx, dy = self.distances[x], self.distances[y]
-        if x != y and (dx >= self.radius or dy >= self.radius):
+        if d < 0 or (x != y and (dx >= self.radius or dy >= self.radius)):
             return None
         if d + dx + dy > 2 * self.radius + 1:
             return None
@@ -235,97 +271,42 @@ class LabeledBall:
 
     def certified_pairs(self):
         """Yield (x, y, d) over certified unordered pairs, x < y."""
-        index = self._index()
-        keys = index.keys
+        keys = self._keys
         order = np.arange(len(keys))
-        for i0, i1, upper in _upper_blocks(len(keys), index.block_rows):
-            d = index.certified(order[i0:i1], order[i0 + 1 :])
+        for i0, i1, upper in _upper_blocks(len(keys), self._block_rows()):
+            d = self._certified(order[i0:i1], order[i0 + 1 :])
             for r, c in zip(*np.nonzero(upper & (d >= 0))):
                 yield keys[i0 + r], keys[i0 + 1 + c], int(d[r, c])
 
 
-class _BallIndex:
-    """Integer view of a ball for pair queries.
+def _bfs(table: np.ndarray, sources: np.ndarray, depth: int) -> np.ndarray:
+    """Ball-subgraph distances from each source to every vertex, -1 past
+    ``depth`` or when unreachable; one row per source.
 
-    Vertex i is the i-th key of ``distances`` (BFS order), ``radial[i]``
-    its basepoint distance, and ``neighbors[i]`` its distinct neighbors
-    in index order without self-loops, padded with the sentinel V (one
-    past the last vertex).
+    ``table`` is a ball's (vertex x slot) neighbor table with the vertex
+    count V as its off-ball sentinel.  Self-loops and parallel slots need
+    no care: a visited cell is never entered again.
     """
-
-    def __init__(self, ball: LabeledBall):
-        self.keys = list(ball.distances)
-        self.pos = {k: i for i, k in enumerate(self.keys)}
-        self.radius = ball.radius
-        n = len(self.keys)
-        self.radial = np.fromiter(ball.distances.values(), dtype=np.int64, count=n)
-        if ball._neighbors is not None:
-            u, _move, v = ball._neighbors.moves()
-        else:
-            ends = [(self.pos[a], self.pos[b]) for a, b, _name in ball.edges]
-            u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-        loop = u == v
-        u, v = u[~loop], v[~loop]
-        # one code per undirected pair merges parallel edges
-        lo, hi = np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        degree = np.bincount(src, minlength=n)
-        width = max(1, int(degree.max(initial=0)))
-        slot = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
-        self.neighbors = np.full((n, width), n, dtype=np.int64)
-        self.neighbors[src, slot] = dst
-        self.block_rows = max(1, _BLOCK_CELLS // ((n + 1) * width))
-        self._last: tuple[int, Optional[np.ndarray]] = (-1, None)
-
-    def bfs(self, sources: np.ndarray, depth: int) -> np.ndarray:
-        """Ball-subgraph distances from each source to every vertex, -1
-        past ``depth`` or when unreachable; one row per source."""
-        n = self.radial.size
-        width = n + 1
-        dist = np.full((sources.size, width), -1, dtype=np.int32)
-        dist[:, n] = 0  # the sentinel counts as visited, so padding is never expanded
-        flat = dist.reshape(-1)
-        cells = np.arange(sources.size) * width + sources
-        flat[cells] = 0
-        for d in range(1, depth + 1):
-            if not cells.size:
-                break
-            row_start = cells - cells % width
-            nxt = (row_start[:, None] + self.neighbors[cells % width]).ravel()
-            nxt = nxt[flat[nxt] < 0]
-            # a cell reached twice keeps only the copy whose tag the last
-            # write left in place, so each cell enters the frontier once
-            tag = np.arange(-2, -2 - nxt.size, -1, dtype=np.int32)
-            flat[nxt] = tag
-            cells = nxt[flat[nxt] == tag]
-            flat[cells] = d
-        return dist[:, :n]
-
-    def row(self, i: int) -> np.ndarray:
-        """Uncapped distances from vertex i; only the last row is kept."""
-        if self._last[0] != i:
-            self._last = (i, self.bfs(np.array([i]), self.radial.size)[0])
-        return self._last[1]
-
-    def certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Certified distances from each vertex of ``rows`` to each of
-        ``cols``, -1 where the ball cannot certify the pair.  Agrees with
-        ``LabeledBall.distance`` on pairs of distinct vertices."""
-        R = self.radius
-        dx, dy = self.radial[rows], self.radial[cols]
-        out = np.full((rows.size, cols.size), -1, dtype=np.int64)
-        inner = (dx > 0) & (dx < R)
-        if inner.any():
-            # certified pairs lie at most R apart (see the module docstring)
-            d = self.bfs(rows[inner], R)[:, cols]
-            ok = (d >= 0) & (dy < R) & (d + dx[inner, None] + dy <= 2 * R + 1)
-            out[inner] = np.where(ok, d, -1)
-        out[dx == 0] = dy  # the basepoint row is exact out to the frontier
-        out[:, dy == 0] = dx[:, None]
-        return out
+    n = table.shape[0]
+    width = n + 1
+    dist = np.full((sources.size, width), -1, dtype=np.int32)
+    dist[:, n] = 0  # the sentinel counts as visited, so it is never expanded
+    flat = dist.reshape(-1)
+    cells = np.arange(sources.size) * width + sources
+    flat[cells] = 0
+    for d in range(1, depth + 1):
+        if not cells.size:
+            break
+        row_start = cells - cells % width
+        nxt = (row_start[:, None] + table[cells % width]).ravel()
+        nxt = nxt[flat[nxt] < 0]
+        # a cell reached twice keeps only the copy whose tag the last
+        # write left in place, so each cell enters the frontier once
+        tag = np.arange(-2, -2 - nxt.size, -1, dtype=np.int32)
+        flat[nxt] = tag
+        cells = nxt[flat[nxt] == tag]
+        flat[cells] = d
+    return dist[:, :n]
 
 
 def _upper_blocks(m: int, step: int):
@@ -345,14 +326,13 @@ def first_failing_pair(ball_a: LabeledBall, keys_a, ball_b: LabeledBall, keys_b,
     certified in both balls up to and including the first failing one,
     and that pair as ``(i, j, d_a, d_b)``, or None when no pair fails.
     """
-    index_a, index_b = ball_a._index(), ball_b._index()
-    rows_a = np.array([index_a.pos[k] for k in keys_a], dtype=np.int64)
-    rows_b = np.array([index_b.pos[k] for k in keys_b], dtype=np.int64)
+    rows_a = np.array([ball_a._pos[k] for k in keys_a], dtype=np.int64)
+    rows_b = np.array([ball_b._pos[k] for k in keys_b], dtype=np.int64)
     checked = 0
-    step = min(index_a.block_rows, index_b.block_rows)
+    step = min(ball_a._block_rows(), ball_b._block_rows())
     for i0, i1, upper in _upper_blocks(len(rows_a), step):
-        da = index_a.certified(rows_a[i0:i1], rows_a[i0 + 1 :])
-        db = index_b.certified(rows_b[i0:i1], rows_b[i0 + 1 :])
+        da = ball_a._certified(rows_a[i0:i1], rows_a[i0 + 1 :])
+        db = ball_b._certified(rows_b[i0:i1], rows_b[i0 + 1 :])
         both = upper & (da >= 0) & (db >= 0)
         bad = both & fails(da, db)
         if bad.any():
@@ -365,18 +345,49 @@ def first_failing_pair(ball_a: LabeledBall, keys_a, ball_b: LabeledBall, keys_b,
 
 
 class _NeighborTable:
-    """A ball's (vertex x move) neighbor indices, -1 off the ball.
+    """A ball's graph: a (vertex x slot) table of neighbor indices, with
+    the vertex count V where a move leaves the ball, and a label per cell
+    that indexes ``names``, which is sorted.
 
-    ``blocks`` hold the rows the BFS filled, in vertex order; ``finish``
-    returns the rows of the remaining vertices (the last sphere) and is
-    called once, on first use.  ``move_gen[m]`` is the generator index of
-    move m, generators being sorted by name.
+    A built ball's slots are its moves, a generator and, unless it is an
+    involution, its inverse; its labels are the moves' generator indices,
+    broadcast over the rows.  ``blocks`` hold the rows the BFS filled, in
+    vertex order, and ``finish`` returns the rows of the remaining
+    vertices (the last sphere, the only rows that can hold V) and is
+    called once, on first use.  An edge list is converted once, by
+    ``from_edges``, into a full table padded with V.
     """
 
-    def __init__(self, blocks: list[np.ndarray], finish: Callable[[], np.ndarray], move_gen: np.ndarray):
+    def __init__(
+        self, blocks: list[np.ndarray], finish: Optional[Callable[[], np.ndarray]], labels: np.ndarray, names: list[str]
+    ):
         self._blocks = blocks
         self._finish = finish
-        self.move_gen = move_gen
+        self._labels = labels
+        self.names = names
+
+    @classmethod
+    def from_edges(cls, pos: dict[str, int], edges: Iterable[Edge]) -> "_NeighborTable":
+        """Edge (u, v, name) fills one slot of row u and, unless it is a
+        self-loop, one of row v."""
+        edges = list(edges)
+        names = sorted({name for _u, _v, name in edges})
+        label = {name: i for i, name in enumerate(names)}
+        cells = [(pos[u], pos[v], label[name]) for u, v, name in edges]
+        u, v, lab = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+        back = u != v
+        src, dst = np.concatenate([u, v[back]]), np.concatenate([v, u[back]])
+        lab = np.concatenate([lab, lab[back]])
+        order = np.argsort(src, kind="stable")
+        src, dst, lab = src[order], dst[order], lab[order]
+        n = len(pos)
+        degree = np.bincount(src, minlength=n)
+        slot = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
+        table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+        table[src, slot] = dst
+        labels = np.zeros_like(table)
+        labels[src, slot] = lab
+        return cls([table], None, labels, names)
 
     def array(self) -> np.ndarray:
         if self._finish is not None:
@@ -384,35 +395,38 @@ class _NeighborTable:
             self._finish = None
         return self._blocks[0]
 
-    def moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vertex, move, target) for every move that stays in the ball."""
+    def codes(self, rank: Optional[np.ndarray] = None) -> np.ndarray:
+        """One sorted code per distinct edge, (lo * V + hi) * g + label
+        for g names, where lo <= hi are its ends renumbered by ``rank``."""
         table = self.array()
-        src, move = np.nonzero(table >= 0)
-        return src, move, table[src, move]
+        n = table.shape[0]
+        u, slot = np.nonzero(table < n)
+        v = table[u, slot]
+        label = np.broadcast_to(self._labels, table.shape)[u, slot]
+        if rank is not None:
+            u, v = rank[u], rank[v]
+        # n*n*g stays inside int64 for any ball that fits in memory
+        codes = np.minimum(u, v)
+        np.maximum(u, v, out=v)
+        codes *= n
+        codes += v
+        codes *= len(self.names)
+        codes += label
+        return _distinct(codes)
 
-    def edges(self, keys: list[str], names: list[str]) -> list[Edge]:
+    def edges(self, keys: list[str]) -> list[Edge]:
         """Sorted, distinct ``(key_u, key_v, name)`` with key_u <= key_v."""
-        n, g = len(keys), len(names)
+        n = len(keys)
         order = sorted(range(n), key=keys.__getitem__)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        src, move, dst = self.moves()
-        src, dst = rank[src], rank[dst]
         # codes sort as (key_u, key_v, name): ranks follow key order and
-        # generator indices follow name order; n*n*g stays inside int64
-        # for any ball that fits in memory
-        codes = np.minimum(src, dst)
-        np.maximum(src, dst, out=dst)
-        codes *= n
-        codes += dst
-        codes *= g
-        codes += self.move_gen[move]
-        codes = _distinct(codes)
-        pair, label = np.divmod(codes, g)
+        # labels follow name order
+        pair, label = np.divmod(self.codes(rank), len(self.names))
         lo, hi = np.divmod(pair, n)
         # object arrays hand out the existing strings, not new ints
         by_rank = np.array([keys[i] for i in order], dtype=object)
-        names = np.array(names, dtype=object)
+        names = np.array(self.names, dtype=object)
         return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
 
 
@@ -479,8 +493,8 @@ def _permutation_bfs(moves: np.ndarray, base: int, radius: int, max_vertices: in
         blocks.append(row)
         spheres.append(fresh)
         frontier = fresh
-    last = frontier
-    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[last]]
+    vertex[vertex < 0] = count  # points off the ball map to the sentinel V
+    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[frontier]]
 
 
 def build_ball(
@@ -511,14 +525,15 @@ def build_ball(
         keys, elements, distances, blocks, finish, move_gen = _generic_bfs(
             action, basepoint, radius, max_vertices
         )
+    names = action.generators.names()
     return LabeledBall(
         backend_id=action.backend_id,
         basepoint=keys[0],
         radius=radius,
-        generator_names=action.generators.names(),
+        generator_names=names,
         distances=distances,
         elements=dict(zip(keys, elements)),
-        neighbors=_NeighborTable(blocks, finish, move_gen),
+        neighbors=_NeighborTable(blocks, finish, move_gen, names),
     )
 
 
@@ -562,19 +577,19 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
 
     def finish() -> np.ndarray:
         last = elements[done:]
-        row = [index.get(key(apply(aut, x)), -1) for x in last for aut in moves]
+        row = [index.get(key(apply(aut, x)), len(keys)) for x in last for aut in moves]
         return np.array(row, dtype=np.int64).reshape(len(last), len(moves))
 
     return keys, elements, distances, blocks, finish, np.array(move_gen, dtype=np.int64)
 
 
-def _component_labels(index: "_BallIndex", inside: np.ndarray) -> np.ndarray:
+def _component_labels(ball: LabeledBall, inside: np.ndarray) -> np.ndarray:
     """Connected components of the subgraph on the vertices marked
     ``inside``: a label per vertex (its component's first vertex), -1
     outside."""
     n = inside.size
     label = np.where(inside, n, -1).tolist()  # n: inside, not yet labeled
-    neighbors = index.neighbors.tolist()
+    neighbors = ball._neighbors.array().tolist()
     for start in range(n):
         if label[start] != n:
             continue
@@ -599,9 +614,8 @@ def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
     """
     if not 0 <= inner_radius < ball.radius:
         raise ValueError("need 0 <= inner_radius < ball radius")
-    index = ball._index()
-    label = _component_labels(index, index.radial > inner_radius)
-    return int(np.count_nonzero(np.bincount(label[index.radial == ball.radius])))
+    label = _component_labels(ball, ball._radial > inner_radius)
+    return int(np.count_nonzero(np.bincount(label[ball._radial == ball.radius])))
 
 
 def loopless_forest_check(ball: LabeledBall) -> bool:
@@ -611,11 +625,11 @@ def loopless_forest_check(ball: LabeledBall) -> bool:
     connecting the same pair count as a multi-edge and defeat the check,
     while a generator and its inverse never double-count.
     """
-    simple = [e for e in ball.edges if e[0] != e[1]]
-    index = ball._index()
-    n = index.radial.size
-    components = np.count_nonzero(_component_labels(index, np.ones(n, dtype=bool)) == np.arange(n))
-    return len(simple) == n - components
+    n = ball.vertex_count
+    pair = ball._neighbors.codes() // max(1, len(ball._neighbors.names))
+    simple = np.count_nonzero(pair // n != pair % n)
+    components = np.count_nonzero(_component_labels(ball, np.ones(n, dtype=bool)) == np.arange(n))
+    return simple == n - components
 
 
 @dataclass(frozen=True)
@@ -672,30 +686,6 @@ def bilipschitz_compare(
     if checked == 0:
         return ComparisonResult("inconclusive", constant, None, 0)
     return ComparisonResult("pass", constant, None, checked)
-
-
-@dataclass(frozen=True)
-class QIWitness:
-    """Parameters of a claimed quasi-isometric embedding."""
-
-    lam: float
-    k: float
-
-    def __post_init__(self):
-        if self.lam < 1 or self.k < 0:
-            raise ValueError("need lam >= 1 and k >= 0")
-
-
-def qi_embedding_check(samples, witness: QIWitness) -> tuple[bool, Optional[tuple]]:
-    """Check (1/lam) d1 - k <= d2 <= lam d1 + k on sampled pairs.
-
-    ``samples`` yields (d1, d2) or (d1, d2, tag); returns (True, None) or
-    (False, first violating sample)."""
-    for sample in samples:
-        d1, d2 = sample[0], sample[1]
-        if not (d1 / witness.lam - witness.k <= d2 <= witness.lam * d1 + witness.k):
-            return False, tuple(sample)
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .groups import GroupTable, group_from_elements
 from .perms import (
     PermGroup,
     Permutation,
-    is_free_action,
+    first_fixed_point,
     orbits,
     quotient_is_cyclic,
 )
@@ -222,14 +222,8 @@ def verify_free_transitive_reconstruction(
             },
             {"ambient": ambient_desc},
         )
-    if not is_free_action(subgroup, points):
-        fix = next(
-            (g, p)
-            for g in subgroup
-            if not g.is_identity()
-            for p in points
-            if g.act(p) == p
-        )
+    fix = first_fixed_point(subgroup, points)
+    if fix is not None:
         return TheoremReport(
             statement,
             instance,
@@ -486,14 +480,8 @@ def verify_free_action_isometry(
         component = next(
             part for part in backend.components() if basepoint in part
         )
-        if not is_free_action(dis.elements, component):
-            culprit = next(
-                (d, p)
-                for d in dis.elements
-                if not d.is_identity()
-                for p in component
-                if d.act(p) == p
-            )
+        culprit = first_fixed_point(dis.elements, component)
+        if culprit is not None:
             return TheoremReport(
                 statement,
                 instance,
@@ -531,23 +519,25 @@ def verify_free_action_isometry(
         cayley_action(backend.backend_id, gens), _identity_like(gens), radius
     )
 
-    mapping = {}
+    mapping, seen = {}, set()
     for k, g in word_ball.elements.items():
         img = backend.key(g.act(basepoint))
-        if img in mapping.values():
+        if img in seen:
             return TheoremReport(
                 statement, instance, False, {"orbit_map_not_injective_at": k}, None
             )
         mapping[k] = img
+        seen.add(img)
 
-    if set(mapping.values()) != set(orbit_ball.vertices()):
+    orbit = set(orbit_ball.distances)
+    if seen != orbit:
         return TheoremReport(
             statement,
             instance,
             False,
             {
-                "orbit_ball_only": sorted(set(orbit_ball.vertices()) - set(mapping.values()))[:4],
-                "word_ball_only": sorted(set(mapping.values()) - set(orbit_ball.vertices()))[:4],
+                "orbit_ball_only": sorted(orbit - seen)[:4],
+                "word_ball_only": sorted(seen - orbit)[:4],
             },
             {"word_ball": word_ball.vertex_count, "orbit_ball": orbit_ball.vertex_count},
         )
@@ -629,26 +619,31 @@ def verify_homogeneous_component_isometry(
     target_action = SchreierAction(f"{q.backend_id}:inner-conjugated", conjugated, q.key)
 
     component = sorted(component)
-    radius = q.size  # any component diameter is below the quandle size
+    # in a component of an n-element quandle every distance, basepoint
+    # distances included, is at most n - 1, and 3(n - 1) <= 2R + 1 at
+    # R = 2n: every pair of the component is certified in both balls
+    radius = 2 * q.size
     source_ball = build_ball(action, component[0], radius)
     target_ball = build_ball(target_action, automorphism.act(component[0]), radius)
     missing = [x for x in component if q.key(x) not in source_ball.distances]
     if missing:
         raise ValueError(f"elements {missing} are not in the component of {component[0]}")
-    for i, x in enumerate(component):
-        for y in component[i + 1 :]:
-            dx = source_ball.distance(q.key(x), q.key(y), require_certified=False)
-            dy = target_ball.distance(
-                q.key(automorphism.act(x)), q.key(automorphism.act(y)), require_certified=False
-            )
-            if dx != dy:
-                return TheoremReport(
-                    statement,
-                    instance,
-                    False,
-                    {"pair": (x, y), "source_distance": dx, "target_distance": dy},
-                    None,
-                )
+    _, failure = first_failing_pair(
+        source_ball,
+        [q.key(x) for x in component],
+        target_ball,
+        [q.key(automorphism.act(x)) for x in component],
+        lambda ds, dt: ds != dt,
+    )
+    if failure is not None:
+        i, j, ds, dt = failure
+        return TheoremReport(
+            statement,
+            instance,
+            False,
+            {"pair": (component[i], component[j]), "source_distance": ds, "target_distance": dt},
+            None,
+        )
     return TheoremReport(
         statement,
         instance,

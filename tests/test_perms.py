@@ -14,8 +14,8 @@ from quandles.groups import (
 from quandles.perms import (
     PermGroup,
     Permutation,
+    first_fixed_point,
     group_closure,
-    is_free_action,
     orbits,
     quotient_is_cyclic,
     word_length,
@@ -155,12 +155,18 @@ def test_orbits_of_quandles_unchanged():
         assert orbits(disp, range(q.size)) == _orbits_loop(disp, list(range(q.size)))
 
 
-def test_is_free_action():
+def test_first_fixed_point():
     rot = PermGroup([("r", Permutation((1, 2, 3, 0)))])
-    assert is_free_action(rot.elements, range(4))
+    assert first_fixed_point(rot.elements, range(4)) is None
     refl = PermGroup([("s", Permutation((0, 2, 1)))])
     # fixes 0, so not free on the full set
-    assert not is_free_action(refl.elements, range(3))
+    assert first_fixed_point(refl.elements, range(3)) == (Permutation((0, 2, 1)), 0)
+    assert first_fixed_point(refl.elements, [1, 2]) is None
+    # element-major, point-minor: the first non-identity element with a
+    # fixed point wins, at its first fixed point in the given order
+    a, b = Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))
+    assert first_fixed_point([Permutation.identity(4), a, b], range(4)) == (a, 2)
+    assert first_fixed_point([b, a], [3, 2, 1, 0]) == (b, 1)
 
 
 def test_normal_closure_a3():

@@ -7,7 +7,6 @@ from quandles.errors import BoundExceededError
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
 from quandles.schreier import (
     GeneratorSet,
-    QIWitness,
     SchreierAction,
     ball_from_json_lines,
     ball_to_dot,
@@ -20,7 +19,6 @@ from quandles.schreier import (
     ends_estimate,
     inner_action,
     loopless_forest_check,
-    qi_embedding_check,
 )
 
 ROT90 = [[0, -1], [1, 0]]
@@ -101,7 +99,7 @@ def test_certified_pairs_sound():
         count = 0
         for x, y, d in small.certified_pairs():
             count += 1
-            assert big.distance(x, y, require_certified=False) == d
+            assert big.distances_from(x).get(y) == d
         assert count > 0
         # basepoint rows are always certified out to the boundary
         for v in small.vertices():
@@ -113,7 +111,7 @@ def test_distance_requires_certificate():
     ball = build_ball(inner_action(dq), 0, 4)
     # ball is the path 0-2-(-2)-4-(-4); "-4" sits on the frontier
     assert ball.distance("4", "-4") is None
-    assert ball.distance("4", "-4", require_certified=False) == 1
+    assert ball.distances_from("4").get("-4") == 1
     assert ball.distance("0", "-4") == 4  # basepoint rows are exact
     assert ball.distance("0", "nope") is None
 
@@ -187,15 +185,6 @@ def test_bilipschitz_compare():
         bilipschitz_compare(ball_a, build_ball(SchreierAction("dih:b", gens_b, dq.key), 2, 4), 3)
 
 
-def test_qi_embedding_check():
-    ok, _ = qi_embedding_check([(0, 0), (3, 4), (10, 11)], QIWitness(2, 1))
-    assert ok
-    bad, witness = qi_embedding_check([(1, 10)], QIWitness(2, 1))
-    assert not bad and witness == (1, 10)
-    with pytest.raises(ValueError):
-        QIWitness(0.5, 1)
-
-
 def test_cayley_action_line():
     dq = dihedral_quandle("inf")
     gens = dq.displacement_generators()
@@ -215,6 +204,60 @@ def test_json_roundtrip():
     # emitted text is stable
     assert text == ball_to_json_lines(ball)
     assert text.splitlines()[0].startswith('{"backend"')
+
+
+def _roundtrip_cases():
+    dq, lat, fq = dihedral_quandle("inf"), galex_lattice(ROT90), free_quandle(["a", "b"])
+    squares = [(f"{name}^2", aut * aut) for name, aut in fq.inner_generators()]
+    return [
+        ("dihedral-inf", inner_action(dq), displacement_action(dq), 0, 8),
+        ("rot90", inner_action(lat), displacement_action(lat), (0, 0), 5),
+        ("free-ab", inner_action(fq), SchreierAction("free:squares", squares, fq.key), fq.generator("a"), 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,action_a,action_b,base,radius", _roundtrip_cases(), ids=[c[0] for c in _roundtrip_cases()]
+)
+def test_loaded_ball_answers_like_the_built_ball(name, action_a, action_b, base, radius):
+    built = [build_ball(action, base, radius) for action in (action_a, action_b)]
+    loaded = [ball_from_json_lines(ball_to_json_lines(ball)) for ball in built]
+    for ball, again in zip(built, loaded):
+        # queried before anything renders the loaded ball's edges
+        assert list(again.certified_pairs()) == list(ball.certified_pairs())
+        for key in ball.vertices():
+            assert again.distances_from(key) == ball.distances_from(key)
+        assert [ends_estimate(again, k) for k in range(radius)] == [ends_estimate(ball, k) for k in range(radius)]
+        assert loopless_forest_check(again) == loopless_forest_check(ball)
+        same = bilipschitz_compare(ball, again, 1)
+        assert same.passed and same.pairs_checked == len(list(ball.certified_pairs()))
+        assert again.edges == ball.edges
+    for constant in (1, 2, 3):
+        assert bilipschitz_compare(*loaded, constant) == bilipschitz_compare(*built, constant)
+
+
+def test_edge_setter_renders_sorted_distinct_edges():
+    ball = build_ball(inner_action(dihedral_quandle("inf")), 0, 2)
+    assert ball.distance("0", "-2") == 2
+    # unsorted, one edge twice, one edge reversed, a label outside generator_names
+    ball.edges = [
+        ("0", "2", "s1"),
+        ("2", "-2", "aux"),
+        ("0", "0", "s0"),
+        ("-2", "2", "s0"),
+        ("0", "2", "s1"),
+        ("-2", "0", "aux"),
+    ]
+    assert ball.edges == [
+        ("-2", "0", "aux"),
+        ("-2", "2", "aux"),
+        ("-2", "2", "s0"),
+        ("0", "0", "s0"),
+        ("0", "2", "s1"),
+    ]
+    assert ball.generator_names == ["s0", "s1"]
+    assert ball.distances_from("0") == {"0": 0, "2": 1, "-2": 1}
+    assert ball_from_json_lines(ball_to_json_lines(ball)).edges == ball.edges
 
 
 def test_dot_output():

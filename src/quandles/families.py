@@ -25,7 +25,7 @@ import numpy as np
 
 from .affine import SignedAffine
 from .errors import ConstructionError
-from .freewords import FreeQuandleElement, FreeWordAut, fq_normalize, fq_op, parse_fq_key, word_inverse, word_mul
+from .freewords import FreeQuandleElement, FreeWordAut, fq_conjugator, fq_from_reduced, fq_op, parse_fq_key, word_mul
 from .groups import GroupTable
 from .lattice import (
     IntegerLattice,
@@ -35,7 +35,7 @@ from .lattice import (
     mat_vec,
     one_minus_inverse,
 )
-from .quandle import AxiomReport, FiniteQuandle
+from .quandle import AXIOM3_CELLS, AxiomReport, FiniteQuandle
 
 
 def _axiom_window_report(backend, elements) -> AxiomReport:
@@ -43,24 +43,27 @@ def _axiom_window_report(backend, elements) -> AxiomReport:
 
     Works on infinite carriers because op results are computed, not
     looked up; bijectivity of s_y is checked as op_inv(op(x, y), y) == x
-    together with op(op_inv(x, y), y) == x.
+    together with op(op_inv(x, y), y) == x.  The products x ◁ y of window
+    pairs are computed once, so axiom 3 costs two ops per triple.
     """
     elements = list(elements)
+    op, op_inv = backend.op, backend.op_inv
     for x in elements:
-        if backend.op(x, x) != x:
+        if op(x, x) != x:
             return AxiomReport(False, 1, (x,))
+    table = []  # table[i][j] = elements[i] ◁ elements[j]
     for x in elements:
+        row = []
         for y in elements:
-            if backend.op_inv(backend.op(x, y), y) != x or backend.op(
-                backend.op_inv(x, y), y
-            ) != x:
+            xy = op(x, y)
+            if op_inv(xy, y) != x or op(op_inv(x, y), y) != x:
                 return AxiomReport(False, 2, (x, y))
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                lhs = backend.op(backend.op(x, y), z)
-                rhs = backend.op(backend.op(x, z), backend.op(y, z))
-                if lhs != rhs:
+            row.append(xy)
+        table.append(row)
+    for x, row_x in zip(elements, table):
+        for y, xy, row_y in zip(elements, row_x, table):
+            for z, xz, yz in zip(elements, row_x, row_y):
+                if op(xy, z) != op(xz, yz):
                     return AxiomReport(False, 3, (x, y, z))
     return AxiomReport(True)
 
@@ -313,7 +316,55 @@ class GAlexLattice:
         return rec(self.n)
 
     def check_axioms_window(self, radius: int) -> AxiomReport:
-        return _axiom_window_report(self, self.elements_window(radius))
+        """The window axiom check, proved in exact int64 numpy when that is
+        safe; any failure is re-found by ``_axiom_window_report``, which
+        picks the reported witness."""
+        elements = self.elements_window(radius)
+        if self._window_axioms_hold(elements, radius):
+            return AxiomReport(True)
+        return _axiom_window_report(self, elements)
+
+    def _window_axioms_hold(self, elements: list[tuple[int, ...]], radius: int) -> bool:
+        """True when ``op`` and ``op_inv`` equal t^{+-1}(x - y) + y on every
+        window pair and that formula passes all three axioms on the window.
+
+        With M = max(||t||, ||t^-1||, 1) in the max-row-sum norm and window
+        entries at most W = radius, every vector formed below, and every
+        partial sum of its matrix products, has entries at most
+        (2M + 2)^2 W in absolute value; the largest, (x ◁ z) ◁ (y ◁ z), is
+        at most (2M + 1)^2 W.  Above 2^63 the check declines.
+        """
+        inv = self.t.power(-1)
+        norm = max(1, *(sum(abs(v) for v in row) for m in (self.t.entries, inv) for row in m))
+        if (2 * norm + 2) ** 2 * max(radius, 1) >= 2**63:
+            return False
+        e = np.array(elements, dtype=np.int64).reshape(len(elements), self.n)
+        t, t_inv = np.array(self.t.entries, dtype=np.int64), np.array(inv, dtype=np.int64)
+
+        def act(m, x, y):  # m(x - y) + y, broadcast over leading axes
+            return (x - y) @ m.T + y
+
+        prod = act(t, e[:, None], e[None, :])  # prod[i, j] = e_i ◁ e_j
+        quot = act(t_inv, e[:, None], e[None, :])  # quot[i, j] = e_i ◁^-1 e_j
+        for table, method in ((prod, self.op), (quot, self.op_inv)):
+            if [[tuple(v) for v in row] for row in table.tolist()] != [
+                [method(x, y) for y in elements] for x in elements
+            ]:
+                return False
+        if not (
+            np.array_equal(prod[np.arange(len(e)), np.arange(len(e))], e)
+            and (act(t_inv, prod, e[None, :]) == e[:, None]).all()
+            and (act(t, quot, e[None, :]) == e[:, None]).all()
+        ):
+            return False
+        rows = max(1, AXIOM3_CELLS // max(1, prod.size))
+        for x0 in range(0, len(e), rows):
+            block = prod[x0:x0 + rows]
+            lhs = act(t, block[:, :, None], e[None, None, :])  # (x ◁ y) ◁ z
+            rhs = act(t, block[:, None, :], prod[None, :, :])  # (x ◁ z) ◁ (y ◁ z)
+            if not np.array_equal(lhs, rhs):
+                return False
+        return True
 
     def __repr__(self):
         return f"GAlexLattice(t={[list(r) for r in self.t.entries]})"
@@ -363,7 +414,7 @@ class FreeQuandle:
         return fq_op(x, y, -1)
 
     def symmetry(self, y: FreeQuandleElement) -> FreeWordAut:
-        return FreeWordAut(word_mul(word_mul(word_inverse(y.tail), ((y.base, 1),)), y.tail))
+        return FreeWordAut(fq_conjugator(y))
 
     def inner_generators(self) -> list[tuple[str, FreeWordAut]]:
         return [(f"s{a}", self.symmetry(self.generator(a))) for a in self.alphabet]
@@ -395,7 +446,7 @@ class FreeQuandle:
                 for el in level:
                     for b in self.alphabet:
                         for e in (1, -1):
-                            cand = fq_normalize(a, word_mul(el.tail, ((b, e),)))
+                            cand = fq_from_reduced(a, word_mul(el.tail, ((b, e),)))
                             if cand not in seen:
                                 seen.add(cand)
                                 nxt.append(cand)

@@ -37,7 +37,16 @@ def word_inverse(word: Iterable[Letter]) -> tuple[Letter, ...]:
 
 
 def word_mul(a: Iterable[Letter], b: Iterable[Letter]) -> tuple[Letter, ...]:
-    return free_reduce(list(a) + list(b))
+    """Product of two reduced words.  Only letters at the seam can cancel,
+    so the result is reduced too; use free_reduce on unreduced input."""
+    a, b = tuple(a), tuple(b)
+    k, m = 0, min(len(a), len(b))
+    while k < m:
+        sym, e = b[k]
+        if a[-1 - k] != (sym, -e):
+            break
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 @dataclass(frozen=True)
@@ -58,8 +67,12 @@ class FreeQuandleElement:
 
 
 def fq_normalize(base: str, tail: Iterable[Letter]) -> FreeQuandleElement:
+    """Normal form of base^tail for any word ``tail``."""
+    return fq_from_reduced(base, free_reduce(tail))
+
+
+def fq_from_reduced(base: str, word: tuple[Letter, ...]) -> FreeQuandleElement:
     """Strip the maximal leading power of ``base`` from a reduced tail."""
-    word = free_reduce(tail)
     i = 0
     while i < len(word) and word[i][0] == base:
         i += 1
@@ -95,9 +108,14 @@ def fq_op(x: FreeQuandleElement, y: FreeQuandleElement, exponent: int = 1) -> Fr
     """x ◁ y (exponent +1) or x ◁^-1 y (exponent -1)."""
     if exponent not in (1, -1):
         raise ValueError("exponent must be +1 or -1")
-    v = y.tail
-    conj = word_mul(word_mul(word_inverse(v), ((y.base, exponent),)), v)
-    return fq_normalize(x.base, word_mul(x.tail, conj))
+    return fq_from_reduced(x.base, word_mul(x.tail, fq_conjugator(y, exponent)))
+
+
+def fq_conjugator(y: FreeQuandleElement, exponent: int = 1) -> tuple[Letter, ...]:
+    """The word v^-1 b^exponent v by which x ◁^exponent y right-multiplies
+    the tail of x, for y = b^v.  The tail v of the normal form does not
+    start with b^+-1, so the word is reduced as written."""
+    return word_inverse(y.tail) + ((y.base, exponent),) + y.tail
 
 
 @dataclass(frozen=True)
@@ -107,6 +125,7 @@ class FreeWordAut:
     The point symmetry at b^v is the word v^-1 b v; a general product of
     symmetries is the product of those words, reduced.  Composition is
     word concatenation, in apply-first order like the rest of the package.
+    ``word`` is reduced, as every word built from symmetries is.
     """
 
     word: tuple[Letter, ...]
@@ -116,7 +135,7 @@ class FreeWordAut:
         return FreeWordAut(())
 
     def act(self, x: FreeQuandleElement) -> FreeQuandleElement:
-        return fq_normalize(x.base, word_mul(x.tail, self.word))
+        return fq_from_reduced(x.base, word_mul(x.tail, self.word))
 
     def __mul__(self, other: "FreeWordAut") -> "FreeWordAut":
         return FreeWordAut(word_mul(self.word, other.word))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles.freewords import (
     FreeQuandleElement,
@@ -25,6 +27,16 @@ def test_free_reduce():
     # nested cancellation collapses fully
     w = [("a", 1), ("b", 1), ("b", -1), ("a", -1)]
     assert free_reduce(w) == ()
+
+
+LETTERS = st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LETTERS, max_size=12), st.lists(LETTERS, max_size=12))
+def test_seam_product_of_reduced_words_is_full_reduction(a, b):
+    a, b = free_reduce(a), free_reduce(b)
+    assert word_mul(a, b) == free_reduce(a + b)
 
 
 def test_reduce_idempotent_random():

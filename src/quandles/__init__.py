@@ -42,9 +42,7 @@ from .quandle import (
     symmetry_word_automorphism,
 )
 from .schreier import (
-    GeneratorSet,
     LabeledBall,
-    NamedGenerator,
     SchreierAction,
     ball_from_json_lines,
     ball_to_dot,
@@ -81,13 +79,11 @@ __all__ = [
     "FreeQuandle",
     "GAlexFiniteQuandle",
     "GAlexLattice",
-    "GeneratorSet",
     "GroupTable",
     "IntegerLattice",
     "LabeledBall",
     "LatticeAffine",
     "MalformedTableError",
-    "NamedGenerator",
     "PermGroup",
     "Permutation",
     "SchreierAction",

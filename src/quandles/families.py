@@ -35,7 +35,7 @@ from .lattice import (
     mat_vec,
     one_minus_inverse,
 )
-from .quandle import AXIOM3_CELLS, AxiomReport, FiniteQuandle
+from .quandle import AxiomReport, FiniteQuandle
 
 
 def _axiom_window_report(backend, elements) -> AxiomReport:
@@ -326,13 +326,20 @@ class GAlexLattice:
 
     def _window_axioms_hold(self, elements: list[tuple[int, ...]], radius: int) -> bool:
         """True when ``op`` and ``op_inv`` equal t^{+-1}(x - y) + y on every
-        window pair and that formula passes all three axioms on the window.
+        window pair and the two formulas undo each other there.
+
+        That proves all three axioms on the window.  Axiom 1 reads
+        t(x - x) + x = x, and axiom 3 holds identically by linearity:
+
+            (x ◁ y) ◁ z       = t^2(x - y) + t(y - z) + z
+            (x ◁ z) ◁ (y ◁ z) = t(t(x - z) - t(y - z)) + t(y - z) + z,
+
+        which is the same vector.  Axiom 2 is the two round trips.
 
         With M = max(||t||, ||t^-1||, 1) in the max-row-sum norm and window
         entries at most W = radius, every vector formed below, and every
         partial sum of its matrix products, has entries at most
-        (2M + 2)^2 W in absolute value; the largest, (x ◁ z) ◁ (y ◁ z), is
-        at most (2M + 1)^2 W.  Above 2^63 the check declines.
+        (2M + 2)^2 W in absolute value.  Above 2^63 the check declines.
         """
         inv = self.t.power(-1)
         norm = max(1, *(sum(abs(v) for v in row) for m in (self.t.entries, inv) for row in m))
@@ -351,20 +358,10 @@ class GAlexLattice:
                 [method(x, y) for y in elements] for x in elements
             ]:
                 return False
-        if not (
-            np.array_equal(prod[np.arange(len(e)), np.arange(len(e))], e)
-            and (act(t_inv, prod, e[None, :]) == e[:, None]).all()
+        return bool(
+            (act(t_inv, prod, e[None, :]) == e[:, None]).all()
             and (act(t, quot, e[None, :]) == e[:, None]).all()
-        ):
-            return False
-        rows = max(1, AXIOM3_CELLS // max(1, prod.size))
-        for x0 in range(0, len(e), rows):
-            block = prod[x0:x0 + rows]
-            lhs = act(t, block[:, :, None], e[None, None, :])  # (x ◁ y) ◁ z
-            rhs = act(t, block[:, None, :], prod[None, :, :])  # (x ◁ z) ◁ (y ◁ z)
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
+        )
 
     def __repr__(self):
         return f"GAlexLattice(t={[list(r) for r in self.t.entries]})"

@@ -14,8 +14,11 @@ from __future__ import annotations
 from itertools import permutations as iter_permutations
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import MalformedTableError
 from .perms import Permutation
+from .quandle import _automorphism_defect
 
 
 class GroupTable:
@@ -69,11 +72,9 @@ class GroupTable:
         if sorted(images) != list(range(self.size)):
             dup = next(v for v in range(self.size) if list(images).count(v) != 1)
             return (-1, dup)
-        for a in range(self.size):
-            for b in range(self.size):
-                if images[self.mul[a][b]] != self.mul[images[a]][images[b]]:
-                    return (a, b)
-        return None
+        # the quandle kernel compares images[a*b] with images[a]*images[b]
+        # over the whole table, reporting the first (a, b) in row-major order
+        return _automorphism_defect(np.asarray(self.mul, dtype=np.int64), np.asarray(images, dtype=np.int64))
 
     def conjugation_closed(self, subset: Sequence[int]) -> Optional[tuple[int, int]]:
         """None if subset is closed under conjugation by the whole group,

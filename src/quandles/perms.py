@@ -8,6 +8,12 @@ orders) lives in ``quandles.groups`` and runs on indices: an enumerated
 ``PermGroup`` hands it its Cayley table through ``PermGroup.table()``.
 No stabilizer chains; everything is desk scale.
 
+Generators come in one form everywhere in the package: a sequence of
+(name, automorphism) pairs, as ``inner_generators()`` returns them.
+``PermGroup``, ``group_closure``, ``orbits`` and ``word_length`` take
+that and only that; ``_named`` is the one check, and anything else is a
+TypeError.
+
 Composition convention, used consistently across the package: the product
 ``f * g`` means "apply f, then g".  Acting on the right, ``x . (f g) =
 g(f(x))``.  Inverses and conjugation follow the same reading, so
@@ -83,39 +89,26 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
-@dataclass(frozen=True)
-class NamedGenerator:
-    name: str
-    aut: object
-
-    @property
-    def involution(self) -> bool:
-        return self.aut == self.aut.inverse()
-
-
 def _named(generators) -> list[tuple[str, object]]:
-    """(name, automorphism) pairs from NamedGenerators, (name, aut) pairs
-    or bare automorphisms; a bare one at position i is named g<i>."""
-    named = []
-    for i, g in enumerate(generators):
-        if isinstance(g, NamedGenerator):
-            named.append((g.name, g.aut))
-        elif isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
-            named.append(g)
-        else:
-            named.append((f"g{i}", g))
+    """The generators as a list of (name, automorphism) pairs, the one
+    form every entry point takes; anything else is a TypeError."""
+    named = list(generators)
+    for g in named:
+        if not (isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str)):
+            raise TypeError(f"a generator must be a (name, automorphism) pair, got {g!r}")
     return named
 
 
 class PermGroup:
-    """A permutation group given by named generators, enumerated on demand.
+    """A permutation group given by (name, permutation) generators,
+    enumerated on demand.
 
     The element list is deterministic: breadth-first over words in the
     generators, shortest word first, with ties broken by generator order.
     The identity is always elements[0].
     """
 
-    def __init__(self, generators, bound: int = DEFAULT_GROUP_BOUND):
+    def __init__(self, generators):
         self.generators = _named(generators)
         if not self.generators:
             raise ValueError("PermGroup needs at least one generator")
@@ -123,12 +116,11 @@ class PermGroup:
         for name, g in self.generators:
             if g.degree != self.degree:
                 raise ValueError(f"generator {name} has mismatched degree")
-        self.bound = bound
         self._table = None
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        return tuple(group_closure([g for _, g in self.generators], bound=self.bound))
+        return tuple(group_closure(self.generators))
 
     @cached_property
     def index(self) -> dict[Permutation, int]:
@@ -160,9 +152,10 @@ class PermGroup:
 
 
 def group_closure(
-    generators: Sequence[Permutation], bound: int = DEFAULT_GROUP_BOUND
+    generators: Sequence[tuple[str, Permutation]], bound: int = DEFAULT_GROUP_BOUND
 ) -> list[Permutation]:
-    """Enumerate the group generated by ``generators``.
+    """Enumerate the group generated by the (name, permutation) pairs
+    ``generators``.
 
     Breadth-first multiplication on the right; for a finite group this
     closes up (inverses are powers).  Raises BoundExceededError once more
@@ -190,15 +183,14 @@ def group_closure(
     return order
 
 
-def orbits(group, domain: Iterable[int]) -> list[list[int]]:
-    """Partition ``domain`` into orbits under the group's generators.
+def orbits(generators, domain: Iterable[int]) -> list[list[int]]:
+    """Partition ``domain`` into orbits under the group generated by the
+    (name, permutation) pairs ``generators`` (``PermGroup.generators``).
 
     Orbits are sorted internally and listed by smallest element, so the
-    output is canonical.  ``group`` may be a PermGroup or a sequence of
-    Permutations.
+    output is canonical.
     """
-    gens = [g for _, g in group.generators] if isinstance(group, PermGroup) else list(group)
-    steps = [s for g in gens for s in (g, g.inverse())]
+    steps = [s for _, g in _named(generators) for s in (g, g.inverse())]
     domain = list(domain)
     remaining = set(domain)
     parts = []
@@ -240,8 +232,9 @@ def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:
 
 
 def word_length(generators, target, max_length: int) -> Optional[int]:
-    """Length of the shortest word in the generators (and their inverses)
-    equal to ``target``, or None if no word of length <= max_length works.
+    """Length of the shortest word in the (name, automorphism) pairs
+    ``generators`` (and their inverses) equal to ``target``, or None if no
+    word of length <= max_length works.
 
     Works for any automorphism representation with exact equality and
     hashing, not just Permutation; mixing representations is a TypeError.

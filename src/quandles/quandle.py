@@ -158,7 +158,9 @@ def _automorphism_defect(t: np.ndarray, img: np.ndarray) -> Optional[tuple[int, 
     """None if the permutation ``img`` preserves ◁, else the first (x, y)
     in row-major order where img[x ◁ y] != img[x] ◁ img[y].
 
-    With img = column z of the table this is axiom 3 at z.
+    With img = column z of the table this is axiom 3 at z.  Nothing here
+    is specific to quandles: ``GroupTable.is_automorphism`` runs it on a
+    multiplication table.
     """
     lhs = img[t]
     rhs = t[np.ix_(img, img)]
@@ -213,24 +215,20 @@ class FiniteQuandle:
                 gens.append((f"s{y}*s0^-1", p))
         return gens
 
-    def inner_group(self, bound: Optional[int] = None) -> PermGroup:
-        kwargs = {} if bound is None else {"bound": bound}
-        return PermGroup(self.inner_generators(), **kwargs)
+    def inner_group(self) -> PermGroup:
+        return PermGroup(self.inner_generators())
 
-    def displacement_group(self, bound: Optional[int] = None) -> PermGroup:
+    def displacement_group(self) -> PermGroup:
         gens = self.displacement_generators()
         if not gens:
             gens = [("id", Permutation.identity(self.size))]
-        kwargs = {} if bound is None else {"bound": bound}
-        return PermGroup(gens, **kwargs)
+        return PermGroup(gens)
 
     def components(self) -> list[list[int]]:
         """Connected components = orbits of the inner group (equivalently,
         of the displacement group)."""
         if self._components is None:
-            self._components = orbits(
-                [g for _, g in self.inner_generators()], range(self.size)
-            )
+            self._components = orbits(self.inner_generators(), range(self.size))
         return self._components
 
     def component_key(self, x: int) -> int:

@@ -2,7 +2,9 @@
 
 The graph of an action has the acted-on set as vertices and an edge
 x -- x.s for every generator s (a generator and its inverse give the same
-undirected edge, identified by the generator's name).  Distances in the
+undirected edge, identified by the generator's name).  Generators are
+(name, automorphism) pairs, the one form the package uses (see
+``quandles.perms``); an action keeps them sorted by name.  Distances in the
 graph restricted to a ball can overestimate true distances when geodesics
 leave the ball, so pairwise distances come with a certificate:
 
@@ -58,7 +60,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
-from .perms import NamedGenerator, Permutation, _named, word_length
+from .perms import Permutation, _named, word_length
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -68,35 +70,15 @@ _BLOCK_CELLS = 1 << 20
 Edge = tuple[str, str, str]  # (key_u, key_v, generator name) with key_u <= key_v
 
 
-class GeneratorSet:
-    """Named automorphisms, traversed with their formal inverses.
-
-    Generators are sorted by name so traversal order (and therefore every
-    exported artifact) is reproducible no matter how the set was built.
-    """
-
-    def __init__(self, generators: Iterable):
-        named = [NamedGenerator(name, aut) for name, aut in _named(generators)]
-        names = [g.name for g in named]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate generator names: {names}")
-        self.generators = sorted(named, key=lambda g: g.name)
-
-    def names(self) -> list[str]:
-        return [g.name for g in self.generators]
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
 class SchreierAction:
     """A set acted on by named automorphisms, with key serialization.
 
-    ``apply`` defaults to aut.act(x); pass a different callable to act on
-    group elements by right multiplication (Cayley graphs).
+    ``generators`` is a sequence of (name, automorphism) pairs; they are
+    kept as a tuple sorted by name, so traversal order (and therefore
+    every exported artifact) is reproducible no matter how the list was
+    built.  Names must be distinct.  ``apply`` defaults to aut.act(x);
+    pass a different callable to act on group elements by right
+    multiplication (Cayley graphs).
     """
 
     def __init__(
@@ -107,7 +89,11 @@ class SchreierAction:
         apply: Optional[Callable[[object, object], object]] = None,
     ):
         self.backend_id = backend_id
-        self.generators = generators if isinstance(generators, GeneratorSet) else GeneratorSet(generators)
+        named = _named(generators)
+        names = [name for name, _ in named]
+        if len(names) != len(set(names)):
+            raise ValueError(f"duplicate generator names: {names}")
+        self.generators = tuple(sorted(named, key=lambda g: g[0]))
         self.key = key
         self.apply = apply if apply is not None else _act
 
@@ -443,7 +429,7 @@ def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.n
     with each move's generator index; None unless the action is the
     default point action, every generator is a ``Permutation`` of one
     degree and the basepoint is one of its points."""
-    auts = [gen.aut for gen in action.generators]
+    auts = [aut for _, aut in action.generators]
     if action.apply is not _act or not auts or any(type(a) is not Permutation for a in auts):
         return None
     degree = auts[0].degree
@@ -525,7 +511,7 @@ def build_ball(
         keys, elements, distances, blocks, finish, move_gen = _generic_bfs(
             action, basepoint, radius, max_vertices
         )
-    names = action.generators.names()
+    names = [name for name, _ in action.generators]
     return LabeledBall(
         backend_id=action.backend_id,
         basepoint=keys[0],
@@ -541,11 +527,12 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
     """BFS applying and keying one move at a time; returns (keys,
     elements, distances, neighbor blocks, finish, move_gen)."""
     moves, move_gen = [], []
-    for i, gen in enumerate(action.generators):
-        moves.append(gen.aut)
+    for i, (_, aut) in enumerate(action.generators):
+        inverse = aut.inverse()
+        moves.append(aut)
         move_gen.append(i)
-        if not gen.involution:
-            moves.append(gen.aut.inverse())
+        if aut != inverse:
+            moves.append(inverse)
             move_gen.append(i)
     apply, key = action.apply, action.key
     keys, elements = [key(basepoint)], [basepoint]

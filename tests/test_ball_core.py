@@ -36,10 +36,10 @@ def _two_pass_ball(action, basepoint, radius):
     """The original build_ball: BFS keyed by strings, then every move
     applied a second time to collect the edge set."""
     moves = []
-    for gen in action.generators:
-        moves.append((gen.name, gen.aut))
-        if not gen.involution:
-            moves.append((gen.name, gen.aut.inverse()))
+    for name, aut in action.generators:
+        moves.append((name, aut))
+        if aut != aut.inverse():
+            moves.append((name, aut.inverse()))
     dist = {action.key(basepoint): 0}
     element = {action.key(basepoint): basepoint}
     frontier = [basepoint]

@@ -128,6 +128,36 @@ def test_galex_finite_rejects_non_automorphism():
         galex_finite(z4, [0, 0, 0, 0])
 
 
+def _group_automorphism_loop(group, images):
+    """The original check: the bijectivity witness, then the first (a, b)
+    in row-major order."""
+    if sorted(images) != list(range(group.size)):
+        return (-1, next(v for v in range(group.size) if list(images).count(v) != 1))
+    for a in range(group.size):
+        for b in range(group.size):
+            if images[group.mul[a][b]] != group.mul[images[a]][images[b]]:
+                return (a, b)
+    return None
+
+
+def test_group_is_automorphism_matches_double_loop():
+    rng = random.Random(11)
+    failures = 0
+    for group in (cyclic_group(6), dihedral_group(4), symmetric_group(3), quaternion_group(), alternating_group(4)):
+        n = group.size
+        maps = [[group.conj(x, g) for x in range(n)] for g in range(n)]  # inner: all pass
+        for _ in range(25):
+            images = list(range(n))
+            rng.shuffle(images)
+            maps.append(images)
+            maps.append([rng.randrange(n) for _ in range(n)])  # rarely a bijection
+        for images in maps:
+            expected = _group_automorphism_loop(group, images)
+            assert group.is_automorphism(images) == expected
+            failures += expected is not None
+    assert failures > 0
+
+
 def test_galex_identity_component():
     d4 = dihedral_group(4)
     q = galex_finite(d4, conjugation_automorphism(d4, 1))

@@ -94,6 +94,18 @@ def test_closure_bound():
         group_closure([("c", c)], bound=3)
 
 
+def test_generators_are_named_pairs_only():
+    a, c = Permutation((1, 0, 2)), Permutation((1, 2, 0))
+    for bad in ([a, c], [("a", a), c], [("a",)], [(0, a)]):
+        with pytest.raises(TypeError):
+            PermGroup(bad)
+        with pytest.raises(TypeError):
+            group_closure(bad)
+        with pytest.raises(TypeError):
+            word_length(bad, a, 3)
+    assert PermGroup([("a", a), ("c", c)]).generators == [("a", a), ("c", c)]
+
+
 def test_perm_group_api():
     g = PermGroup([("t", Permutation((1, 0, 2, 3))), ("c", Permutation((1, 2, 3, 0)))])
     assert g.order == 24
@@ -103,12 +115,14 @@ def test_perm_group_api():
 
 def test_orbits_partition():
     g = PermGroup([("p", Permutation((1, 0, 3, 2, 4)))])
-    assert orbits(g, range(5)) == [[0, 1], [2, 3], [4]]
+    assert orbits(g.generators, range(5)) == [[0, 1], [2, 3], [4]]
+    with pytest.raises(TypeError):
+        orbits([Permutation((1, 0, 3, 2, 4))], range(5))
     rng = random.Random(73)
     for _ in range(30):
         n = rng.randrange(2, 8)
         g = PermGroup([(f"g{i}", _random_perm(rng, n)) for i in range(2)])
-        parts = orbits(g, range(n))
+        parts = orbits(g.generators, range(n))
         seen = sorted(x for part in parts for x in part)
         assert seen == list(range(n))
 
@@ -142,17 +156,17 @@ def test_orbits_of_quandles_unchanged():
         (disconnected, [[0, 1, 2], [3]]),
     ]
     for q, expected in cases:
-        gens = [g for _, g in q.inner_generators()]
+        gens = q.inner_generators()
         parts = orbits(gens, range(q.size))
-        assert parts == _orbits_loop(gens, list(range(q.size)))
+        assert parts == _orbits_loop([g for _, g in gens], list(range(q.size)))
         assert q.components() == parts
         if expected is not None:
             assert parts == expected
         else:
             # conj(S4): the five conjugacy classes
             assert sorted(len(p) for p in parts) == [1, 3, 6, 6, 8]
-        disp = [g for _, g in q.displacement_generators()]
-        assert orbits(disp, range(q.size)) == _orbits_loop(disp, list(range(q.size)))
+        disp = q.displacement_generators()
+        assert orbits(disp, range(q.size)) == _orbits_loop([g for _, g in disp], list(range(q.size)))
 
 
 def test_first_fixed_point():

@@ -6,7 +6,6 @@ import pytest
 from quandles.errors import BoundExceededError
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
 from quandles.schreier import (
-    GeneratorSet,
     SchreierAction,
     ball_from_json_lines,
     ball_to_dot,
@@ -135,11 +134,18 @@ def test_loopless_forest_check():
     assert not loopless_forest_check(grid)
 
 
-def test_generator_set_rejects_duplicates():
+def test_schreier_action_rejects_duplicate_generators():
     dq = dihedral_quandle("inf")
     s0 = dq.symmetry(0)
     with pytest.raises(ValueError):
-        GeneratorSet([("s0", s0), ("s0", s0)])
+        SchreierAction("dih", [("s0", s0), ("s0", s0)], dq.key)
+
+
+def test_schreier_action_sorts_generators_by_name():
+    dq = dihedral_quandle("inf")
+    s0, s1, s2 = dq.symmetry(0), dq.symmetry(1), dq.symmetry(2)
+    action = SchreierAction("dih", [("s2", s2), ("s0", s0), ("s1", s1)], dq.key)
+    assert action.generators == (("s0", s0), ("s1", s1), ("s2", s2))
 
 
 def test_vertex_bound():
@@ -157,14 +163,18 @@ def test_bilipschitz_constant_golden():
     assert bilipschitz_constant(gens_a, [("s5", dq.symmetry(5))], 4) is None
 
 
-def test_bilipschitz_constant_named_generators():
-    # NamedGenerator input on both sides, as a GeneratorSet yields it
+def test_bilipschitz_constant_rejects_bare_automorphisms():
+    # generators are (name, automorphism) pairs; a bare automorphism on
+    # either side is a TypeError, not a generator named g<i>
     dq = dihedral_quandle("inf")
     gens_a = dq.inner_generators()
-    gens_b = gens_a + [("s2", dq.symmetry(2))]
-    assert bilipschitz_constant(GeneratorSet(gens_a), GeneratorSet(gens_b), 5) == 3
-    assert bilipschitz_constant(GeneratorSet(gens_a), gens_b, 5) == 3
-    assert bilipschitz_constant(GeneratorSet(gens_a), [dq.symmetry(5)], 4) is None
+    with pytest.raises(TypeError):
+        bilipschitz_constant(gens_a, [dq.symmetry(5)], 4)
+    with pytest.raises(TypeError):
+        bilipschitz_constant([dq.symmetry(0), dq.symmetry(1)], gens_a, 4)
+    # an action's sorted pairs are themselves valid input
+    gens_b = SchreierAction("dih", gens_a + [("s2", dq.symmetry(2))], dq.key).generators
+    assert bilipschitz_constant(gens_a, gens_b, 5) == 3
 
 
 def test_bilipschitz_compare():

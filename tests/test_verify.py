@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -18,7 +20,7 @@ from quandles.groups import (
     quaternion_group,
     symmetric_group,
 )
-from quandles.perms import Permutation
+from quandles.perms import PermGroup, Permutation
 from quandles.schreier import SchreierAction, build_ball, inner_action
 from quandles.verify import (
     TheoremReport,
@@ -94,6 +96,50 @@ def test_reconstruction_hypothesis_failures():
     rep = verify_free_transitive_reconstruction(q3, list(q3.inner_group().elements))
     assert not rep.passed
     assert rep.witness["failed_hypothesis"] == "free"
+
+
+def _first_non_normal_loop(q, subgroup):
+    """The original normality scan: every element h of the group generated
+    by the point symmetries and the supplied elements, in enumeration
+    order; the first (h, g) with h^-1 g h outside the supplied set."""
+    ambient = PermGroup(q.inner_generators() + [(f"g{i}", p) for i, p in enumerate(subgroup)])
+    sub_set = frozenset(subgroup)
+    for h in ambient.elements:
+        for g in subgroup:
+            if h.inverse() * g * h not in sub_set:
+                return {"failed_hypothesis": "normal-in-ambient", "conjugator": h.key(), "element": g.key()}
+    return None
+
+
+def test_reconstruction_normality_matches_element_scan():
+    """Checking normality at the generators gives the same verdict and
+    witness as the scan over every element of the ambient group."""
+    rng = random.Random(5)
+    cases = []
+    for n in (4, 5, 6, 8, 9):
+        q = dihedral_quandle(n)
+        # x -> a x + b with a a unit: the affine automorphisms of R_n
+        affine = [
+            Permutation(tuple((a * x + b) % n for x in range(n)))
+            for a in range(1, n) if math.gcd(a, n) == 1 for b in range(n)
+        ]
+        cases.append((q, list(q.displacement_group().elements)))
+        cases += [(q, rng.sample(affine, rng.randrange(1, 5))) for _ in range(12)]
+    conj = conjugation_quandle(symmetric_group(3), [1, 2, 5])
+    inner = list(conj.inner_group().elements)
+    cases += [(conj, rng.sample(inner, rng.randrange(1, 4))) for _ in range(6)]
+    non_normal = 0
+    for q, subgroup in cases:
+        expected = _first_non_normal_loop(q, subgroup)
+        rep = verify_free_transitive_reconstruction(q, subgroup)
+        if expected is None:
+            assert rep.passed or rep.witness["failed_hypothesis"] != "normal-in-ambient"
+        else:
+            non_normal += 1
+            assert not rep.passed
+            assert rep.witness == expected
+            assert rep.details == {"ambient": f"<point symmetries + {len(subgroup)} supplied>"}
+    assert 0 < non_normal < len(cases)
 
 
 def test_reconstruction_rejects_non_automorphisms():

@@ -5,8 +5,11 @@ indices: identity and inverses, element orders, subgroup closures,
 normal closures, commutator subgroups, subgroups and quotients re-indexed
 as tables of their own, cyclicity, abelian invariants and conjugacy
 closure tests.  An enumerated ``perms.PermGroup`` reaches it through its
-Cayley table (``PermGroup.table()``).  Also a handful of stock groups for
-tests and demos.
+Cayley table (``PermGroup.table()``), which ``perms`` fills by gathers on
+the group's images array, so index i is always the i-th element in
+enumeration order.  Also a handful of stock groups for tests and demos;
+``group_from_elements``, one product per table entry, builds those and
+nothing else.
 """
 
 from __future__ import annotations
@@ -28,29 +31,25 @@ class GroupTable:
 
     def __init__(self, mul: Sequence[Sequence[int]]):
         n = len(mul)
-        self.mul = tuple(tuple(int(v) for v in row) for row in mul)
+        self.mul = tuple(tuple(map(int, row)) for row in mul)
         if any(len(row) != n for row in self.mul):
             raise MalformedTableError("multiplication table must be square")
-        if any(v < 0 or v >= n for row in self.mul for v in row):
+        if n and (min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n):
             raise MalformedTableError("table entry out of range")
         self.size = n
-        ident = None
-        for e in range(n):
-            if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        t = np.array(self.mul, dtype=np.int64).reshape(n, n)
+        points = np.arange(n)
+        # the first e with e*x = x*e = x for all x, then for each a the
+        # first b with a*b = b*a = e
+        ident = np.flatnonzero((t == points).all(axis=1) & (t.T == points).all(axis=1))
+        if not ident.size:
             raise MalformedTableError("table has no identity element")
-        self.identity = ident
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.mul[a][b] == ident and self.mul[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise MalformedTableError(f"element {a} has no inverse")
-        self.inverse = tuple(inv)
+        self.identity = int(ident[0])
+        both = (t == self.identity) & (t.T == self.identity)
+        lonely = np.flatnonzero(~both.any(axis=1))
+        if lonely.size:
+            raise MalformedTableError(f"element {lonely[0]} has no inverse")
+        self.inverse = tuple(both.argmax(axis=1).tolist())
 
     def element_order(self, x: int) -> int:
         k, cur = 1, x

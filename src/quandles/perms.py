@@ -1,12 +1,29 @@
 """Permutations and the groups they generate, as actions on points.
 
-This module owns what acts on points: ``Permutation``, the breadth-first
-enumeration of a ``PermGroup`` (shortest word first, generator order
-breaking ties), orbits, free actions and word lengths.  Group algebra
+This module owns what acts on points: ``Permutation``, the enumeration
+of a ``PermGroup``, orbits, free actions and word lengths.  Group algebra
 (normal closures, commutators, quotients, abelian invariants, element
 orders) lives in ``quandles.groups`` and runs on indices: an enumerated
 ``PermGroup`` hands it its Cayley table through ``PermGroup.table()``.
 No stabilizer chains; everything is desk scale.
+
+An enumerated group is one int array: ``PermGroup.images`` has a row of
+images per element, and ``group_closure`` is what fills it.  Products are
+numpy gathers on those rows (the row of f * g is ``g[f]``), and
+``Permutation`` objects are built only where the API hands elements out
+(``elements``, ``index``, witnesses).  The rows come in breadth-first
+order over words in the generators: the identity first, then each
+frontier in turn, every frontier element times every generator, so
+shortest words come first and ties go by frontier position, then
+generator order.  That is the order a loop over ``Permutation`` products
+would give, and table indices and witnesses depend on it.
+
+Rows are found again by their images on a *base*: the fewest leading
+points 0, .., L-1 whose images tell the rows apart (a base in the sense
+of Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+section 4.1, restricted to a prefix of the points).  R_n needs two, since
+an affine map of Z/n is fixed by its images of 0 and 1.  ``RowIndex``
+does the lookup; with it the Cayley table costs |G|^2 L gathers.
 
 Generators come in one form everywhere in the package: a sequence of
 (name, automorphism) pairs, as ``inner_generators()`` returns them.
@@ -24,12 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import BoundExceededError
 
 DEFAULT_GROUP_BOUND = 200_000
+CLOSURE_CELLS = 1 << 16  # cells per gather block of the closure
 
 
 @dataclass(frozen=True)
@@ -42,6 +61,15 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
+
+    @classmethod
+    def unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, without the check: only for
+        a tuple of ints already known to be a permutation, such as a row
+        of an enumerated group or a column of a validated quandle table."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -63,13 +91,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
-        return Permutation(tuple(other.images[i] for i in self.images))
+        if len(self.images) != len(other.images):
+            raise ValueError(f"degrees differ: {len(self.images)} and {len(other.images)}")
+        return Permutation.unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, img in enumerate(self.images):
             inv[img] = i
-        return Permutation(tuple(inv))
+        return Permutation.unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == img for i, img in enumerate(self.images))
@@ -89,6 +119,11 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
+def row_permutation(row: np.ndarray) -> Permutation:
+    """The Permutation whose images are one row of an images array."""
+    return Permutation.unchecked(tuple(row.tolist()))
+
+
 def _named(generators) -> list[tuple[str, object]]:
     """The generators as a list of (name, automorphism) pairs, the one
     form every entry point takes; anything else is a TypeError."""
@@ -99,11 +134,63 @@ def _named(generators) -> list[tuple[str, object]]:
     return named
 
 
+class RowIndex:
+    """Finds rows of a fixed array of distinct permutations (one row of
+    images each) by their images on a base.
+
+    The base is the shortest prefix 0, .., L-1 of the points on which the
+    rows differ pairwise.  A row's code is built one base point at a
+    time: at level j the pair (code so far, image of j) is ranked among
+    the pairs the rows themselves take, so codes stay below the row
+    count whatever the degree and L are.
+    """
+
+    def __init__(self, images: np.ndarray):
+        m, n = images.shape
+        self.images = images
+        self._degree = n
+        self._levels: list[np.ndarray] = []
+        codes = np.zeros(m, dtype=np.int64)
+        distinct = min(m, 1)
+        while distinct < m:
+            keys = codes * n + images[:, len(self._levels)]
+            level, codes = np.unique(keys, return_inverse=True)
+            self._levels.append(level)
+            distinct = len(level)
+        self._row_of_code = np.empty(m, dtype=np.intp)
+        self._row_of_code[codes] = np.arange(m)
+
+    @property
+    def base_length(self) -> int:
+        return len(self._levels)
+
+    def find(self, images: np.ndarray) -> np.ndarray:
+        """The row of each permutation in ``images`` (shape (..., L) or
+        wider, base images first) judged by its base images alone, or -1
+        where no row has them.  Exact for permutations known to be among
+        the rows, such as products of elements of an enumerated group."""
+        if not len(self.images):
+            return np.full(images.shape[:-1], -1, dtype=np.intp)
+        codes = np.zeros(images.shape[:-1], dtype=np.int64)
+        hit = np.ones(images.shape[:-1], dtype=bool)
+        for j, level in enumerate(self._levels):
+            keys = codes * self._degree + images[..., j]
+            codes = np.minimum(np.searchsorted(level, keys), len(level) - 1)
+            hit &= level[codes] == keys
+        return np.where(hit, self._row_of_code[codes], -1)
+
+    def locate(self, images: np.ndarray) -> np.ndarray:
+        """The row equal to each permutation in ``images`` (shape (k, n)),
+        or -1 where there is none: ``find``, then a full-row comparison."""
+        rows = self.find(images)
+        return np.where((rows >= 0) & (self.images[rows] == images).all(axis=-1), rows, -1)
+
+
 class PermGroup:
     """A permutation group given by (name, permutation) generators,
     enumerated on demand.
 
-    The element list is deterministic: breadth-first over words in the
+    The element order is deterministic: breadth-first over words in the
     generators, shortest word first, with ties broken by generator order.
     The identity is always elements[0].
     """
@@ -119,25 +206,49 @@ class PermGroup:
         self._table = None
 
     @cached_property
+    def images(self) -> np.ndarray:
+        """One row of images per element, in enumeration order."""
+        return group_closure(self.generators)
+
+    @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        return tuple(group_closure(self.generators))
+        return tuple(Permutation.unchecked(row) for row in map(tuple, self.images.tolist()))
 
     @cached_property
     def index(self) -> dict[Permutation, int]:
         """Position of each element in ``elements``."""
         return {p: i for i, p in enumerate(self.elements)}
 
+    @cached_property
+    def rows(self) -> RowIndex:
+        """Lookup of elements by their images on a base."""
+        return RowIndex(self.images)
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
+
+    def positions(self, images: np.ndarray) -> list[int]:
+        """The index in ``elements`` of each row of ``images``; KeyError
+        if one of them is not in the group."""
+        found = self.rows.locate(images)
+        if len(found) and found.min() < 0:
+            raise KeyError(f"{row_permutation(images[found.argmin()]).key()} is not in the group")
+        return found.tolist()
 
     def table(self):
         """The Cayley table as a ``groups.GroupTable``: index i is
-        ``elements[i]``, so the identity is 0."""
-        if self._table is None:
-            from .groups import group_from_elements
+        ``elements[i]``, so the identity is 0.
 
-            self._table = group_from_elements(list(self.elements), mul)
+        The base images of elements[a] * elements[b] are
+        images[b, images[a, :L]]; they pick out the product's row.
+        """
+        if self._table is None:
+            from .groups import GroupTable
+
+            images = self.images
+            on_base = images[:, images[:, : self.rows.base_length]]  # [b, a, j]
+            self._table = GroupTable(self.rows.find(on_base.transpose(1, 0, 2)).tolist())
         return self._table
 
     def __contains__(self, p: Permutation) -> bool:
@@ -153,34 +264,49 @@ class PermGroup:
 
 def group_closure(
     generators: Sequence[tuple[str, Permutation]], bound: int = DEFAULT_GROUP_BOUND
-) -> list[Permutation]:
+) -> np.ndarray:
     """Enumerate the group generated by the (name, permutation) pairs
-    ``generators``.
+    ``generators`` as an int array with one row of images per element.
 
     Breadth-first multiplication on the right; for a finite group this
-    closes up (inverses are powers).  Raises BoundExceededError once more
-    than ``bound`` elements have been found.
+    closes up (inverses are powers).  Each frontier is multiplied by all
+    generators in blocks of one gather, ``gens[:, block]``, and the new
+    rows are kept in first-occurrence order, frontier-major and
+    generator-minor.  Raises BoundExceededError once more than ``bound``
+    elements have been found.
     """
-    generators = [g for _, g in _named(generators)]
-    if not generators:
+    named = _named(generators)
+    if not named:
         raise ValueError("need at least one generator")
-    identity = Permutation.identity(generators[0].degree)
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
+    gens = np.array([g.images for _, g in named], dtype=np.int32)
+    k, n = gens.shape
+    width = gens.itemsize * n
+    identity = np.arange(n, dtype=np.int32)
+    seen = {identity.tobytes()}
+    found = [identity[None, :]]
+    frontier = found[0]
+    block = max(1, CLOSURE_CELLS // max(1, k * n))
+    while len(frontier):
         new = []
-        for el in frontier:
-            for g in generators:
-                prod = el * g
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    new.append(prod)
-                    if len(seen) > bound:
-                        raise BoundExceededError("group closure", bound)
-        frontier = new
-    return order
+        for f0 in range(0, len(frontier), block):
+            chunk = frontier[f0 : f0 + block]
+            products = np.take(gens, chunk, axis=1)  # [g, f] = chunk[f] * gens[g]
+            buf = products.tobytes()
+            c = len(chunk)
+            fresh = []
+            for f in range(c):
+                for at in range(f, k * c, c):  # row g * c + f of the block
+                    row = buf[at * width : (at + 1) * width]
+                    if row not in seen:
+                        seen.add(row)
+                        fresh.append(at)
+                        if len(seen) > bound:
+                            raise BoundExceededError("group closure", bound)
+            if fresh:
+                new.append(products.reshape(-1, n)[fresh])
+        frontier = np.concatenate(new) if new else frontier[:0]
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 def orbits(generators, domain: Iterable[int]) -> list[list[int]]:
@@ -216,18 +342,21 @@ def first_fixed_point(
 ) -> Optional[tuple[Permutation, int]]:
     """The first (element, point) of ``orbit`` that a non-identity element
     fixes, element-major; None iff the elements act freely on ``orbit``."""
-    pts = list(orbit)
-    for g in elements:
-        if not g.is_identity():
-            for p in pts:
-                if g.act(p) == p:
-                    return g, p
-    return None
+    elements = list(elements)
+    if not elements:
+        return None
+    images = np.array([g.images for g in elements])
+    points = np.fromiter(orbit, dtype=np.intp)
+    moving = (images != np.arange(images.shape[1])).any(axis=1)
+    hits = np.argwhere((images[:, points] == points) & moving[:, None])
+    if not len(hits):
+        return None
+    return elements[hits[0, 0]], int(points[hits[0, 1]])
 
 
 def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:
     """Whether group/sub is cyclic (sub must be normal).  Returns (flag, order)."""
-    quotient = group.table().quotient([group.index[p] for p in sub.elements])
+    quotient = group.table().quotient(group.positions(sub.images))
     return quotient.is_cyclic(), quotient.size
 
 

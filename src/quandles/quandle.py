@@ -17,6 +17,7 @@ Tables are stored row-major: table[x][y] = x ◁ y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,9 +199,18 @@ class FiniteQuandle:
     def elements(self) -> range:
         return range(self.size)
 
+    @cached_property
+    def _points(self) -> list[int]:
+        return list(range(self.size))
+
     def symmetry(self, y: int) -> Permutation:
-        """The point symmetry s_y as a Permutation (x -> x ◁ y)."""
-        return Permutation(tuple(self.table[:, y].tolist()))
+        """The point symmetry s_y as a Permutation (x -> x ◁ y).
+
+        Column y of a valid table is a permutation (axiom 2), so no check
+        is repeated.  Its images are the shared ints of ``_points``: n
+        symmetries of degree n hold n^2 pointers to n ints, not n^2 ints.
+        """
+        return Permutation.unchecked(tuple(map(self._points.__getitem__, self.table[:, y].tolist())))
 
     def inner_generators(self) -> list[tuple[str, Permutation]]:
         return [(f"s{y}", self.symmetry(y)) for y in range(self.size)]

@@ -5,18 +5,32 @@ statement id, the instance it ran on, a pass flag, and a witness when the
 claimed property fails, so a failing run shows exactly which element
 breaks which equality.  Nothing here is assumed; even textbook facts are
 re-established on the given instance.
+
+Permutation groups arrive as ``PermGroup`` image arrays (one row per
+element, owned by ``perms``), and the checks on them are numpy gathers
+and ``RowIndex`` lookups.  Each check still scans in a fixed order,
+stated in its docstring, so a witness is the first failure in that
+order; ``Permutation`` objects are built only for the witnesses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .families import GAlexFiniteQuandle, conjugation_automorphism, galex_finite
-from .groups import GroupTable, group_from_elements
-from .perms import Permutation, first_fixed_point, orbits, quotient_is_cyclic
+from .groups import GroupTable
+from .perms import (
+    Permutation,
+    RowIndex,
+    first_fixed_point,
+    orbits,
+    quotient_is_cyclic,
+    row_permutation,
+)
 from .quandle import FiniteQuandle
 from .schreier import (
     SchreierAction,
@@ -68,7 +82,7 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     inn = q.inner_group()
     dis = q.displacement_group()
     table = inn.table()
-    dis_index = [inn.index[d] for d in dis.elements]
+    dis_index = inn.positions(dis.images)
     dis_set = set(dis_index)
     reports = []
 
@@ -104,8 +118,7 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     # breadth-first over words in the s_y^(+-1), tracking exponent sums
     max_len = 2 * inn.order
     steps = []
-    for _, sym in inn.generators:
-        i = inn.index[sym]
+    for i in inn.positions(np.array([sym.images for _, sym in inn.generators])):
         steps += [(i, 1), (table.inverse[i], -1)]
     start = (table.identity, 0)
     seen = {start}
@@ -175,7 +188,18 @@ def verify_free_transitive_reconstruction(
     The ambient group, enumerated breadth-first, lists the identity and
     then its distinct non-identity generators in order, so the first
     failing generator is also the first failing element of the group.
-    A failed hypothesis fails the report with the hypothesis named.
+    The supplied set must also be closed under products, or it is no
+    group.  A failed hypothesis fails the report with the hypothesis
+    named.  Normality under s_x0, which sigma needs, is part of the
+    ambient check, since s_x0 is a point symmetry.
+
+    Everything runs on one row of images per element: conjugating and
+    multiplying are gathers, and membership is a ``RowIndex`` lookup
+    confirmed on the full row.  Witnesses are first failures in these
+    orders: conjugator-major (point symmetries, then the supplied
+    elements) and supplied-order minor for normality; the supplied order
+    for freeness; row-major over the distinct elements sorted by their
+    images for closure and the isomorphism.
     """
     instance = instance or repr(q)
     statement = "free-transitive-reconstruction"
@@ -186,76 +210,59 @@ def verify_free_transitive_reconstruction(
             raise ValueError(f"subgroup element {p.key()} is not an automorphism at {bad}")
 
     ambient_desc = f"<point symmetries + {len(subgroup)} supplied>"
-    sub_set = frozenset(subgroup)
 
-    for h in [s for _, s in q.inner_generators()] + subgroup:
-        h_inv = h.inverse()
-        for g in subgroup:
-            if h_inv * g * h not in sub_set:
-                return TheoremReport(
-                    statement,
-                    instance,
-                    False,
-                    {
-                        "failed_hypothesis": "normal-in-ambient",
-                        "conjugator": h.key(),
-                        "element": g.key(),
-                    },
-                    {"ambient": ambient_desc},
-                )
+    def failed(witness: dict) -> TheoremReport:
+        return TheoremReport(statement, instance, False, witness, {"ambient": ambient_desc})
 
-    points = set(range(q.size))
-    image = {g.act(basepoint) for g in subgroup}
-    if image != points:
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {
-                "failed_hypothesis": "transitive",
-                "orbit_of_basepoint": sorted(image),
-            },
-            {"ambient": ambient_desc},
-        )
-    fix = first_fixed_point(subgroup, points)
-    if fix is not None:
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {"failed_hypothesis": "free", "element": fix[0].key(), "fixed_point": fix[1]},
-            {"ambient": ambient_desc},
-        )
+    n = q.size
+    supplied = np.array([p.images for p in subgroup], dtype=np.intp).reshape(len(subgroup), n)
+    elements = np.array(sorted({p.images for p in subgroup}), dtype=np.intp).reshape(-1, n)
+    rows = RowIndex(elements)
 
-    elements = sorted(subgroup, key=lambda p: p.images)
-    index = {p: i for i, p in enumerate(elements)}
-    group = group_from_elements(elements, mul)
-    s0 = q.symmetry(basepoint)
-    sigma = []
-    for p in elements:
-        conj = s0.inverse() * p * s0
-        if conj not in index:
-            return TheoremReport(
-                statement,
-                instance,
-                False,
-                {"failed_hypothesis": "normal-under-basepoint-symmetry", "element": p.key()},
-                {"ambient": ambient_desc},
+    # h^-1 g h is x -> h[g[h^-1[x]]]; the conjugators are the point
+    # symmetries s_y (column y of the table), then the supplied elements
+    for h in np.concatenate((q.table.T, supplied)):
+        outside = rows.locate(h[supplied[:, np.argsort(h)]]) < 0
+        if outside.any():
+            return failed(
+                {
+                    "failed_hypothesis": "normal-in-ambient",
+                    "conjugator": row_permutation(h).key(),
+                    "element": subgroup[int(outside.argmax())].key(),
+                }
             )
-        sigma.append(index[conj])
-    rebuilt = galex_finite(group, sigma)
 
-    f = [elements[i].act(basepoint) for i in range(len(elements))]
-    for a in range(len(elements)):
-        for b in range(len(elements)):
-            if f[rebuilt.op(a, b)] != q.op(f[a], f[b]):
-                return TheoremReport(
-                    statement,
-                    instance,
-                    False,
-                    {"isomorphism_fails_at": (a, b)},
-                    {"ambient": ambient_desc},
-                )
+    image = np.flatnonzero(np.bincount(supplied[:, basepoint], minlength=n))
+    if len(image) != n:
+        return failed({"failed_hypothesis": "transitive", "orbit_of_basepoint": image.tolist()})
+    fix = first_fixed_point(subgroup, range(n))
+    if fix is not None:
+        return failed({"failed_hypothesis": "free", "element": fix[0].key(), "fixed_point": fix[1]})
+
+    # mul[a, b] is the row of elements[a] * elements[b] = elements[b][elements[a]]
+    mul = np.empty((len(elements), len(elements)), dtype=np.intp)
+    for a, row in enumerate(elements):
+        mul[a] = rows.locate(elements[:, row])
+        if mul[a].min() < 0:
+            b = int(mul[a].argmin())
+            return failed(
+                {
+                    "failed_hypothesis": "closed-under-products",
+                    "left": row_permutation(row).key(),
+                    "right": row_permutation(elements[b]).key(),
+                }
+            )
+
+    # s_x0 is one of the conjugators above, so sigma maps G onto G
+    s0, s0_inv = q.table[:, basepoint], q.inv_table[:, basepoint]
+    sigma = rows.locate(s0[elements[:, s0_inv]])
+    group = GroupTable(mul.tolist())
+    rebuilt = galex_finite(group, sigma.tolist())
+
+    f = elements[:, basepoint]
+    mismatch = np.argwhere(f[rebuilt.table] != q.table[np.ix_(f, f)])
+    if len(mismatch):
+        return failed({"isomorphism_fails_at": (int(mismatch[0, 0]), int(mismatch[0, 1]))})
     return TheoremReport(
         statement,
         instance,
@@ -264,8 +271,8 @@ def verify_free_transitive_reconstruction(
         {
             "ambient": ambient_desc,
             "group_order": group.size,
-            "sigma": sigma,
-            "basepoint_map": f,
+            "sigma": sigma.tolist(),
+            "basepoint_map": f.tolist(),
         },
     )
 

@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SPECS = {
     "r4.json": {"family": "dihedral", "n": 4},
     "r5.json": {"family": "dihedral", "n": 5},
+    "r21.json": {"family": "dihedral", "n": 21},
     "bad.json": {"family": "finite-table", "table": [[0, 0, 0], [1, 1, 1], [2, 2, 1]]},
     "dinf.json": {"family": "dihedral", "n": "inf"},
     "dinf_disp.json": {"family": "dihedral", "n": "inf", "action": "displacement"},
@@ -57,6 +58,8 @@ CASES = {
     "verify-inner-commutator-d4": ["verify", "d4_rot.json", "--suite", "inner-commutator"],
     "verify-reconstruction-r5": ["verify", "r5.json", "--suite", "reconstruction"],
     "verify-reconstruction-r4-fails": ["verify", "r4.json", "--suite", "reconstruction"],
+    "verify-reconstruction-r21": ["verify", "r21.json", "--suite", "reconstruction"],
+    "verify-dis-properties-r21": ["verify", "r21.json", "--suite", "dis-properties"],
     "verify-isometry-rot90": ["verify", "rot90.json", "--suite", "free-action-isometry", "--radius", "3"],
     "verify-isometry-r5": ["verify", "r5.json", "--suite", "free-action-isometry", "--radius", "3"],
     "exit2-unknown-family": ["axioms", "moebius.json"],

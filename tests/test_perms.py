@@ -1,9 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles.errors import BoundExceededError
-from quandles.families import conjugation_quandle, dihedral_quandle
+from quandles.families import (
+    conjugation_automorphism,
+    conjugation_quandle,
+    dihedral_quandle,
+    galex_finite,
+)
 from quandles.groups import (
     alternating_group,
     cyclic_group,
@@ -84,8 +91,9 @@ def test_closure_s3():
     c = Permutation((1, 2, 0))
     elems = group_closure([("a", a), ("c", c)])
     assert len(elems) == 6
-    # closure is BFS order: identity first, then generators
-    assert elems[0].is_identity()
+    # closure is BFS order, one row of images per element: identity
+    # first, then generators
+    assert elems[:3].tolist() == [[0, 1, 2], [1, 0, 2], [1, 2, 0]]
 
 
 def test_closure_bound():
@@ -304,3 +312,97 @@ def test_word_length():
     # c^3 = (c^-1)^2 is shorter backwards
     assert word_length(gens, c * c * c, 10) == 2
     assert word_length(gens, Permutation((1, 0, 2, 3, 4)), 4) is None
+
+
+def _closure_before_arrays(generators, bound=200_000):
+    """The breadth-first closure as a loop over image tuples, as it was
+    before the array enumeration: each frontier element times each
+    generator, new products appended in that order."""
+    gens = [g.images for _, g in generators]
+    identity = tuple(range(len(gens[0])))
+    seen, order, frontier = {identity}, [identity], [identity]
+    while frontier:
+        new = []
+        for el in frontier:
+            for g in gens:
+                prod = tuple(g[i] for i in el)
+                if prod not in seen:
+                    seen.add(prod)
+                    order.append(prod)
+                    new.append(prod)
+                    if len(seen) > bound:
+                        raise BoundExceededError("group closure", bound)
+        frontier = new
+    return order
+
+
+def _table_before_arrays(elements):
+    """The Cayley table by one tuple product per entry, numbered by
+    position in ``elements``."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[tuple(b[i] for i in a)] for b in elements) for a in elements)
+
+
+def _oracle_generating_sets():
+    sets = {}
+    s4 = symmetric_group(4)
+    quandles = {f"r{n}": dihedral_quandle(n) for n in range(3, 22)}
+    quandles["conj-s4"] = conjugation_quandle(s4)
+    quandles["galex-d4"] = galex_finite(dihedral_group(4), conjugation_automorphism(dihedral_group(4), 1))
+    quandles["galex-s4"] = galex_finite(s4, conjugation_automorphism(s4, 1))
+    for name, q in quandles.items():
+        sets[f"inn-{name}"] = q.inner_group().generators
+        sets[f"dis-{name}"] = q.displacement_group().generators
+    # S4 on 4 points: no single point's image tells the elements apart
+    sets["s4-natural"] = [("t", Permutation((1, 0, 2, 3))), ("c", Permutation((1, 2, 3, 0)))]
+    return sets
+
+
+def _assert_matches_loop(generators, table_up_to=None):
+    """Same elements in the same order, and (for orders up to
+    ``table_up_to``, if given) the same Cayley table as the tuple loops."""
+    group = PermGroup(generators)
+    expected = _closure_before_arrays(generators)
+    assert [p.images for p in group.elements] == expected
+    assert group.images.tolist() == [list(p) for p in expected]
+    assert all(group.index[p] == i for i, p in enumerate(group.elements))
+    if table_up_to is None or group.order <= table_up_to:
+        assert group.table().mul == _table_before_arrays(expected)
+    return group
+
+
+def test_enumeration_and_table_match_the_tuple_loop():
+    for name, generators in _oracle_generating_sets().items():
+        group = _assert_matches_loop(generators)
+        if name == "s4-natural":
+            assert group.order == 24 and group.rows.base_length == 3
+        assert group.rows.find(group.images).tolist() == list(range(group.order)), name
+
+
+def test_closure_bound_raises_exactly_when_the_loop_does():
+    sets = _oracle_generating_sets()
+    for name in ("s4-natural", "dis-r7", "inn-r8", "inn-conj-s4", "dis-galex-d4"):
+        order = PermGroup(sets[name]).order
+        for bound in range(max(1, order - 2), order + 3):
+            try:
+                _closure_before_arrays(sets[name], bound)
+                loop_raises = False
+            except BoundExceededError:
+                loop_raises = True
+            if loop_raises:
+                with pytest.raises(BoundExceededError):
+                    group_closure(sets[name], bound)
+            else:
+                assert len(group_closure(sets[name], bound)) == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    )
+)
+def test_enumeration_matches_the_tuple_loop_on_random_pairs(pair):
+    generators = [("a", Permutation(tuple(pair[0]))), ("b", Permutation(tuple(pair[1])))]
+    # tables of the largest groups (S8, A8) would be |G|^2 tuple products
+    _assert_matches_loop(generators, table_up_to=720)

@@ -20,6 +20,7 @@ from quandles.groups import (
     quaternion_group,
     symmetric_group,
 )
+from quandles.groups import GroupTable
 from quandles.perms import PermGroup, Permutation
 from quandles.schreier import SchreierAction, build_ball, inner_action
 from quandles.verify import (
@@ -139,7 +140,133 @@ def test_reconstruction_normality_matches_element_scan():
             assert not rep.passed
             assert rep.witness == expected
             assert rep.details == {"ambient": f"<point symmetries + {len(subgroup)} supplied>"}
+        # and the whole report is the one the product loops gave
+        before = _reconstruction_before_arrays(q, subgroup)
+        if before == "KeyError":
+            assert rep.witness["failed_hypothesis"] == "closed-under-products"
+        else:
+            assert rep == before
     assert 0 < non_normal < len(cases)
+
+
+def _reconstruction_before_arrays(q, subgroup, basepoint=0, instance=""):
+    """The reconstruction check as loops over Permutation products, as it
+    was before it ran on image arrays.  A set that passes the free check
+    but is not closed under products made its table lookup fail; that is
+    returned as the string "KeyError"."""
+    instance = instance or repr(q)
+    statement = "free-transitive-reconstruction"
+    subgroup = list(subgroup)
+    ambient = {"ambient": f"<point symmetries + {len(subgroup)} supplied>"}
+    sub_set = frozenset(subgroup)
+    for h in [s for _, s in q.inner_generators()] + subgroup:
+        for g in subgroup:
+            if h.inverse() * g * h not in sub_set:
+                witness = {"failed_hypothesis": "normal-in-ambient", "conjugator": h.key(), "element": g.key()}
+                return TheoremReport(statement, instance, False, witness, ambient)
+    image = {g.act(basepoint) for g in subgroup}
+    if image != set(range(q.size)):
+        witness = {"failed_hypothesis": "transitive", "orbit_of_basepoint": sorted(image)}
+        return TheoremReport(statement, instance, False, witness, ambient)
+    for g in subgroup:
+        fixed = [x for x in range(q.size) if not g.is_identity() and g.act(x) == x]
+        if fixed:
+            witness = {"failed_hypothesis": "free", "element": g.key(), "fixed_point": fixed[0]}
+            return TheoremReport(statement, instance, False, witness, ambient)
+    elements = sorted(subgroup, key=lambda p: p.images)
+    index = {p: i for i, p in enumerate(elements)}
+    try:
+        mul = [[index[a * b] for b in elements] for a in elements]
+    except KeyError:
+        return "KeyError"
+    group = GroupTable(mul)
+    s0 = q.symmetry(basepoint)
+    sigma = []
+    for p in elements:
+        conj = s0.inverse() * p * s0
+        if conj not in index:
+            witness = {"failed_hypothesis": "normal-under-basepoint-symmetry", "element": p.key()}
+            return TheoremReport(statement, instance, False, witness, ambient)
+        sigma.append(index[conj])
+    rebuilt = galex_finite(group, sigma)
+    f = [p.act(basepoint) for p in elements]
+    for a in range(len(elements)):
+        for b in range(len(elements)):
+            if f[rebuilt.op(a, b)] != q.op(f[a], f[b]):
+                return TheoremReport(statement, instance, False, {"isomorphism_fails_at": (a, b)}, ambient)
+    details = dict(ambient, group_order=group.size, sigma=sigma, basepoint_map=f)
+    return TheoremReport(statement, instance, True, None, details)
+
+
+def _affine_maps(n):
+    """x -> a x + b with a a unit: the affine automorphisms of R_n."""
+    return [
+        Permutation(tuple((a * x + b) % n for x in range(n)))
+        for a in range(1, n) if math.gcd(a, n) == 1 for b in range(n)
+    ]
+
+
+def test_reconstruction_reports_match_the_product_loops():
+    """Whole reports, passing and failing at each reachable hypothesis,
+    equal those of the loops over Permutation products."""
+    cases = []
+    for n in (3, 4, 5, 7, 9, 12, 15, 21):
+        q = dihedral_quandle(n)
+        cases.append((q, list(q.displacement_group().elements)))
+        cases.append((q, list(q.inner_group().elements)))
+    s4 = symmetric_group(4)
+    transpositions = sorted({s4.conj(1, h) for h in range(s4.size)})
+    conj = conjugation_quandle(s4, transpositions)
+    cases.append((conj, list(conj.displacement_group().elements)))
+    cases.append((conj, list(conj.inner_group().elements)))
+    z5 = galex_finite(cyclic_group(5), [(2 * x) % 5 for x in range(5)])
+    cases.append((z5, list(z5.displacement_group().elements)))
+    # the supplied order only matters to witnesses
+    rng = random.Random(9)
+    for q, subgroup in list(cases):
+        cases.append((q, rng.sample(subgroup, len(subgroup))))
+    for n in (6, 8, 12):
+        affine = _affine_maps(n)
+        cases += [(dihedral_quandle(n), rng.sample(affine, rng.randrange(1, 2 * n))) for _ in range(40)]
+    cases.append((dihedral_quandle(8), _r8_not_closed()))
+
+    outcomes = set()
+    for q, subgroup in cases:
+        expected = _reconstruction_before_arrays(q, subgroup)
+        rep = verify_free_transitive_reconstruction(q, subgroup)
+        if expected == "KeyError":
+            assert rep.witness["failed_hypothesis"] == "closed-under-products"
+        else:
+            assert rep == expected
+        outcomes.add("pass" if rep.passed else rep.witness["failed_hypothesis"])
+    # the loops' normal-under-basepoint-symmetry check is never reached:
+    # s_x0 is one of the conjugators of the ambient check before it
+    assert outcomes == {"pass", "normal-in-ambient", "transitive", "free", "closed-under-products"}
+
+
+def _r8_not_closed():
+    """On R_8, translations by 0, 1, 3, 4, 5, 7 together with 5x + 2 and
+    5x + 6 are normal, transitive and free, but x + 1 composed with itself
+    is x + 2, which is missing."""
+    supplied = [Permutation(tuple((x + b) % 8 for x in range(8))) for b in (0, 1, 3, 4, 5, 7)]
+    return supplied + [Permutation(tuple((5 * x + b) % 8 for x in range(8))) for b in (2, 6)]
+
+
+def test_reconstruction_fails_on_a_set_not_closed_under_products():
+    q = dihedral_quandle(8)
+    assert _reconstruction_before_arrays(q, _r8_not_closed()) == "KeyError"
+    rep = verify_free_transitive_reconstruction(q, _r8_not_closed(), instance="r8")
+    assert rep == TheoremReport(
+        "free-transitive-reconstruction",
+        "r8",
+        False,
+        {
+            "failed_hypothesis": "closed-under-products",
+            "left": "[1,2,3,4,5,6,7,0]",
+            "right": "[1,2,3,4,5,6,7,0]",
+        },
+        {"ambient": "<point symmetries + 8 supplied>"},
+    )
 
 
 def test_reconstruction_rejects_non_automorphisms():

@@ -26,7 +26,7 @@ disp_ball = build_ball(displacement_action(q), 0, 30)
 
 print("inner graph, basepoint 0, radius 30")
 print("  sphere sizes:", inner_ball.sphere_sizes()[:12], "...")
-print("  vertices in discovery order:", inner_ball.vertices()[:9], "...")
+print("  vertices in discovery order:", inner_ball.keys[:9], "...")
 # 0 -> 2 -> -2 -> 4 -> -4: one thread folding back and forth
 
 print("displacement graph, same basepoint and radius")

@@ -27,7 +27,7 @@ ball = build_ball(inner_action(fq), a, 6)
 print()
 print("vertices == edges + components (self-loops aside):", loopless_forest_check(ball))
 
-leaves = [v for v in ball.vertices() if ball.distances[v] == 6]
+leaves = [k for k, d in zip(ball.keys, ball.depth) if d == 6]
 print("two of the", len(leaves), "leaves at depth 6:", leaves[0], "|", leaves[-1])
 
 three = free_quandle(["a", "b", "c"])

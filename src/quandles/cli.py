@@ -55,6 +55,7 @@ from .groups import (
 )
 from .quandle import FiniteQuandle, check_quandle_axioms
 from .schreier import (
+    DEFAULT_VERTEX_BOUND,
     SchreierAction,
     ball_to_dot,
     ball_to_json_lines,
@@ -448,7 +449,11 @@ def cmd_verify(args) -> int:
             raise SpecError("bad-spec", "suite not available for free quandles", "family")
         reports = [
             verify_free_action_isometry(
-                backend, default_basepoint(backend), args.radius, instance=args.spec
+                backend,
+                default_basepoint(backend),
+                args.radius,
+                instance=args.spec,
+                max_vertices=args.max_vertices,
             )
         ]
     else:
@@ -466,14 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, builds_ball=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("spec", help="path to a JSON quandle spec")
-        p.add_argument("--max-vertices", type=int, default=1_000_000)
+        if builds_ball:
+            p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BOUND)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("axioms", cmd_axioms, help="check the quandle axioms")
+    p = add("axioms", cmd_axioms, builds_ball=False, help="check the quandle axioms")
     p.add_argument("--window", type=int, default=3, help="element window for infinite families")
 
     p = add("ball", cmd_ball, help="emit a Schreier ball as JSON lines or DOT")
@@ -497,10 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-radius", type=int, required=True)
     p.add_argument("--generators", nargs="*")
 
-    p = add("components", cmd_components, help="connected components")
+    p = add("components", cmd_components, builds_ball=False, help="connected components")
     p.add_argument("--window", type=int, help="window radius for infinite families")
 
-    add("dis-lattice", cmd_dis_lattice, help="displacement translation lattice")
+    add("dis-lattice", cmd_dis_lattice, builds_ball=False, help="displacement translation lattice")
 
     p = add("compare-gensets", cmd_compare_gensets, help="bi-Lipschitz comparison of two generating sets")
     p.add_argument("--genset-a", required=True, help="comma-separated generator expressions")

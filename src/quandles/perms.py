@@ -124,6 +124,14 @@ def row_permutation(row: np.ndarray) -> Permutation:
     return Permutation.unchecked(tuple(row.tolist()))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values; a bare ``np.unique`` would import numpy.ma."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _named(generators) -> list[tuple[str, object]]:
     """The generators as a list of (name, automorphism) pairs, the one
     form every entry point takes; anything else is a TypeError."""

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, MalformedTableError
-from .perms import PermGroup, Permutation, orbits
+from .perms import PermGroup, Permutation, _distinct, orbits
 
 AXIOM3_CELLS = 1 << 21  # cells per numpy pass of a full distributivity scan
 
@@ -148,7 +148,7 @@ def _generating_set(t: np.ndarray, inv: np.ndarray) -> list[int]:
         covered[s] = True
         frontier = np.concatenate((t[old, s], inv[old, s], t[s, gens], inv[s, gens]))
         while frontier.size:
-            frontier = np.unique(frontier[~covered[frontier]])
+            frontier = _distinct(frontier[~covered[frontier]])
             covered[frontier] = True
             block = np.ix_(frontier, gens)
             frontier = np.concatenate((t[block].ravel(), inv[block].ravel()))

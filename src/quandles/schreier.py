@@ -16,7 +16,10 @@ Distances to the basepoint are always certified.  Both endpoints must
 also lie strictly inside the ball (d < R), which keeps certificates
 monotone under radius growth.
 
-A ball numbers its vertices in BFS order and keeps its graph in one
+A ball numbers its vertices in BFS order, and that numbering is the only
+vertex identity inside it: keys, basepoint depths, elements and the
+graph are all stored by vertex number, and string keys appear only in
+the key -> vertex ``index`` and at output.  The graph is kept in one
 place, a (vertex x slot) neighbor table of vertex indices.  For a built
 ball the slots are the moves, a generator and, unless it is an
 involution, its inverse, and the vertex count V stands for a move that
@@ -31,14 +34,15 @@ time.  Both walks discover vertices in the same order.  An edge list
 V.  The labeled, sorted edge list is rendered from the table on first
 use, so growth and distances from the basepoint never build it.
 
-Pair queries walk that table directly, with a numpy array of basepoint
-distances beside it; self-loops, parallel moves and V need no special
-case, since a visited vertex is never entered again.  One block of
-source rows at a time advances as a flat frontier of (row, vertex)
-cells, so the work is the number of table cells visited.  The
-certificate caps the search depth at 2R+1 - d(x), and in fact at R: the
-path through the basepoint gives d(x, y) <= d(x) + d(y), so a certified
-pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
+Pair queries walk that table directly, with the ``depth`` array of
+basepoint distances beside it; self-loops, parallel moves and V need no
+special case, since a visited vertex is never entered again.  One block
+of source rows at a time advances as a flat frontier of (row, vertex)
+cells, so the work is the number of table cells visited.  ``_certify``
+applies the certificate, to a block of pairs and to a single
+``distance`` query alike.  The certificate caps the search depth at
+2R+1 - d(x), and in fact at R: the path through the basepoint gives
+d(x, y) <= d(x) + d(y), so a certified pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
 ``_BLOCK_CELLS`` fixes, and never grows with the square of the ball: no
 pair table is kept, and a single ``distance`` query keeps only the last
 source row.
@@ -54,13 +58,12 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import BoundExceededError
-from .perms import Permutation, _named, word_length
+from .perms import Permutation, _distinct, _named, word_length
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -129,77 +132,63 @@ def cayley_action(backend_id: str, generators) -> SchreierAction:
 class LabeledBall:
     """A radius-R ball in a Schreier graph.
 
-    ``distances`` maps vertex keys to basepoint distance in BFS discovery
-    order, which is also the vertex numbering; ``elements`` maps keys to
-    the acted-on objects (empty for a ball read back from JSON).  The
-    ball's one graph is a ``_NeighborTable`` over those vertex numbers:
-    ``build_ball`` records it, and an edge list (JSON input, or
-    assignment to ``edges``) is converted into it.  ``edges`` renders it
-    as the sorted, distinct ``(key_u, key_v, name)`` with key_u <= key_v,
-    self-loops included, on first use; pair queries, ends and the forest
-    check walk the table itself.
+    Vertices are numbered 0..V-1 in BFS discovery order, and every
+    per-vertex fact is stored once, in that order: ``keys`` (the string
+    keys), ``depth`` (an int array of basepoint distances) and
+    ``elements`` (the acted-on objects, empty for a ball read back from
+    JSON).  ``index`` maps a key to its vertex number; string keys are
+    met only there and at output.  The ball's one graph is a
+    ``_NeighborTable`` over the vertex numbers: ``build_ball`` records it,
+    and ``ball_from_json_lines`` converts an edge list into it.  ``edges``
+    renders it as the sorted, distinct ``(key_u, key_v, name)`` with
+    key_u <= key_v, self-loops included, on first use; pair queries, ends
+    and the forest check walk the table itself.
     """
 
     def __init__(
         self,
         backend_id: str,
-        basepoint: str,
         radius: int,
         generator_names: list[str],
-        distances: dict[str, int],
-        edges: Iterable[Edge] = (),
-        elements: Optional[dict[str, object]] = None,
-        neighbors: Optional["_NeighborTable"] = None,
+        keys: list[str],
+        depth: np.ndarray,
+        neighbors: "_NeighborTable",
+        elements: Optional[list] = None,
+        index: Optional[dict[str, int]] = None,
     ):
         self.backend_id = backend_id
-        self.basepoint = basepoint
         self.radius = radius
         self.generator_names = generator_names
-        self.distances = distances
-        self.elements = {} if elements is None else elements
+        self.keys = keys
+        self.depth = depth
+        self.elements = [] if elements is None else elements
+        self._index = index
         self._neighbors = neighbors
         self._edges: Optional[list[Edge]] = None  # rendered from the table on first use
         self._last: tuple[int, Optional[np.ndarray]] = (-1, None)  # the last uncapped row
-        if neighbors is None:
-            self.edges = edges
+
+    @property
+    def basepoint(self) -> str:
+        return self.keys[0]
+
+    @property
+    def index(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self.keys)}
+        return self._index
 
     @property
     def edges(self) -> list[Edge]:
         if self._edges is None:
-            self._edges = self._neighbors.edges(self.vertices())
+            self._edges = self._neighbors.edges(self.keys)
         return self._edges
-
-    @edges.setter
-    def edges(self, edges: Iterable[Edge]) -> None:
-        self._neighbors = _NeighborTable.from_edges(self._pos, edges)
-        self._edges = None
-        self._last = (-1, None)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.distances)
-
-    def vertices(self) -> list[str]:
-        return list(self.distances)
+        return len(self.keys)
 
     def sphere_sizes(self) -> list[int]:
-        counts = [0] * (self.radius + 1)
-        for d in self.distances.values():
-            counts[d] += 1
-        return counts
-
-    # the integer view that pair queries use, built on the first one
-    @cached_property
-    def _keys(self) -> list[str]:
-        return list(self.distances)
-
-    @cached_property
-    def _pos(self) -> dict[str, int]:
-        return {k: i for i, k in enumerate(self._keys)}
-
-    @cached_property
-    def _radial(self) -> np.ndarray:
-        return np.fromiter(self.distances.values(), dtype=np.int64, count=len(self.distances))
+        return np.bincount(self.depth, minlength=self.radius + 1).tolist()
 
     def _block_rows(self) -> int:
         n, width = self._neighbors.array().shape
@@ -213,56 +202,56 @@ class LabeledBall:
 
     def _certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Certified distances from each vertex of ``rows`` to each of
-        ``cols``, -1 where the ball cannot certify the pair.  Agrees with
-        ``distance`` on pairs of distinct vertices."""
+        ``cols``, -1 where the ball cannot certify the pair."""
         R = self.radius
-        dx, dy = self._radial[rows], self._radial[cols]
-        out = np.full((rows.size, cols.size), -1, dtype=np.int64)
+        dx, dy = self.depth[rows], self.depth[cols]
+        d = np.full((rows.size, cols.size), -1, dtype=np.int64)
         inner = (dx > 0) & (dx < R)
         if inner.any():
             # certified pairs lie at most R apart (see the module docstring)
-            d = _bfs(self._neighbors.array(), rows[inner], R)[:, cols]
-            ok = (d >= 0) & (dy < R) & (d + dx[inner, None] + dy <= 2 * R + 1)
-            out[inner] = np.where(ok, d, -1)
-        out[dx == 0] = dy  # the basepoint row is exact out to the frontier
-        out[:, dy == 0] = dx[:, None]
-        return out
+            d[inner] = _bfs(self._neighbors.array(), rows[inner], R)[:, cols]
+        return _certify(d, dx[:, None], dy, R)
 
     def distances_from(self, key: str) -> dict[str, int]:
         """BFS distances inside the ball subgraph from one vertex."""
-        if key not in self.distances:
+        if key not in self.index:
             raise KeyError(f"vertex {key!r} not in ball")
-        row = self._row(self._pos[key]).tolist()
-        return {k: d for k, d in zip(self._keys, row) if d >= 0}
+        row = self._row(self.index[key]).tolist()
+        return {k: d for k, d in zip(self.keys, row) if d >= 0}
 
     def distance(self, x: str, y: str) -> Optional[int]:
         """Distance between two vertices, or None when the ball cannot
         certify it (vertex undiscovered, no path inside the ball, or the
         certificate inequality fails)."""
-        if x not in self.distances or y not in self.distances:
+        i, j = self.index.get(x), self.index.get(y)
+        if i is None or j is None:
             return None
-        # distances out of the basepoint are true global distances: the
-        # ball was grown by BFS over the full graph
-        if x == self.basepoint:
-            return self.distances[y]
-        if y == self.basepoint:
-            return self.distances[x]
-        d = int(self._row(self._pos[x])[self._pos[y]])
-        dx, dy = self.distances[x], self.distances[y]
-        if d < 0 or (x != y and (dx >= self.radius or dy >= self.radius)):
-            return None
-        if d + dx + dy > 2 * self.radius + 1:
-            return None
-        return d
+        if i == j:
+            return 0
+        dx, dy = int(self.depth[i]), int(self.depth[j])
+        # pairs through the basepoint need no search: _certify answers them
+        d = int(_certify(int(self._row(i)[j]) if dx and dy else -1, dx, dy, self.radius))
+        return d if d >= 0 else None
 
     def certified_pairs(self):
         """Yield (x, y, d) over certified unordered pairs, x < y."""
-        keys = self._keys
+        keys = self.keys
         order = np.arange(len(keys))
         for i0, i1, upper in _upper_blocks(len(keys), self._block_rows()):
             d = self._certified(order[i0:i1], order[i0 + 1 :])
             for r, c in zip(*np.nonzero(upper & (d >= 0))):
                 yield keys[i0 + r], keys[i0 + 1 + c], int(d[r, c])
+
+
+def _certify(d, dx, dy, radius: int):
+    """The certificate, on ball-subgraph distances ``d`` (-1 where not
+    searched or unreachable) between vertices at basepoint depths ``dx``
+    and ``dy``: d where it is certified, -1 elsewhere.  A pair through
+    the basepoint is exact, since the ball was grown by BFS over the full
+    graph; any other needs both ends strictly inside the ball and
+    d + dx + dy <= 2R + 1.  Takes ints or broadcasting arrays alike."""
+    ok = (d >= 0) & (dx < radius) & (dy < radius) & (d + dx + dy <= 2 * radius + 1)
+    return np.where(dx == 0, dy, np.where(dy == 0, dx, np.where(ok, d, -1)))
 
 
 def _bfs(table: np.ndarray, sources: np.ndarray, depth: int) -> np.ndarray:
@@ -303,17 +292,15 @@ def _upper_blocks(m: int, step: int):
         yield i0, i1, np.arange(i0, i1)[:, None] < np.arange(i0 + 1, m)
 
 
-def first_failing_pair(ball_a: LabeledBall, keys_a, ball_b: LabeledBall, keys_b, fails):
-    """Walk pairs i < j of two matched vertex lists in row order, over
-    the pairs certified in both balls.
+def first_failing_pair(ball_a: LabeledBall, rows_a, ball_b: LabeledBall, rows_b, fails):
+    """Walk pairs i < j of two matched arrays of vertex numbers in row
+    order, over the pairs certified in both balls.
 
     ``fails(d_a, d_b)`` takes arrays of certified distances and marks the
     failing pairs.  Returns ``(checked, failure)``: the number of pairs
     certified in both balls up to and including the first failing one,
     and that pair as ``(i, j, d_a, d_b)``, or None when no pair fails.
     """
-    rows_a = np.array([ball_a._pos[k] for k in keys_a], dtype=np.int64)
-    rows_b = np.array([ball_b._pos[k] for k in keys_b], dtype=np.int64)
     checked = 0
     step = min(ball_a._block_rows(), ball_b._block_rows())
     for i0, i1, upper in _upper_blocks(len(rows_a), step):
@@ -353,20 +340,20 @@ class _NeighborTable:
         self.names = names
 
     @classmethod
-    def from_edges(cls, pos: dict[str, int], edges: Iterable[Edge]) -> "_NeighborTable":
+    def from_edges(cls, index: dict[str, int], edges: Iterable[Edge]) -> "_NeighborTable":
         """Edge (u, v, name) fills one slot of row u and, unless it is a
         self-loop, one of row v."""
         edges = list(edges)
         names = sorted({name for _u, _v, name in edges})
         label = {name: i for i, name in enumerate(names)}
-        cells = [(pos[u], pos[v], label[name]) for u, v, name in edges]
+        cells = [(index[u], index[v], label[name]) for u, v, name in edges]
         u, v, lab = np.array(cells, dtype=np.int64).reshape(-1, 3).T
         back = u != v
         src, dst = np.concatenate([u, v[back]]), np.concatenate([v, u[back]])
         lab = np.concatenate([lab, lab[back]])
         order = np.argsort(src, kind="stable")
         src, dst, lab = src[order], dst[order], lab[order]
-        n = len(pos)
+        n = len(index)
         degree = np.bincount(src, minlength=n)
         slot = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
         table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
@@ -414,14 +401,6 @@ class _NeighborTable:
         by_rank = np.array([keys[i] for i in order], dtype=object)
         names = np.array(self.names, dtype=object)
         return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
-
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The sorted distinct values; ``np.unique`` would import numpy.ma."""
-    codes = np.sort(codes)
-    keep = np.ones(codes.size, dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return codes[keep]
 
 
 def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -506,26 +485,28 @@ def build_ball(
         points, sizes, blocks, finish = _permutation_bfs(moves, operator.index(basepoint), radius, max_vertices)
         elements = [basepoint, *points[1:].tolist()]
         keys = list(map(action.key, elements))
-        distances = dict(zip(keys, np.repeat(np.arange(len(sizes)), sizes).tolist()))
+        index = None  # built on first use
     else:
-        keys, elements, distances, blocks, finish, move_gen = _generic_bfs(
+        keys, elements, index, sizes, blocks, finish, move_gen = _generic_bfs(
             action, basepoint, radius, max_vertices
         )
     names = [name for name, _ in action.generators]
     return LabeledBall(
         backend_id=action.backend_id,
-        basepoint=keys[0],
         radius=radius,
         generator_names=names,
-        distances=distances,
-        elements=dict(zip(keys, elements)),
+        keys=keys,
+        depth=np.repeat(np.arange(len(sizes)), sizes),
         neighbors=_NeighborTable(blocks, finish, move_gen, names),
+        elements=elements,
+        index=index,
     )
 
 
 def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: int):
     """BFS applying and keying one move at a time; returns (keys,
-    elements, distances, neighbor blocks, finish, move_gen)."""
+    elements, key -> vertex index, sphere sizes, neighbor blocks, finish,
+    move_gen)."""
     moves, move_gen = [], []
     for i, (_, aut) in enumerate(action.generators):
         inverse = aut.inverse()
@@ -536,9 +517,8 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
             move_gen.append(i)
     apply, key = action.apply, action.key
     keys, elements = [key(basepoint)], [basepoint]
-    distances = {keys[0]: 0}
     index = {keys[0]: 0}
-    blocks = []
+    sizes, blocks = [1], []
     done = 0  # vertices whose rows are in blocks
     for d in range(1, radius + 1):
         end = len(keys)
@@ -555,11 +535,11 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
                     if j >= max_vertices:
                         raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=end)
                     index[ky] = j
-                    distances[ky] = d
                     keys.append(ky)
                     elements.append(y)
                 row.append(j)
         blocks.append(np.array(row, dtype=np.int64).reshape(end - done, len(moves)))
+        sizes.append(len(keys) - end)
         done = end
 
     def finish() -> np.ndarray:
@@ -567,7 +547,7 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
         row = [index.get(key(apply(aut, x)), len(keys)) for x in last for aut in moves]
         return np.array(row, dtype=np.int64).reshape(len(last), len(moves))
 
-    return keys, elements, distances, blocks, finish, np.array(move_gen, dtype=np.int64)
+    return keys, elements, index, sizes, blocks, finish, np.array(move_gen, dtype=np.int64)
 
 
 def _component_labels(ball: LabeledBall, inside: np.ndarray) -> np.ndarray:
@@ -601,8 +581,8 @@ def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
     """
     if not 0 <= inner_radius < ball.radius:
         raise ValueError("need 0 <= inner_radius < ball radius")
-    label = _component_labels(ball, ball._radial > inner_radius)
-    return int(np.count_nonzero(np.bincount(label[ball._radial == ball.radius])))
+    label = _component_labels(ball, ball.depth > inner_radius)
+    return int(np.count_nonzero(np.bincount(label[ball.depth == ball.radius])))
 
 
 def loopless_forest_check(ball: LabeledBall) -> bool:
@@ -658,18 +638,19 @@ def bilipschitz_compare(
         raise ValueError("balls have different basepoints")
     if constant < 1:
         raise ValueError("constant must be >= 1")
-    shared = [k for k in ball_a.vertices() if k in ball_b.distances]
+    index_b = ball_b.index
+    shared = [(i, index_b[k]) for i, k in enumerate(ball_a.keys) if k in index_b]
+    rows_a, rows_b = np.array(shared, dtype=np.int64).reshape(-1, 2).T
     # distances are below 2**31, so every constant from there on decides
     # alike; the cap keeps the products inside int64
     bound = min(constant, 2**31)
     checked, failure = first_failing_pair(
-        ball_a, shared, ball_b, shared, lambda da, db: (da > bound * db) | (db > bound * da)
+        ball_a, rows_a, ball_b, rows_b, lambda da, db: (da > bound * db) | (db > bound * da)
     )
     if failure is not None:
         i, j, da, db = failure
-        return ComparisonResult(
-            "fail", constant, {"x": shared[i], "y": shared[j], "d_a": da, "d_b": db}, checked
-        )
+        x, y = ball_a.keys[rows_a[i]], ball_a.keys[rows_a[j]]
+        return ComparisonResult("fail", constant, {"x": x, "y": y, "d_a": da, "d_b": db}, checked)
     if checked == 0:
         return ComparisonResult("inconclusive", constant, None, 0)
     return ComparisonResult("pass", constant, None, checked)
@@ -692,7 +673,7 @@ def ball_to_json_lines(ball: LabeledBall) -> str:
         }
     ]
     records.extend(
-        {"type": "vertex", "key": k, "distance": d} for k, d in ball.distances.items()
+        {"type": "vertex", "key": k, "distance": d} for k, d in zip(ball.keys, ball.depth.tolist())
     )
     records.extend(
         {"type": "edge", "u": u, "v": v, "label": name} for u, v, name in ball.edges
@@ -702,7 +683,8 @@ def ball_to_json_lines(ball: LabeledBall) -> str:
 
 def ball_from_json_lines(text: str) -> LabeledBall:
     header = None
-    distances: dict[str, int] = {}
+    keys: list[str] = []
+    depth: list[int] = []
     edges: list[Edge] = []
     for line in text.splitlines():
         if not line.strip():
@@ -711,20 +693,25 @@ def ball_from_json_lines(text: str) -> LabeledBall:
         if rec["type"] == "header":
             header = rec
         elif rec["type"] == "vertex":
-            distances[rec["key"]] = rec["distance"]
+            keys.append(rec["key"])
+            depth.append(rec["distance"])
         elif rec["type"] == "edge":
             edges.append((rec["u"], rec["v"], rec["label"]))
         else:
             raise ValueError(f"unknown record type {rec['type']!r}")
     if header is None:
         raise ValueError("missing header record")
+    index = {k: i for i, k in enumerate(keys)}
+    if keys[:1] != [header["basepoint"]] or len(index) != len(keys):
+        raise ValueError("vertex records must be distinct and start at the basepoint")
     return LabeledBall(
         backend_id=header["backend"],
-        basepoint=header["basepoint"],
         radius=header["radius"],
         generator_names=list(header["generators"]),
-        distances=distances,
-        edges=edges,
+        keys=keys,
+        depth=np.array(depth, dtype=np.int64),
+        neighbors=_NeighborTable.from_edges(index, edges),
+        index=index,
     )
 
 
@@ -737,7 +724,7 @@ def ball_to_dot(ball: LabeledBall) -> str:
     the generator name.  Deterministic output."""
     lines = ["graph schreier_ball {"]
     lines.append(f"  // backend={ball.backend_id} basepoint={ball.basepoint} radius={ball.radius}")
-    for k, d in ball.distances.items():
+    for k, d in zip(ball.keys, ball.depth.tolist()):
         lines.append(f"  {_dot_quote(k)} [label={_dot_quote(f'{k} d={d}')}];")
     for u, v, name in ball.edges:
         lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [label={_dot_quote(name)}];")

@@ -33,6 +33,7 @@ from .perms import (
 )
 from .quandle import FiniteQuandle
 from .schreier import (
+    DEFAULT_VERTEX_BOUND,
     SchreierAction,
     build_ball,
     cayley_action,
@@ -459,6 +460,7 @@ def verify_free_action_isometry(
     radius: int,
     generators=None,
     instance: str = "",
+    max_vertices: int = DEFAULT_VERTEX_BOUND,
 ) -> TheoremReport:
     """When the displacement group acts freely on the component of the
     basepoint, g -> basepoint.g is an isometry from the group with the
@@ -470,114 +472,86 @@ def verify_free_action_isometry(
 
     Freeness is established by stabilizer check for finite quandles and
     by the generators being nontrivial translations for affine backends;
-    anything else fails the hypothesis.
+    anything else fails the hypothesis.  Both balls are built under the
+    ``max_vertices`` cap of ``build_ball``.
     """
     instance = instance or repr(backend)
     statement = "free-displacement-action-gives-isometry"
     action = displacement_action(backend, generators)
     gens = action.generators
 
+    def report(passed, witness, details=None):
+        return TheoremReport(statement, instance, passed, witness, details)
+
     if isinstance(backend, FiniteQuandle):
         dis = backend.displacement_group()
-        component = next(
-            part for part in backend.components() if basepoint in part
-        )
+        component = next(part for part in backend.components() if basepoint in part)
         culprit = first_fixed_point(dis.elements, component)
         if culprit is not None:
-            return TheoremReport(
-                statement,
-                instance,
-                False,
-                {
-                    "failed_hypothesis": "free",
-                    "element": culprit[0].key(),
-                    "fixed_point": culprit[1],
-                },
-                None,
+            return report(
+                False, {"failed_hypothesis": "free", "element": culprit[0].key(), "fixed_point": culprit[1]}
             )
     else:
         not_translation = [name for name, aut in gens if not _is_pure_translation(aut)]
         if not_translation:
-            return TheoremReport(
-                statement,
-                instance,
-                False,
-                {"failed_hypothesis": "free", "non_translations": not_translation},
-                None,
-            )
+            return report(False, {"failed_hypothesis": "free", "non_translations": not_translation})
 
-    orbit_ball = build_ball(action, basepoint, radius)
+    orbit_ball = build_ball(action, basepoint, radius, max_vertices=max_vertices)
     if not gens:
         # trivial displacement group: the orbit must be a single point
         ok = orbit_ball.vertex_count == 1
-        return TheoremReport(
-            statement,
-            instance,
+        return report(
             ok,
-            None if ok else {"orbit_not_single_point": orbit_ball.vertices()[:4]},
+            None if ok else {"orbit_not_single_point": orbit_ball.keys[:4]},
             {"vertices": orbit_ball.vertex_count, "pairs_checked": 0},
         )
     word_ball = build_ball(
-        cayley_action(backend.backend_id, gens), _identity_like(gens), radius
+        cayley_action(backend.backend_id, gens), _identity_like(gens), radius, max_vertices=max_vertices
     )
 
-    mapping, seen = {}, set()
-    for k, g in word_ball.elements.items():
-        img = backend.key(g.act(basepoint))
-        if img in seen:
-            return TheoremReport(
-                statement, instance, False, {"orbit_map_not_injective_at": k}, None
-            )
-        mapping[k] = img
-        seen.add(img)
+    # the orbit map as orbit-ball vertex numbers; images outside the
+    # orbit ball are numbered from V on, in order of appearance
+    index, n = orbit_ball.index, orbit_ball.vertex_count
+    outside: dict[str, int] = {}
 
-    orbit = set(orbit_ball.distances)
-    if seen != orbit:
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {
-                "orbit_ball_only": sorted(orbit - seen)[:4],
-                "word_ball_only": sorted(seen - orbit)[:4],
-            },
-            {"word_ball": word_ball.vertex_count, "orbit_ball": orbit_ball.vertex_count},
-        )
+    def number(k):
+        return index[k] if k in index else outside.setdefault(k, n + len(outside))
 
-    for k, img in mapping.items():
-        if word_ball.distances[k] != orbit_ball.distances[img]:
-            return TheoremReport(
-                statement,
-                instance,
-                False,
-                {
-                    "radial_distance_mismatch": k,
-                    "word_distance": word_ball.distances[k],
-                    "orbit_distance": orbit_ball.distances[img],
-                },
-                None,
-            )
+    image = np.array([number(backend.key(g.act(basepoint))) for g in word_ball.elements], dtype=np.int64)
+    order = np.argsort(image, kind="stable")
+    repeat = np.zeros(image.size, dtype=bool)
+    repeat[order[1:]] = image[order[1:]] == image[order[:-1]]
+    if repeat.any():
+        return report(False, {"orbit_map_not_injective_at": word_ball.keys[int(np.argmax(repeat))]})
 
-    keys = list(mapping)
+    missed = np.ones(n, dtype=bool)
+    missed[image[image < n]] = False
+    if outside or missed.any():
+        witness = {
+            "orbit_ball_only": sorted(orbit_ball.keys[i] for i in np.flatnonzero(missed))[:4],
+            "word_ball_only": sorted(outside)[:4],
+        }
+        details = {"word_ball": word_ball.vertex_count, "orbit_ball": orbit_ball.vertex_count}
+        return report(False, witness, details)
+
+    radial = np.flatnonzero(word_ball.depth != orbit_ball.depth[image])
+    if radial.size:
+        i = int(radial[0])
+        witness = {
+            "radial_distance_mismatch": word_ball.keys[i],
+            "word_distance": int(word_ball.depth[i]),
+            "orbit_distance": int(orbit_ball.depth[image[i]]),
+        }
+        return report(False, witness)
+
     checked, failure = first_failing_pair(
-        word_ball, keys, orbit_ball, [mapping[k] for k in keys], lambda dw, do: dw != do
+        word_ball, np.arange(word_ball.vertex_count), orbit_ball, image, lambda dw, do: dw != do
     )
     if failure is not None:
         i, j, dw, do = failure
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {"pair": (keys[i], keys[j]), "word_distance": dw, "orbit_distance": do},
-            None,
-        )
-    return TheoremReport(
-        statement,
-        instance,
-        True,
-        None,
-        {"vertices": orbit_ball.vertex_count, "pairs_checked": checked},
-    )
+        pair = (word_ball.keys[i], word_ball.keys[j])
+        return report(False, {"pair": pair, "word_distance": dw, "orbit_distance": do})
+    return report(True, None, {"vertices": orbit_ball.vertex_count, "pairs_checked": checked})
 
 
 def _is_pure_translation(aut) -> bool:
@@ -627,14 +601,14 @@ def verify_homogeneous_component_isometry(
     radius = 2 * q.size
     source_ball = build_ball(action, component[0], radius)
     target_ball = build_ball(target_action, automorphism.act(component[0]), radius)
-    missing = [x for x in component if q.key(x) not in source_ball.distances]
+    missing = [x for x in component if q.key(x) not in source_ball.index]
     if missing:
         raise ValueError(f"elements {missing} are not in the component of {component[0]}")
     _, failure = first_failing_pair(
         source_ball,
-        [q.key(x) for x in component],
+        np.array([source_ball.index[q.key(x)] for x in component], dtype=np.int64),
         target_ball,
-        [q.key(automorphism.act(x)) for x in component],
+        np.array([target_ball.index[q.key(automorphism.act(x))] for x in component], dtype=np.int64),
         lambda ds, dt: ds != dt,
     )
     if failure is not None:

@@ -1,0 +1,30 @@
+"""Helpers shared by the test modules."""
+
+import json
+import os
+from pathlib import Path
+
+from quandles.schreier import ball_from_json_lines, ball_to_json_lines
+
+
+def depths(ball):
+    """Key -> basepoint distance, in vertex order."""
+    return dict(zip(ball.keys, ball.depth.tolist()))
+
+
+def rewired(ball, edges):
+    """The ball read back from its JSON lines with the edge records
+    replaced by ``edges``: the same vertices, numbering and depths over
+    another graph.  The copy has no elements."""
+    records = [json.loads(line) for line in ball_to_json_lines(ball).splitlines()]
+    records = [r for r in records if r["type"] != "edge"]
+    records += [{"type": "edge", "u": u, "v": v, "label": name} for u, v, name in edges]
+    return ball_from_json_lines("\n".join(map(json.dumps, records)))
+
+
+def src_env():
+    """The environment with the package's ``src`` first on PYTHONPATH, for
+    child interpreters that import it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)

@@ -7,7 +7,9 @@ and cap behaviour.  A copy of the original two-pass BFS is the oracle
 for vertex order and edges.
 """
 
+import numpy as np
 import pytest
+from support import depths, rewired
 
 from quandles.cli import parse_generator_expressions
 from quandles.errors import BoundExceededError
@@ -17,12 +19,14 @@ from quandles.families import (
     dihedral_quandle,
     free_quandle,
     galex_finite,
+    galex_lattice,
 )
 from quandles.groups import dihedral_group, symmetric_group
 from quandles.quandle import FiniteQuandle
 from quandles.schreier import (
     SchreierAction,
     _permutation_moves,
+    ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
     build_ball,
@@ -101,9 +105,9 @@ def test_permutation_path_matches_generic_path(name, action, base, radius):
     slow = build_ball(generic, base, radius)
     order, edges = _two_pass_ball(action, base, radius)
 
-    assert list(fast.distances.items()) == list(slow.distances.items()) == order
+    assert list(depths(fast).items()) == list(depths(slow).items()) == order
     assert fast.elements == slow.elements
-    assert all(type(x) is int for x in fast.elements.values())
+    assert all(type(x) is int for x in fast.elements)
     assert fast.edges == slow.edges == edges
     assert ball_to_json_lines(fast) == ball_to_json_lines(slow)
     assert ball_to_dot(fast) == ball_to_dot(slow)
@@ -133,15 +137,46 @@ def test_both_paths_stop_at_the_same_cap(name, action, base, radius):
             assert outcomes[0] == (cap, first - 1, sum(sizes[:first]))
 
 
+def _numbering_cases():
+    r9, dq, fq = dihedral_quandle(9), dihedral_quandle("inf"), free_quandle(["a", "b"])
+    lattice = galex_lattice([[0, -1], [1, 0]])
+    return [
+        # past the diameter, so the last spheres are empty
+        ("finite-permutation", inner_action(r9), 4, 12),
+        ("finite-generic", _generic(inner_action(r9)), 4, 12),
+        ("dihedral-inf", displacement_action(dq), 0, 6),
+        ("lattice", inner_action(lattice), (0, 0), 4),
+        ("free", inner_action(fq), fq.generator("a"), 3),
+    ]
+
+
+@pytest.mark.parametrize("name,action,base,radius", _numbering_cases(), ids=[c[0] for c in _numbering_cases()])
+def test_one_vertex_numbering(name, action, base, radius):
+    """keys, depth, elements and index describe the same vertices in BFS
+    order, on all four backends and on both BFS paths."""
+    assert (_permutation_moves(action, base) is not None) == (name == "finite-permutation")
+    ball = build_ball(action, base, radius)
+    assert len(ball.index) == ball.vertex_count
+    assert all(ball.index[k] == i for i, k in enumerate(ball.keys))
+    assert ball.depth[0] == 0 and (np.diff(ball.depth) >= 0).all()
+    assert ball.sphere_sizes() == np.bincount(ball.depth, minlength=radius + 1).tolist()
+    assert len(ball.elements) == ball.vertex_count
+    assert [action.key(x) for x in ball.elements] == ball.keys
+    again = ball_from_json_lines(ball_to_json_lines(ball))
+    assert again.keys == ball.keys
+    assert again.depth.tolist() == ball.depth.tolist()
+    assert again.edges == ball.edges
+    assert again.index == ball.index and again.elements == []
+
+
 def _ends_oracle(ball, inner_radius):
     """Components of the annulus subgraph that reach d = R, by networkx."""
     nx = pytest.importorskip("networkx")
     graph = nx.Graph()
-    graph.add_nodes_from(v for v, d in ball.distances.items() if d > inner_radius)
+    depth = depths(ball)
+    graph.add_nodes_from(v for v, d in depth.items() if d > inner_radius)
     graph.add_edges_from((u, v) for u, v, _name in ball.edges if u != v and u in graph and v in graph)
-    return sum(
-        1 for comp in nx.connected_components(graph) if any(ball.distances[v] == ball.radius for v in comp)
-    )
+    return sum(1 for comp in nx.connected_components(graph) if any(depth[v] == ball.radius for v in comp))
 
 
 def test_ends_estimate_matches_networkx():
@@ -168,7 +203,7 @@ def test_ends_estimate_matches_networkx():
 def test_ball_without_generators():
     q = dihedral_quandle(5)
     ball = build_ball(SchreierAction("none", [], q.key), 2, 3)
-    assert list(ball.distances.items()) == [("2", 0)]
+    assert list(depths(ball).items()) == [("2", 0)]
     assert ball.edges == []
     assert list(ball.certified_pairs()) == []
     assert ball.distance("2", "2") == 0
@@ -193,18 +228,18 @@ def test_growth_and_basepoint_distances_build_no_edges(finite):
         action, base = inner_action(fq), fq.generator("a")
     ball = build_ball(action, base, 3)
     assert ball.sphere_sizes()[0] == 1
-    far = ball.vertices()[-1]
-    assert ball.distance(ball.basepoint, far) == ball.distances[far] == 3
+    far = ball.keys[-1]
+    assert ball.distance(ball.basepoint, far) == ball.depth[-1] == 3
     # neither the edge list nor the last sphere's rows were needed
     assert ball._edges is None
     assert ball._neighbors._finish is not None
     assert ball.edges == _two_pass_ball(action, base, 3)[1]
 
 
-def test_edge_assignment_replaces_the_neighbor_table():
+def test_rewired_edge_list_replaces_the_neighbor_table():
     # the path 0 - 2 - -2 - 4 - -4
-    ball = build_ball(inner_action(dihedral_quandle("inf")), 0, 4)
-    assert ball.distances_from("2").get("-4") == 3
-    ball.edges = ball.edges + [("-4", "2", "shortcut")]
+    built = build_ball(inner_action(dihedral_quandle("inf")), 0, 4)
+    assert built.distances_from("2").get("-4") == 3
+    ball = rewired(built, built.edges + [("-4", "2", "shortcut")])
     assert ball.distances_from("2").get("-4") == 1
     assert '"-4" -- "2" [label="shortcut"];' in ball_to_dot(ball)

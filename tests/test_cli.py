@@ -3,12 +3,15 @@ import subprocess
 import sys
 
 import pytest
+from support import src_env
+
+from quandles import cli
 
 CLI = [sys.executable, "-m", "quandles"]
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), env=src_env(), capture_output=True, text=True)
 
 
 def write_spec(tmp_path, name, payload):
@@ -240,6 +243,36 @@ def test_cap_reports_progress(dihinf, tmp_path):
     assert out.returncode == 3
     assert (err["radius"], err["vertices"]) == (1, 3)
     assert run_cli("growth", r12, "--radius", "4", "--max-vertices", "6").returncode == 0
+
+
+def test_verify_honors_the_vertex_cap(rot90):
+    args = ("verify", rot90, "--suite", "free-action-isometry", "--radius", "20")
+    assert run_cli(*args).returncode == 0  # an 841-vertex orbit ball
+    out = run_cli(*args, "--max-vertices", "10")
+    err = json.loads(out.stderr)
+    assert out.returncode == 3
+    # the displacement orbit of (0,0) grows as 1, 4, 8, ...
+    assert (err["error"], err["radius"], err["vertices"]) == ("bound-exceeded", 1, 5)
+
+
+@pytest.mark.parametrize(
+    "command,capped",
+    [("axioms", False), ("components", False), ("dis-lattice", False), ("ball", True), ("verify", True)],
+)
+def test_max_vertices_only_where_a_ball_is_built(capsys, command, capped):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert ("--max-vertices" in capsys.readouterr().out) == capped
+
+
+def test_finite_axioms_leave_numpy_ma_unimported(tmp_path):
+    """numpy.ma costs about 16 ms of import; a bare np.unique pulls it in."""
+    spec = write_spec(tmp_path, "r9.json", {"family": "dihedral", "n": 9})
+    code = "\n".join(
+        ["import sys", "from quandles import cli", "cli.main(['axioms', sys.argv[1]])", "print('numpy.ma' in sys.modules)"]
+    )
+    out = subprocess.run([sys.executable, "-c", code, spec], env=src_env(), capture_output=True, text=True)
+    assert out.stdout.splitlines() == ['{"axiom":null,"ok":true,"witness":null}', "False"]
 
 
 def test_verify_suites(tmp_path, dih5):

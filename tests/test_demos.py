@@ -1,11 +1,11 @@
 """Every demo script runs to completion against the package in ``src``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from support import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,9 +17,6 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    out = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, str(demo)], env=src_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout

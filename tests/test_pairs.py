@@ -8,8 +8,10 @@ witnesses are checked against the pair-by-pair definition.
 from contextlib import contextmanager
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import depths, rewired
 
 from quandles import schreier, verify
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
@@ -47,8 +49,9 @@ class _Oracle:
 
     def __init__(self, ball):
         self.ball = ball
+        self.depth = depths(ball)
         self.graph = nx.Graph()
-        self.graph.add_nodes_from(ball.distances)
+        self.graph.add_nodes_from(self.depth)
         self.graph.add_edges_from((u, v) for u, v, _name in ball.edges if u != v)
         self._rows = {}
 
@@ -58,17 +61,17 @@ class _Oracle:
         return self._rows[x]
 
     def distance(self, x, y):
-        ball, radius = self.ball, self.ball.radius
-        if x not in ball.distances or y not in ball.distances:
+        ball, radius, depth = self.ball, self.ball.radius, self.depth
+        if x not in depth or y not in depth:
             return None
         if x == ball.basepoint:
-            return ball.distances[y]
+            return depth[y]
         if y == ball.basepoint:
-            return ball.distances[x]
+            return depth[x]
         d = self.row(x).get(y)
         if d is None:
             return None
-        dx, dy = ball.distances[x], ball.distances[y]
+        dx, dy = depth[x], depth[y]
         if x != y and (dx >= radius or dy >= radius):
             return None
         if d + dx + dy > 2 * radius + 1:
@@ -94,7 +97,7 @@ def _pairwise_walk(ball_a, keys_a, ball_b, keys_b, fails):
 
 
 def _old_compare(ball_a, ball_b, constant):
-    shared = [k for k in ball_a.vertices() if k in ball_b.distances]
+    shared = [k for k in ball_a.keys if k in ball_b.index]
     checked, failure = _pairwise_walk(
         ball_a, shared, ball_b, shared, lambda da, db: not (da <= constant * db and db <= constant * da)
     )
@@ -108,7 +111,7 @@ def _old_compare(ball_a, ball_b, constant):
 
 def _check_rows(ball):
     oracle = _Oracle(ball)
-    keys = ball.vertices()
+    keys = ball.keys
     expected = [
         (x, y, oracle.distance(x, y))
         for i, x in enumerate(keys)
@@ -205,9 +208,9 @@ def test_isometry_failure_witness_matches_pairwise_loop(radius, cells, data):
         ball = build_ball(action, basepoint, r, **kwargs)
         if action.backend_id.endswith(":displacement"):
             level = data.draw(st.integers(1, r - 1))
-            sphere = [k for k, d in ball.distances.items() if d == level]
+            sphere = [k for k, d in depths(ball).items() if d == level]
             u, v = sorted(data.draw(st.lists(st.sampled_from(sphere), min_size=2, max_size=2, unique=True)))
-            ball.edges = sorted(ball.edges + [(u, v, "shortcut")])
+            ball = rewired(ball, ball.edges + [(u, v, "shortcut")])
         built[action.backend_id.rsplit(":", 1)[1]] = ball
         return ball
 
@@ -220,8 +223,8 @@ def test_isometry_failure_witness_matches_pairwise_loop(radius, cells, data):
         verify.build_ball = original
 
     word_ball, orbit_ball = built["cayley"], built["displacement"]
-    keys = word_ball.vertices()
-    images = [q.key(word_ball.elements[k].act((0, 0))) for k in keys]
+    keys = word_ball.keys
+    images = [q.key(g.act((0, 0))) for g in word_ball.elements]
     checked, failure = _pairwise_walk(word_ball, keys, orbit_ball, images, lambda dw, do: dw != do)
     if failure is None:
         assert report.passed and report.details["pairs_checked"] == checked
@@ -237,10 +240,11 @@ def test_pair_walk_in_any_vertex_order(radius, rng, cells):
     dq = dihedral_quandle("inf")
     ball_a = build_ball(inner_action(dq), 0, radius)
     ball_b = build_ball(displacement_action(dq), 0, radius)
-    keys = [k for k in ball_a.vertices() if k in ball_b.distances]
+    keys = [k for k in ball_a.keys if k in ball_b.index]
     rng.shuffle(keys)
+    rows_a, rows_b = (np.array([ball.index[k] for k in keys], dtype=np.int64) for ball in (ball_a, ball_b))
     with _block_cells(cells):
         for fails in (lambda da, db: da != db, lambda da, db: da > db + 2):
-            assert first_failing_pair(ball_a, keys, ball_b, keys, fails) == _pairwise_walk(
+            assert first_failing_pair(ball_a, rows_a, ball_b, rows_b, fails) == _pairwise_walk(
                 ball_a, keys, ball_b, keys, fails
             )

@@ -2,6 +2,7 @@ import random
 from collections import deque
 
 import pytest
+from support import depths, rewired
 
 from quandles.errors import BoundExceededError
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
@@ -46,7 +47,7 @@ def _bfs_oracle(edges, source):
 def test_inner_ball_golden():
     dq = dihedral_quandle("inf")
     ball = build_ball(inner_action(dq), 0, 2)
-    assert dict(ball.distances) == {"0": 0, "2": 1, "-2": 2}
+    assert depths(ball) == {"0": 0, "2": 1, "-2": 2}
     assert ball.edges == [("-2", "2", "s0"), ("0", "0", "s0"), ("0", "2", "s1")]
     assert ball.basepoint == "0"
     assert ball.generator_names == ["s0", "s1"]
@@ -57,7 +58,7 @@ def test_inner_ball_golden():
 def test_displacement_ball_golden():
     dq = dihedral_quandle("inf")
     ball = build_ball(displacement_action(dq), 0, 3)
-    assert sorted(ball.vertices(), key=int) == ["-6", "-4", "-2", "0", "2", "4", "6"]
+    assert sorted(ball.keys, key=int) == ["-6", "-4", "-2", "0", "2", "4", "6"]
     assert ball.sphere_sizes() == [1, 2, 2, 2]
     assert not any(u == v for u, v, _ in ball.edges)
 
@@ -72,13 +73,13 @@ def test_ball_distances_match_bfs_oracle():
     for action, base, radius in cases:
         ball = build_ball(action, base, radius)
         oracle = _bfs_oracle(ball.edges, ball.basepoint)
-        assert dict(ball.distances) == oracle
+        assert depths(ball) == oracle
 
 
 def test_distances_from_interior_matches_oracle():
     q = dihedral_quandle(11)
     ball = build_ball(inner_action(q), 0, 11)
-    for src in ball.vertices():
+    for src in ball.keys:
         assert ball.distances_from(src) == _bfs_oracle(ball.edges, src)
 
 
@@ -101,8 +102,8 @@ def test_certified_pairs_sound():
             assert big.distances_from(x).get(y) == d
         assert count > 0
         # basepoint rows are always certified out to the boundary
-        for v in small.vertices():
-            assert small.distance(small.basepoint, v) == small.distances[v]
+        for v, d in depths(small).items():
+            assert small.distance(small.basepoint, v) == d
 
 
 def test_distance_requires_certificate():
@@ -208,12 +209,20 @@ def test_json_roundtrip():
     again = ball_from_json_lines(text)
     assert again.basepoint == ball.basepoint
     assert again.radius == ball.radius
-    assert dict(again.distances) == dict(ball.distances)
+    assert depths(again) == depths(ball)
     assert again.edges == ball.edges
     assert again.generator_names == ball.generator_names
     # emitted text is stable
     assert text == ball_to_json_lines(ball)
     assert text.splitlines()[0].startswith('{"backend"')
+
+
+def test_json_vertex_records_start_at_the_basepoint():
+    lines = ball_to_json_lines(build_ball(inner_action(dihedral_quandle("inf")), 0, 2)).splitlines()
+    header, vertices, edges = lines[0], lines[1:4], lines[4:]
+    for bad in (vertices[1:], vertices[::-1], vertices + vertices[1:2]):
+        with pytest.raises(ValueError, match="start at the basepoint"):
+            ball_from_json_lines("\n".join([header, *bad, *edges]))
 
 
 def _roundtrip_cases():
@@ -235,7 +244,7 @@ def test_loaded_ball_answers_like_the_built_ball(name, action_a, action_b, base,
     for ball, again in zip(built, loaded):
         # queried before anything renders the loaded ball's edges
         assert list(again.certified_pairs()) == list(ball.certified_pairs())
-        for key in ball.vertices():
+        for key in ball.keys:
             assert again.distances_from(key) == ball.distances_from(key)
         assert [ends_estimate(again, k) for k in range(radius)] == [ends_estimate(ball, k) for k in range(radius)]
         assert loopless_forest_check(again) == loopless_forest_check(ball)
@@ -246,11 +255,11 @@ def test_loaded_ball_answers_like_the_built_ball(name, action_a, action_b, base,
         assert bilipschitz_compare(*loaded, constant) == bilipschitz_compare(*built, constant)
 
 
-def test_edge_setter_renders_sorted_distinct_edges():
-    ball = build_ball(inner_action(dihedral_quandle("inf")), 0, 2)
-    assert ball.distance("0", "-2") == 2
+def test_loaded_edge_list_renders_sorted_distinct_edges():
+    built = build_ball(inner_action(dihedral_quandle("inf")), 0, 2)
+    assert built.distance("0", "-2") == 2
     # unsorted, one edge twice, one edge reversed, a label outside generator_names
-    ball.edges = [
+    edges = [
         ("0", "2", "s1"),
         ("2", "-2", "aux"),
         ("0", "0", "s0"),
@@ -258,6 +267,7 @@ def test_edge_setter_renders_sorted_distinct_edges():
         ("0", "2", "s1"),
         ("-2", "0", "aux"),
     ]
+    ball = rewired(built, edges)
     assert ball.edges == [
         ("-2", "0", "aux"),
         ("-2", "2", "aux"),

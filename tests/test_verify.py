@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from support import depths, rewired
 
 from quandles import verify
 from quandles.families import (
@@ -22,7 +23,7 @@ from quandles.groups import (
 )
 from quandles.groups import GroupTable
 from quandles.perms import PermGroup, Permutation
-from quandles.schreier import SchreierAction, build_ball, inner_action
+from quandles.schreier import SchreierAction, build_ball, cayley_action, inner_action
 from quandles.verify import (
     TheoremReport,
     verify_dis_properties,
@@ -442,6 +443,97 @@ def test_free_action_isometry_rejects_nonfree():
     assert rep.witness["failed_hypothesis"] == "free"
 
 
+def _keyed_vertex_checks(q, basepoint, word_ball, orbit_ball):
+    """A copy of the string-keyed loops that ran before the pair walk of
+    the free-action isometry check: the first failing witness, or None."""
+    word_depth, orbit_depth = depths(word_ball), depths(orbit_ball)
+    mapping, seen = {}, set()
+    for k, g in zip(word_ball.keys, word_ball.elements):
+        img = q.key(g.act(basepoint))
+        if img in seen:
+            return {"orbit_map_not_injective_at": k}
+        mapping[k] = img
+        seen.add(img)
+    orbit = set(orbit_depth)
+    if seen != orbit:
+        return {"orbit_ball_only": sorted(orbit - seen)[:4], "word_ball_only": sorted(seen - orbit)[:4]}
+    for k, img in mapping.items():
+        if word_depth[k] != orbit_depth[img]:
+            return {
+                "radial_distance_mismatch": k,
+                "word_distance": word_depth[k],
+                "orbit_distance": orbit_depth[img],
+            }
+    return None
+
+
+def _orbit_ball_variant(change):
+    """build_ball that alters the orbit ball: ``change`` maps the
+    displacement action and radius to the ones to build."""
+
+    def build(action, basepoint, radius, **kwargs):
+        if action.backend_id.endswith(":displacement"):
+            action, radius = change(action, radius)
+        return build_ball(action, basepoint, radius, **kwargs)
+
+    return build
+
+
+def _squared_generator(action, radius):
+    g = action.generators[-1][1]
+    return SchreierAction(action.backend_id, [("t", g * g)], action.key), radius
+
+
+@pytest.mark.parametrize(
+    "variant,expected",
+    [
+        ("smaller-orbit-ball", "word_ball_only"),
+        ("larger-orbit-ball", "orbit_ball_only"),
+        ("squared-orbit-generator", "radial_distance_mismatch"),
+        ("inner-group-words", "orbit_map_not_injective_at"),
+    ],
+)
+def test_free_action_witnesses_match_the_keyed_loops(monkeypatch, variant, expected):
+    """Every vertex-level witness of the isometry check, on finite,
+    dihedral and lattice quandles at several radii, against the per-key
+    loops it replaced."""
+    change = {
+        "smaller-orbit-ball": lambda action, r: (action, r - 1),
+        "larger-orbit-ball": lambda action, r: (action, r + 1),
+        "squared-orbit-generator": _squared_generator,
+        "inner-group-words": lambda action, r: (action, r),
+    }[variant]
+    cases = [
+        (dihedral_quandle(9), 0),
+        (dihedral_quandle(15), 3),
+        (dihedral_quandle("inf"), 0),
+        (galex_lattice(ROT90), (0, 0)),
+    ]
+    seen = set()
+    for q, basepoint in cases:
+        if variant == "inner-group-words":
+            # words in the inner group: its orbit map folds pairs of words
+            inner = q.inner_generators()
+            monkeypatch.setattr(verify, "cayley_action", lambda bid, _gens, inner=inner: cayley_action(bid, inner))
+        for radius in (2, 5):
+            built = {}
+
+            def capture(action, base, r, **kwargs):
+                ball = _orbit_ball_variant(change)(action, base, r, **kwargs)
+                built[action.backend_id.rsplit(":", 1)[1]] = ball
+                return ball
+
+            monkeypatch.setattr(verify, "build_ball", capture)
+            report = verify_free_action_isometry(q, basepoint, radius)
+            oracle = _keyed_vertex_checks(q, basepoint, built["cayley"], built["displacement"])
+            if oracle is None:
+                assert report.witness is None or "pair" in report.witness
+            else:
+                assert report.witness == oracle
+                seen.update(k for k, v in oracle.items() if v)
+    assert expected in seen
+
+
 def test_homogeneous_component_isometry():
     q = dihedral_quandle(4)
     shift = Permutation((1, 2, 3, 0))  # x -> x+1 is an automorphism of R_4
@@ -482,8 +574,8 @@ def _cut_target(action, basepoint, radius, **kwargs):
     distances hold, but the two lose their direct edge."""
     ball = build_ball(action, basepoint, radius, **kwargs)
     if action.backend_id.endswith(":inner-conjugated") and ball.vertex_count > 2:
-        cut = set(ball.vertices()[1:3])
-        ball.edges = [e for e in ball.edges if {e[0], e[1]} != cut]
+        cut = set(ball.keys[1:3])
+        ball = rewired(ball, [e for e in ball.edges if {e[0], e[1]} != cut])
     return ball
 
 

@@ -39,6 +39,7 @@ from .families import (
     FreeQuandle,
     GAlexFiniteQuandle,
     GAlexLattice,
+    conjugation_automorphism,
     conjugation_quandle,
     dihedral_quandle,
     free_quandle,
@@ -103,15 +104,10 @@ def load_group(value) -> GroupTable:
     if not isinstance(value, str):
         raise SpecError("bad-spec", "group must be a table or a name", "group")
     name, _, arg = value.partition(":")
+    stock = dict(cyclic=cyclic_group, symmetric=symmetric_group, alternating=alternating_group, dihedral=dihedral_group)
     try:
-        if name == "cyclic":
-            return cyclic_group(int(arg))
-        if name == "symmetric":
-            return symmetric_group(int(arg))
-        if name == "alternating":
-            return alternating_group(int(arg))
-        if name == "dihedral":
-            return dihedral_group(int(arg))
+        if name in stock:
+            return stock[name](int(arg))
         if name == "quaternion":
             return quaternion_group()
     except ValueError as e:
@@ -160,8 +156,7 @@ def load_spec(path: str):
             group = load_group(data["group"])
             sigma = data["sigma"]
             if isinstance(sigma, dict) and "conjugation-by" in sigma:
-                g = int(sigma["conjugation-by"])
-                sigma = [group.conj(x, g) for x in range(group.size)]
+                sigma = conjugation_automorphism(group, sigma["conjugation-by"])
             backend = galex_finite(group, sigma)
         elif family == "galex-lattice":
             if "t" not in data:

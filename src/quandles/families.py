@@ -26,7 +26,7 @@ import numpy as np
 from .affine import SignedAffine
 from .errors import ConstructionError
 from .freewords import FreeQuandleElement, FreeWordAut, fq_conjugator, fq_from_reduced, fq_op, parse_fq_key, word_mul
-from .groups import GroupTable
+from .groups import GroupTable, _positions
 from .lattice import (
     IntegerLattice,
     LatticeAffine,
@@ -35,7 +35,7 @@ from .lattice import (
     mat_vec,
     one_minus_inverse,
 )
-from .quandle import AxiomReport, FiniteQuandle
+from .quandle import AxiomReport, FiniteQuandle, _integers
 
 
 def _axiom_window_report(backend, elements) -> AxiomReport:
@@ -141,22 +141,22 @@ class ConjugationQuandle(FiniteQuandle):
     backend_id = "conjugation"
 
     def __init__(self, group: GroupTable, subset: Sequence[int]):
-        subset = list(dict.fromkeys(int(x) for x in subset))
-        for x in subset:
-            if not 0 <= x < group.size:
-                raise ConstructionError(f"subset element {x} outside group", witness=(x,))
+        elements = _integers(subset, 1, "subset", ConstructionError)
+        if not elements.size:
+            raise ConstructionError("empty subset")
+        outside = elements[(elements < 0) | (elements >= group.size)].tolist()
+        if outside:
+            raise ConstructionError(f"subset element {outside[0]} outside group", witness=(outside[0],))
+        subset = list(dict.fromkeys(elements.tolist()))
         bad = group.conjugation_closed(subset)
         if bad is not None:
             raise ConstructionError(
                 f"subset is not closed under conjugation: {bad[0]} conjugated by {bad[1]}",
                 witness=bad,
             )
-        pos = {x: i for i, x in enumerate(subset)}
-        table = [
-            [pos[group.conj(x, y)] for y in subset]
-            for x in subset
-        ]
-        super().__init__(table, validate=False)
+        members = np.array(subset)
+        pos = _positions(members, group.size)
+        super().__init__(pos[group.conj(members[:, None], members[None, :])], validate=False)
         self.group = group
         self.subset = subset
 
@@ -181,24 +181,16 @@ class GAlexFiniteQuandle(FiniteQuandle):
     backend_id = "galex:finite"
 
     def __init__(self, group: GroupTable, sigma: Sequence[int]):
-        sigma = [int(v) for v in sigma]
+        sigma = _integers(sigma, 1, "sigma", ConstructionError)
         if len(sigma) != group.size:
-            raise ConstructionError(
-                f"sigma has {len(sigma)} entries for a group of size {group.size}"
-            )
+            raise ConstructionError(f"sigma has {len(sigma)} entries for a group of size {group.size}")
         bad = group.is_automorphism(sigma)
         if bad is not None:
-            raise ConstructionError(
-                f"sigma is not a group automorphism, witness {bad}", witness=bad
-            )
-        mul, inv = group.mul, group.inverse
-        table = [
-            [mul[sigma[mul[x][inv[y]]]][y] for y in range(group.size)]
-            for x in range(group.size)
-        ]
-        super().__init__(table, validate=False)
+            raise ConstructionError(f"sigma is not a group automorphism, witness {bad}", witness=bad)
+        mul = group.mul
+        super().__init__(mul[sigma[mul[:, group.inverse]], np.arange(group.size)], validate=False)
         self.group = group
-        self.sigma = tuple(sigma)
+        self.sigma = tuple(sigma.tolist())
 
     def identity_component(self) -> list[int]:
         """The connected component of the group identity, as a sorted list.
@@ -213,11 +205,10 @@ class GAlexFiniteQuandle(FiniteQuandle):
         raise AssertionError("identity not found in any component")
 
     def sigma_is_conjugation_by(self) -> Optional[int]:
-        """The g with sigma = (x -> g^-1 x g), if one exists."""
-        for g in range(self.group.size):
-            if all(self.group.conj(x, g) == self.sigma[x] for x in range(self.group.size)):
-                return g
-        return None
+        """The first g with sigma = (x -> g^-1 x g), if one exists."""
+        points = np.arange(self.group.size)
+        hits = (self.group.conj(points[None, :], points[:, None]) == self.sigma).all(axis=1)
+        return int(hits.argmax()) if hits.any() else None
 
 
 def galex_finite(group: GroupTable, sigma: Sequence[int]) -> GAlexFiniteQuandle:
@@ -225,8 +216,11 @@ def galex_finite(group: GroupTable, sigma: Sequence[int]) -> GAlexFiniteQuandle:
 
 
 def conjugation_automorphism(group: GroupTable, g: int) -> list[int]:
-    """sigma(x) = g^-1 x g as an image list."""
-    return [group.conj(x, g) for x in range(group.size)]
+    """sigma(x) = g^-1 x g as an image list; ConstructionError unless g is
+    an integer in 0..|G|-1."""
+    if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or not 0 <= g < group.size:
+        raise ConstructionError(f"conjugating element must be an integer in 0..{group.size - 1}, got {g!r}")
+    return group.conj(np.arange(group.size), g).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -4,63 +4,71 @@ This module owns the group algebra of the package, all on element
 indices: identity and inverses, element orders, subgroup closures,
 normal closures, commutator subgroups, subgroups and quotients re-indexed
 as tables of their own, cyclicity, abelian invariants and conjugacy
-closure tests.  An enumerated ``perms.PermGroup`` reaches it through its
-Cayley table (``PermGroup.table()``), which ``perms`` fills by gathers on
-the group's images array, so index i is always the i-th element in
-enumeration order.  Also a handful of stock groups for tests and demos;
-``group_from_elements``, one product per table entry, builds those and
-nothing else.
+closure tests.  A table has one format, the int64 array
+``GroupTable.mul``, checked like a quandle table by
+``quandle._operation_table``, and the algebra is array expressions on
+it.  Subgroups are closed by ``perms.group_closure`` over the right
+translations ``mul[:, g]``.  ``perms.cayley_table`` tabulates an
+enumerated ``PermGroup`` (index i is its i-th element) and the stock
+symmetric and alternating groups (permutations in lexicographic order);
+``group_from_elements`` builds the dihedral and quaternion groups.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations as iter_permutations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import MalformedTableError
-from .perms import Permutation
-from .quandle import _automorphism_defect
+from .perms import Permutation, _distinct, cayley_table, group_closure
+from .quandle import _automorphism_defect, _operation_table
 
 
 class GroupTable:
-    """A finite group on {0, .., n-1} given by its multiplication table
-    mul[a][b] = a*b.  Associativity is assumed, identity and inverses are
-    computed and checked."""
+    """A finite group on {0, .., n-1} given by its multiplication table,
+    the int64 array mul[a, b] = a*b.  Associativity is assumed, identity
+    and inverses are computed and checked."""
 
-    def __init__(self, mul: Sequence[Sequence[int]]):
-        n = len(mul)
-        self.mul = tuple(tuple(map(int, row)) for row in mul)
-        if any(len(row) != n for row in self.mul):
-            raise MalformedTableError("multiplication table must be square")
-        if n and (min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n):
-            raise MalformedTableError("table entry out of range")
-        self.size = n
-        t = np.array(self.mul, dtype=np.int64).reshape(n, n)
+    def __init__(self, mul):
+        t = _operation_table(mul)
+        n = len(t)
         points = np.arange(n)
         # the first e with e*x = x*e = x for all x, then for each a the
         # first b with a*b = b*a = e
         ident = np.flatnonzero((t == points).all(axis=1) & (t.T == points).all(axis=1))
         if not ident.size:
             raise MalformedTableError("table has no identity element")
-        self.identity = int(ident[0])
+        self.mul, self.size, self.identity = t, n, int(ident[0])
         both = (t == self.identity) & (t.T == self.identity)
         lonely = np.flatnonzero(~both.any(axis=1))
         if lonely.size:
             raise MalformedTableError(f"element {lonely[0]} has no inverse")
-        self.inverse = tuple(both.argmax(axis=1).tolist())
+        self.inverse = both.argmax(axis=1)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """orders[x] = the order of x, from the powers of all x at once.
+        Powers that reach the identity do so within |G| steps; on a table
+        that is not associative some never do, and their order is 0."""
+        points = np.arange(self.size)
+        power, orders = points, np.ones(self.size, dtype=np.int64)
+        live = power != self.identity
+        while live.any() and orders.max() <= self.size:
+            power = self.mul[power, points]
+            orders += live
+            live &= power != self.identity
+        orders[live] = 0
+        return orders
 
     def element_order(self, x: int) -> int:
-        k, cur = 1, x
-        while cur != self.identity:
-            cur = self.mul[cur][x]
-            k += 1
-        return k
+        return int(self.orders[x])
 
-    def conj(self, x: int, by: int) -> int:
-        """by^-1 * x * by."""
-        return self.mul[self.mul[self.inverse[by]][x]][by]
+    def conj(self, x, by):
+        """by^-1 * x * by; x and by may be index arrays, which broadcast."""
+        return self.mul[self.mul[self.inverse[by], x], by]
 
     def is_automorphism(self, images: Sequence[int]) -> Optional[tuple[int, int]]:
         """None if the map is a bijective homomorphism, else a witness.
@@ -68,78 +76,63 @@ class GroupTable:
         The witness is (a, b) with images[a*b] != images[a]*images[b], or
         (-1, a) when the map is not injective at value a.
         """
-        if sorted(images) != list(range(self.size)):
-            dup = next(v for v in range(self.size) if list(images).count(v) != 1)
-            return (-1, dup)
-        # the quandle kernel compares images[a*b] with images[a]*images[b]
-        # over the whole table, reporting the first (a, b) in row-major order
-        return _automorphism_defect(np.asarray(self.mul, dtype=np.int64), np.asarray(images, dtype=np.int64))
+        images = np.asarray(images, dtype=np.int64)
+        counts = np.bincount(images[(images >= 0) & (images < self.size)], minlength=self.size)
+        if len(images) != self.size or (counts != 1).any():
+            return (-1, int(np.argmax(counts != 1)))
+        return _automorphism_defect(self.mul, images)
 
     def conjugation_closed(self, subset: Sequence[int]) -> Optional[tuple[int, int]]:
         """None if subset is closed under conjugation by the whole group,
-        else a witness (x, by) with conj(x, by) outside the subset."""
-        inside = set(subset)
-        for x in subset:
-            for by in range(self.size):
-                if self.conj(x, by) not in inside:
-                    return (x, by)
-        return None
+        else the first witness (x, by), x-major in subset order, with
+        conj(x, by) outside the subset."""
+        subset = np.asarray(subset, dtype=np.int64)
+        inside = _positions(subset, self.size) >= 0
+        outside = np.argwhere(~inside[self.conj(subset[:, None], np.arange(self.size))])
+        return None if not len(outside) else (int(subset[outside[0, 0]]), int(outside[0, 1]))
 
     def right_translation(self, x: int) -> Permutation:
         """The permutation y -> y*x of the regular representation."""
-        return Permutation(tuple(self.mul[y][x] for y in range(self.size)))
+        return Permutation(tuple(self.mul[:, x].tolist()))
 
     def subgroup_closure(self, subset: Sequence[int]) -> list[int]:
-        """Elements of the subgroup generated by ``subset``, sorted."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(subset) + [self.inverse[x] for x in subset]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    b = self.mul[a][g]
-                    if b not in seen:
-                        seen.add(b)
-                        new.append(b)
-            frontier = new
-        return sorted(seen)
+        """Elements of the subgroup generated by ``subset``, sorted: the
+        group of right translations y -> y*g, g in ``subset``, at the
+        identity."""
+        gens = [(str(g), self.right_translation(g)) for g in _distinct(np.asarray(subset, dtype=np.int64))]
+        if not gens:
+            return [self.identity]
+        return np.sort(group_closure(gens)[:, self.identity]).tolist()
 
     def normal_closure_of(self, x: int) -> list[int]:
-        conjugates = {self.conj(x, by) for by in range(self.size)}
-        return self.subgroup_closure(sorted(conjugates))
+        return self.subgroup_closure(self.conj(x, np.arange(self.size)))
 
     def commutator_of_subgroup(
         self, subset: Sequence[int], other: Optional[Sequence[int]] = None
     ) -> list[int]:
         """Elements of [H, K] = <a^-1 b^-1 a b : a in H, b in K>, sorted,
         for H = ``subset`` and K = ``other`` (default K = H)."""
-        others = subset if other is None else other
-        comms = {
-            self.mul[self.mul[self.inverse[a]][self.inverse[b]]][self.mul[a][b]]
-            for a in subset
-            for b in others
-        }
-        return self.subgroup_closure(sorted(comms))
+        a = np.asarray(subset, dtype=np.int64)[:, None]
+        b = a.T if other is None else np.asarray(other, dtype=np.int64)[None, :]
+        mul, inv = self.mul, self.inverse
+        return self.subgroup_closure(mul[mul[inv[a], inv[b]], mul[a, b]].ravel())
 
     def subgroup(self, subset: Sequence[int]) -> "GroupTable":
         """The subgroup on ``subset`` (which must be closed under products)
         as a table of its own: index i is the i-th smallest of ``subset``."""
-        els = sorted(subset)
-        pos = {x: i for i, x in enumerate(els)}
-        return GroupTable([[pos[self.mul[a][b]] for b in els] for a in els])
+        els = _distinct(np.asarray(subset, dtype=np.int64))
+        return GroupTable(_positions(els, self.size)[self.mul[np.ix_(els, els)]])
 
     def quotient(self, normal: Sequence[int]) -> "GroupTable":
         """The table of G/N for the normal subgroup N = ``normal``.  Each
         coset Nx is keyed by its smallest element min(n*x for n in N), and
         cosets are numbered in increasing key order."""
-        key = [min(self.mul[n][x] for n in normal) for x in range(self.size)]
-        keys = sorted(set(key))
-        pos = {k: i for i, k in enumerate(keys)}
-        return GroupTable([[pos[key[self.mul[a][b]]] for b in keys] for a in keys])
+        key = self.mul[np.asarray(normal, dtype=np.int64)].min(axis=0)
+        keys = _distinct(key)
+        return GroupTable(_positions(keys, self.size)[key[self.mul[np.ix_(keys, keys)]]])
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(x) == self.size for x in range(self.size))
+        return bool((self.orders == self.size).any())
 
     def abelian_invariants(self) -> list[int]:
         """Invariant factors of this group, which must be abelian, ascending.
@@ -150,10 +143,9 @@ class GroupTable:
         """
         if self.size == 1:
             return []
-        orders = [self.element_order(x) for x in range(self.size)]
-        best = orders.index(max(orders))
+        best = int(np.argmax(self.orders))
         rest = self.quotient(self.subgroup_closure([best])).abelian_invariants()
-        return rest + [orders[best]]
+        return rest + [int(self.orders[best])]
 
     def abelian_invariants_of_subgroup(self, subset: Sequence[int]) -> list[int]:
         """Invariant factors of H/[H, H] for the subgroup H = subset."""
@@ -164,38 +156,41 @@ class GroupTable:
         return f"GroupTable(size={self.size})"
 
 
-def group_from_elements(elements: list, multiply) -> GroupTable:
-    """Build a GroupTable from concrete elements and a multiply callable.
+def _positions(elements: np.ndarray, size: int) -> np.ndarray:
+    """pos[elements[i]] = i, and -1 off ``elements``."""
+    pos = np.full(size, -1, dtype=np.int64)
+    pos[elements] = np.arange(len(elements))
+    return pos
 
-    The element order fixes the numbering, so tables are reproducible.
-    """
+
+def group_from_elements(elements: list, multiply) -> GroupTable:
+    """A GroupTable from concrete elements and a multiply callable; the
+    element order fixes the numbering, so tables are reproducible."""
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     mul = [[index[multiply(elements[a], elements[b])] for b in range(n)] for a in range(n)]
     return GroupTable(mul)
 
 
-def _perm_mul(a: tuple, b: tuple) -> tuple:
-    # permutations as image tuples, a then b
-    return tuple(b[v] for v in a)
-
-
 def cyclic_group(n: int) -> GroupTable:
-    return GroupTable([[(a + b) % n for b in range(n)] for a in range(n)])
+    x = np.arange(n)
+    return GroupTable((x[:, None] + x[None, :]) % n)
+
+
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of 0..n-1 as rows, in lexicographic order."""
+    return np.array(list(iter_permutations(range(n))), dtype=np.int64)
 
 
 def symmetric_group(n: int) -> GroupTable:
-    els = sorted(iter_permutations(range(n)))
-    return group_from_elements(els, _perm_mul)
+    return GroupTable(cayley_table(_permutations(n)))
 
 
 def alternating_group(n: int) -> GroupTable:
-    def parity(p):
-        inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-        return inv % 2
-
-    els = sorted(p for p in iter_permutations(range(n)) if parity(p) == 0)
-    return group_from_elements(els, _perm_mul)
+    els = _permutations(n)
+    i, j = np.triu_indices(els.shape[1], 1)
+    even = (els[:, i] > els[:, j]).sum(axis=1) % 2 == 0
+    return GroupTable(cayley_table(els[even]))
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -241,9 +236,9 @@ def quaternion_group() -> GroupTable:
 
 def find_element(group: GroupTable, order: Optional[int] = None) -> int:
     """Smallest-index element of the given order (or any non-identity)."""
-    for x in range(group.size):
-        if x == group.identity:
-            continue
-        if order is None or group.element_order(x) == order:
-            return x
-    raise ValueError(f"no element of order {order}")
+    fits = np.arange(group.size) != group.identity
+    if order is not None:
+        fits &= group.orders == order
+    if not fits.any():
+        raise ValueError(f"no element of order {order}")
+    return int(np.argmax(fits))

@@ -1,9 +1,10 @@
 """Permutations and the groups they generate, as actions on points.
 
 This module owns what acts on points: ``Permutation``, the enumeration
-of a ``PermGroup``, orbits, free actions and word lengths.  Group algebra
-(normal closures, commutators, quotients, abelian invariants, element
-orders) lives in ``quandles.groups`` and runs on indices: an enumerated
+of a ``PermGroup``, orbits, free actions and word lengths, and the one
+closure and one Cayley table of the package.  Group algebra (normal
+closures, commutators, quotients, abelian invariants, element orders)
+lives in ``quandles.groups`` and runs on indices: an enumerated
 ``PermGroup`` hands it its Cayley table through ``PermGroup.table()``.
 No stabilizer chains; everything is desk scale.
 
@@ -246,17 +247,11 @@ class PermGroup:
 
     def table(self):
         """The Cayley table as a ``groups.GroupTable``: index i is
-        ``elements[i]``, so the identity is 0.
-
-        The base images of elements[a] * elements[b] are
-        images[b, images[a, :L]]; they pick out the product's row.
-        """
+        ``elements[i]``, so the identity is 0."""
         if self._table is None:
             from .groups import GroupTable
 
-            images = self.images
-            on_base = images[:, images[:, : self.rows.base_length]]  # [b, a, j]
-            self._table = GroupTable(self.rows.find(on_base.transpose(1, 0, 2)).tolist())
+            self._table = GroupTable(cayley_table(self.images, self.rows))
         return self._table
 
     def __contains__(self, p: Permutation) -> bool:
@@ -268,6 +263,15 @@ class PermGroup:
     def __repr__(self):
         names = ",".join(name for name, _ in self.generators)
         return f"PermGroup(<{names}>, degree={self.degree})"
+
+
+def cayley_table(images: np.ndarray, rows: Optional[RowIndex] = None) -> np.ndarray:
+    """The Cayley table of the distinct rows ``images``, closed under
+    products: [a, b] is the row of images[a] * images[b], which its base
+    images images[b, images[a, :L]] pick out (through ``rows``)."""
+    rows = rows or RowIndex(images)
+    on_base = images[:, images[:, : rows.base_length]]  # [b, a, j]
+    return rows.find(on_base.transpose(1, 0, 2))
 
 
 def group_closure(

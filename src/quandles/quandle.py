@@ -45,11 +45,41 @@ class AxiomReport:
         return {"ok": self.ok, "axiom": self.axiom, "witness": self.witness}
 
 
+def _integers(values, ndim: int, what: str, error: type = MalformedTableError) -> np.ndarray:
+    """``values`` as an int64 array with ``ndim`` axes, else ``error``.
+    Beside ints numpy reads a bool as 0 or 1, so lists are searched too."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged
+        array = np.empty(())
+    if array.ndim != ndim or array.size and not (
+        np.issubdtype(array.dtype, np.integer)
+        and (isinstance(values, np.ndarray) or bool not in set(map(type, np.asarray(values, dtype=object).flat)))
+    ):
+        raise error(f"{what} must be a {ndim}-d array of integers")
+    return array.astype(np.int64, copy=False)
+
+
+def _operation_table(table) -> np.ndarray:
+    """``table`` as a square int64 array with entries in 0..n-1, the one
+    check of operation and multiplication tables; MalformedTableError
+    if it fails, with the first out-of-range entry as witness."""
+    t = _integers(table, 2, "table")
+    n = len(t)
+    if n == 0 or t.shape[1] != n:
+        raise MalformedTableError(f"table must be square, got shape {t.shape}" if t.size else "empty table")
+    bad = np.argwhere((t < 0) | (t >= n))
+    if len(bad):
+        x, y = bad[0].tolist()
+        raise MalformedTableError(f"entry out of range at ({x}, {y})", witness=(x, y))
+    return t
+
+
 def check_quandle_axioms(table: Sequence[Sequence[int]]) -> AxiomReport:
     """Check a finite operation table against the three quandle axioms.
 
-    Raises MalformedTableError for a non-square table or out-of-range
-    entries.  Otherwise returns an AxiomReport; on failure the witness is
+    Raises MalformedTableError where ``_operation_table`` does.
+    Otherwise returns an AxiomReport; on failure the witness is
     re-checkable directly against the table.  For axiom 2 the witness
     (x, y) means no z satisfies z ◁ y = x.
 
@@ -69,23 +99,8 @@ def check_quandle_axioms(table: Sequence[Sequence[int]]) -> AxiomReport:
     some z in S fails does the full n^3 scan run, and it alone picks the
     reported witness, so reports equal those of the full scan.
     """
-    try:
-        t = np.asarray(table)
-    except ValueError:
-        raise MalformedTableError("table rows have unequal lengths") from None
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise MalformedTableError(f"table must be square, got shape {t.shape}")
+    t = _operation_table(table)
     n = t.shape[0]
-    if n == 0:
-        raise MalformedTableError("empty table")
-    if not np.issubdtype(t.dtype, np.integer):
-        raise MalformedTableError("table entries must be integers")
-    if t.min() < 0 or t.max() >= n:
-        bad = np.argwhere((t < 0) | (t >= n))[0]
-        raise MalformedTableError(
-            f"entry out of range at ({bad[0]}, {bad[1]})", witness=(int(bad[0]), int(bad[1]))
-        )
-    t = t.astype(np.int64, copy=False)
     cols = np.arange(n)
 
     bad = np.nonzero(t[cols, cols] != cols)[0]
@@ -177,7 +192,7 @@ class FiniteQuandle:
     backend_id = "finite"
 
     def __init__(self, table: Sequence[Sequence[int]], validate: bool = True):
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = _operation_table(table) if validate else np.asarray(table, dtype=np.int64)
         if validate:
             report = check_quandle_axioms(self.table)
             if not report.ok:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import GAlexFiniteQuandle, conjugation_automorphism, galex_finite
-from .groups import GroupTable
+from .groups import GroupTable, _positions
 from .perms import (
     Permutation,
     RowIndex,
@@ -77,7 +77,8 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
 
     The zero-sum enumeration in (3) runs to word length 2 * |Inn|, enough
     to express any element of a group of that order with sign balancing.
-    (1) and (3) run on the indices of the Cayley table of Inn.
+    (1) and (3) run on the indices of the Cayley table of Inn; the
+    normality witness is the first failure conjugator-major.
     """
     instance = instance or repr(q)
     inn = q.inner_group()
@@ -87,14 +88,12 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     dis_set = set(dis_index)
     reports = []
 
+    in_dis = _positions(dis_index, table.size) >= 0
+    outside = np.argwhere(~in_dis[table.conj(np.array(dis_index), np.arange(table.size)[:, None])])
     bad = None
-    for g in range(table.size):
-        for d in dis_index:
-            if table.conj(d, g) not in dis_set:
-                bad = {"conjugator": inn.elements[g].key(), "element": inn.elements[d].key()}
-                break
-        if bad:
-            break
+    if len(outside):
+        g, d = outside[0]
+        bad = {"conjugator": inn.elements[g].key(), "element": inn.elements[dis_index[d]].key()}
     reports.append(
         TheoremReport(
             "dis-normal-in-inn",
@@ -116,11 +115,13 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
         )
     )
 
-    # breadth-first over words in the s_y^(+-1), tracking exponent sums
+    # breadth-first over words in the s_y^(+-1), tracking exponent sums,
+    # on Python lists: indexing them is faster than ndarray scalars
     max_len = 2 * inn.order
+    mul, inverse = table.mul.tolist(), table.inverse.tolist()
     steps = []
     for i in inn.positions(np.array([sym.images for _, sym in inn.generators])):
-        steps += [(i, 1), (table.inverse[i], -1)]
+        steps += [(i, 1), (inverse[i], -1)]
     start = (table.identity, 0)
     seen = {start}
     frontier = [start]
@@ -132,7 +133,7 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
                 t = total + exp
                 if abs(t) > max_len:
                     continue
-                state = (table.mul[x][step], t)
+                state = (mul[x][step], t)
                 if state not in seen:
                     seen.add(state)
                     nxt.append(state)
@@ -257,8 +258,8 @@ def verify_free_transitive_reconstruction(
     # s_x0 is one of the conjugators above, so sigma maps G onto G
     s0, s0_inv = q.table[:, basepoint], q.inv_table[:, basepoint]
     sigma = rows.locate(s0[elements[:, s0_inv]])
-    group = GroupTable(mul.tolist())
-    rebuilt = galex_finite(group, sigma.tolist())
+    group = GroupTable(mul)
+    rebuilt = galex_finite(group, sigma)
 
     f = elements[:, basepoint]
     mismatch = np.argwhere(f[rebuilt.table] != q.table[np.ix_(f, f)])
@@ -283,68 +284,61 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
     the group identity is a subgroup, right translation by it is an
     injective homomorphism into the symmetric group, its image is exactly
     the displacement group, and every generator s_x s_y^-1 equals right
-    translation by 1 ◁ x ◁^-1 y, an element of P."""
+    translation by 1 ◁ x ◁^-1 y, an element of P.  Witnesses are first
+    failures in row-major order, over P x P and then over pairs (x, y)."""
     instance = instance or repr(q)
     statement = "identity-component-realizes-displacement"
     group = q.group
+    mul, points = group.mul, np.arange(q.size)
     p_elems = q.identity_component()
-    p_set = set(p_elems)
+    p = np.array(p_elems, dtype=np.int64)
+    in_p = _positions(p, q.size) >= 0
 
+    def failed(witness, details=None):
+        return TheoremReport(statement, instance, False, witness, details)
+
+    outside = np.argwhere(~in_p[mul[np.ix_(p, p)]])
+    if len(outside):
+        return failed({"not_closed": (p_elems[outside[0, 0]], p_elems[outside[0, 1]])})
+    if not in_p[group.identity] or not in_p[group.inverse[p]].all():
+        return failed({"not_subgroup": sorted(p_elems)})
+    # the right translations by P; a column that is no permutation means
+    # the table is no group, and right_translation raises ValueError
+    translations = np.array([group.right_translation(a).images for a in p_elems], dtype=np.int64)
+
+    # the translation y -> y*a followed by y -> y*b is y -> y*(ab)
     for a in p_elems:
-        for b in p_elems:
-            if group.mul[a][b] not in p_set:
-                return TheoremReport(
-                    statement, instance, False, {"not_closed": (a, b)}, None
-                )
-    if group.identity not in p_set or any(group.inverse[a] not in p_set for a in p_elems):
-        return TheoremReport(
-            statement, instance, False, {"not_subgroup": sorted(p_elems)}, None
-        )
+        broken = np.flatnonzero((mul[mul[:, a]][:, p] != mul[:, mul[a, p]]).any(axis=0))
+        if broken.size:
+            return failed({"not_homomorphism": (a, p_elems[broken[0]])})
 
-    translations = {a: group.right_translation(a) for a in p_elems}
-    for a in p_elems:
-        for b in p_elems:
-            if translations[a] * translations[b] != translations[group.mul[a][b]]:
-                return TheoremReport(
-                    statement, instance, False, {"not_homomorphism": (a, b)}, None
-                )
+    # the translations are distinct (they send 1 to a), so they are the
+    # displacement group when all of them lie in it and the orders agree
+    dis = q.displacement_group()
+    found = dis.rows.locate(translations)
+    sizes = {"component_size": len(p_elems), "dis_order": dis.order}
+    if (found < 0).any() or len(p_elems) != dis.order:
+        covered = np.zeros(dis.order, dtype=bool)
+        covered[found[found >= 0]] = True
+        witness = {
+            "translation_not_in_dis": sorted(row_permutation(t).key() for t in translations[found < 0])[:3],
+            "dis_not_translation": sorted(dis.elements[d].key() for d in np.flatnonzero(~covered))[:3],
+        }
+        return failed(witness, sizes)
 
-    dis_set = set(q.displacement_group().elements)
-    image = set(translations.values())
-    if image != dis_set:
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {
-                "translation_not_in_dis": sorted(
-                    p.key() for p in image - dis_set
-                )[:3],
-                "dis_not_translation": sorted(p.key() for p in dis_set - image)[:3],
-            },
-            {"component_size": len(p_elems), "dis_order": len(dis_set)},
-        )
-
-    ident = group.identity
+    # s_x s_y^-1 sends z to (z ◁ x) ◁^-1 y; its translation target is
+    # g = (1 ◁ x) ◁^-1 y
+    target = q.inv_table[q.table[group.identity][:, None], points]
     for x in range(q.size):
-        for y in range(q.size):
-            g = q.op_inv(q.op(ident, x), y)
-            if g not in p_set:
-                return TheoremReport(
-                    statement, instance, False, {"generator_target_outside": (x, y, g)}, None
-                )
-            if q.symmetry(x) * q.symmetry(y).inverse() != translations[g]:
-                return TheoremReport(
-                    statement, instance, False, {"generator_mismatch": (x, y, g)}, None
-                )
+        mismatch = (q.inv_table[q.table[:, x][:, None], points] != mul[:, target[x]]).any(axis=0)
+        bad = np.flatnonzero(~in_p[target[x]] | mismatch)
+        if bad.size:
+            y = int(bad[0])
+            g = int(target[x, y])
+            kind = "generator_mismatch" if in_p[g] else "generator_target_outside"
+            return failed({kind: (x, y, g)})
 
-    return TheoremReport(
-        statement,
-        instance,
-        True,
-        None,
-        {"component_size": len(p_elems), "dis_order": len(dis_set)},
-    )
+    return TheoremReport(statement, instance, True, None, sizes)
 
 
 def verify_inner_case_commutator(

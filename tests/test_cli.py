@@ -1,8 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import src_env
 
 from quandles import cli
@@ -266,13 +272,118 @@ def test_max_vertices_only_where_a_ball_is_built(capsys, command, capped):
 
 
 def test_finite_axioms_leave_numpy_ma_unimported(tmp_path):
-    """numpy.ma costs about 16 ms of import; a bare np.unique pulls it in."""
-    spec = write_spec(tmp_path, "r9.json", {"family": "dihedral", "n": 9})
+    """numpy.ma costs about 16 ms of import; a bare np.unique pulls it in.
+    Neither the finite axiom check nor any of the four finite verify
+    suites may import it."""
+    r9 = write_spec(tmp_path, "r9.json", {"family": "dihedral", "n": 9})
+    d4 = write_spec(tmp_path, "d4.json", {"family": "galex-finite", "group": "dihedral:4", "sigma": {"conjugation-by": 1}})
+    runs = [["axioms", r9]] + [
+        ["verify", spec, "--suite", suite]
+        for spec, suite in ((r9, "dis-properties"), (d4, "p-equals-dis"), (d4, "inner-commutator"), (r9, "reconstruction"))
+    ]
     code = "\n".join(
-        ["import sys", "from quandles import cli", "cli.main(['axioms', sys.argv[1]])", "print('numpy.ma' in sys.modules)"]
+        [
+            "import io, json, sys",
+            "from contextlib import redirect_stdout",
+            "from quandles import cli",
+            "first, flags = io.StringIO(), []",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with redirect_stdout(first if not flags else io.StringIO()):",
+            "        cli.main(argv)",
+            "    flags.append('numpy.ma' in sys.modules)",
+            "print(first.getvalue().strip())",
+            "print(json.dumps(flags))",
+        ]
     )
-    out = subprocess.run([sys.executable, "-c", code, spec], env=src_env(), capture_output=True, text=True)
-    assert out.stdout.splitlines() == ['{"axiom":null,"ok":true,"witness":null}', "False"]
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=src_env(), capture_output=True, text=True)
+    assert out.stdout.splitlines() == ['{"axiom":null,"ok":true,"witness":null}', json.dumps([False] * len(runs))]
+
+
+@pytest.mark.parametrize(
+    "spec,options,error",
+    [
+        ({"family": "conjugation", "group": [[0, 1.7], [1, 0]]}, [], "malformed-table"),
+        ({"family": "conjugation", "group": [[True, False], [False, True]]}, [], "malformed-table"),
+        ({"family": "conjugation", "group": "cyclic:3", "subset": [1.9]}, [], "bad-construction"),
+        ({"family": "galex-finite", "group": "cyclic:2", "sigma": [0, 1.2]}, [], "bad-construction"),
+        ({"family": "galex-finite", "group": "cyclic:4", "sigma": {"conjugation-by": 9}}, [], "bad-construction"),
+        (
+            {"family": "galex-finite", "group": "dihedral:3", "sigma": {"conjugation-by": -1}},
+            ["--suite", "inner-commutator"],
+            "bad-construction",
+        ),
+        ({"family": "conjugation", "group": "cyclic:3", "subset": []}, [], "bad-construction"),
+        ({"family": "finite-table", "table": [[0, 0.5], [1, 1]]}, [], "malformed-table"),
+        ({"family": "finite-table", "table": [[0, 0], [True, 1]]}, [], "malformed-table"),
+        ({"family": "conjugation", "group": "cyclic:3", "subset": [1, True]}, [], "bad-construction"),
+        ({"family": "galex-finite", "group": "cyclic:2", "sigma": [0, True]}, [], "bad-construction"),
+    ],
+    ids=[
+        "float-table", "bool-table", "float-subset", "float-sigma", "conjugator-9", "conjugator-minus-1", "empty-subset",
+        "float-quandle-table", "bool-in-quandle-table", "bool-in-subset", "bool-in-sigma",
+    ],
+)
+def test_group_input_takes_integers_in_range_only(tmp_path, capsys, spec, options, error):
+    path = write_spec(tmp_path, "spec.json", spec)
+    assert cli.main(["verify" if options else "components", path, *options]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err)["error"] == error
+
+
+STOCK_SIZES = {"cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "symmetric:3": 6, "quaternion": 8}
+
+
+def _not_an_index(n):
+    """A JSON value that is no element index of a group of order n."""
+    return st.one_of(
+        st.integers(n, n + 10**6), st.integers(-(10**6), -1), st.floats(), st.booleans(), st.text(max_size=3)
+    )
+
+
+@st.composite
+def _malformed_specs(draw):
+    name = draw(st.sampled_from(sorted(STOCK_SIZES)))
+    n = STOCK_SIZES[name]
+    good = st.integers(0, n - 1)
+    bad = _not_an_index(n)
+
+    def spoiled(length):  # a list of indices with at least one bad entry
+        entries = draw(st.lists(good, min_size=length - 1, max_size=length - 1))
+        entries.insert(draw(st.integers(0, len(entries))), draw(bad))
+        return entries
+
+    kind = draw(st.sampled_from(["subset", "subset-empty", "subset-scalar", "sigma", "sigma-empty", "conjugator", "table"]))
+    if kind.startswith("subset"):
+        subset = {"subset": spoiled(draw(st.integers(1, 6))), "subset-empty": [], "subset-scalar": draw(bad)}[kind]
+        return {"family": "conjugation", "group": name, "subset": subset}
+    if kind == "table":
+        table = [spoiled(n) if draw(st.booleans()) else draw(st.lists(good, min_size=n, max_size=n)) for _ in range(n)]
+        table[draw(st.integers(0, n - 1))] = spoiled(n)
+        return {"family": draw(st.sampled_from(["conjugation", "galex-finite"])), "group": table, "sigma": list(range(n))}
+    sigma = {
+        "sigma": spoiled(n),
+        "sigma-empty": [],
+        "conjugator": {"conjugation-by": draw(st.one_of(bad, st.none(), st.lists(good, min_size=1, max_size=2)))},
+    }[kind]
+    return {"family": "galex-finite", "group": name, "sigma": sigma}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_malformed_specs())
+def test_malformed_finite_specs_exit_2_with_a_json_error(spec):
+    """Out-of-range, negative, float, bool, text and empty values where a
+    group table, a subset or sigma wants element indices: exit 2 with one
+    JSON error record on stderr, never an uncaught exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["components", path])
+    assert code == 2, spec
+    assert out.getvalue() == ""
+    assert "error" in json.loads(err.getvalue())
 
 
 def test_verify_suites(tmp_path, dih5):

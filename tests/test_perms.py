@@ -367,7 +367,7 @@ def _assert_matches_loop(generators, table_up_to=None):
     assert group.images.tolist() == [list(p) for p in expected]
     assert all(group.index[p] == i for i, p in enumerate(group.elements))
     if table_up_to is None or group.order <= table_up_to:
-        assert group.table().mul == _table_before_arrays(expected)
+        assert group.table().mul.tolist() == [list(row) for row in _table_before_arrays(expected)]
     return group
 
 

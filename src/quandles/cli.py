@@ -103,16 +103,21 @@ def load_group(value) -> GroupTable:
             raise SpecError("malformed-table", str(e), "group")
     if not isinstance(value, str):
         raise SpecError("bad-spec", "group must be a table or a name", "group")
-    name, _, arg = value.partition(":")
+    name, colon, arg = value.partition(":")
     stock = dict(cyclic=cyclic_group, symmetric=symmetric_group, alternating=alternating_group, dihedral=dihedral_group)
+    if name == "quaternion":
+        if colon:
+            raise SpecError("bad-spec", f"quaternion takes no argument, got {value!r}", "group")
+        return quaternion_group()
+    if name not in stock:
+        raise SpecError("unknown-group", f"unknown group name {value!r}", "group")
     try:
-        if name in stock:
-            return stock[name](int(arg))
-        if name == "quaternion":
-            return quaternion_group()
+        n = int(arg)
     except ValueError as e:
         raise SpecError("bad-spec", f"bad group argument: {e}", "group")
-    raise SpecError("unknown-group", f"unknown group name {value!r}", "group")
+    if n < 1:
+        raise SpecError("bad-spec", f"group argument must be at least 1, got {value!r}", "group")
+    return stock[name](n)
 
 
 def _load_raw(path: str) -> dict:

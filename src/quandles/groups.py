@@ -7,8 +7,8 @@ as tables of their own, cyclicity, abelian invariants and conjugacy
 closure tests.  A table has one format, the int64 array
 ``GroupTable.mul``, checked like a quandle table by
 ``quandle._operation_table``, and the algebra is array expressions on
-it.  Subgroups are closed by ``perms.group_closure`` over the right
-translations ``mul[:, g]``.  ``perms.cayley_table`` tabulates an
+it.  A subgroup is closed by ``perms.walk`` from the identity under the
+right translations ``mul[:, g]``.  ``perms.cayley_table`` tabulates an
 enumerated ``PermGroup`` (index i is its i-th element) and the stock
 symmetric and alternating groups (permutations in lexicographic order);
 ``group_from_elements`` builds the dihedral and quaternion groups.
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MalformedTableError
-from .perms import Permutation, _distinct, cayley_table, group_closure
+from .perms import Permutation, _distinct, cayley_table, walk
 from .quandle import _automorphism_defect, _operation_table
 
 
@@ -97,12 +97,9 @@ class GroupTable:
 
     def subgroup_closure(self, subset: Sequence[int]) -> list[int]:
         """Elements of the subgroup generated by ``subset``, sorted: the
-        group of right translations y -> y*g, g in ``subset``, at the
-        identity."""
-        gens = [(str(g), self.right_translation(g)) for g in _distinct(np.asarray(subset, dtype=np.int64))]
-        if not gens:
-            return [self.identity]
-        return np.sort(group_closure(gens)[:, self.identity]).tolist()
+        ``walk`` from the identity under the right translations ``mul[:, g]``."""
+        gens = _distinct(np.asarray(subset, dtype=np.int64))
+        return np.sort(walk(self.mul[:, gens], self.identity, self.size, self.size)[0]).tolist()
 
     def normal_closure_of(self, x: int) -> list[int]:
         return self.subgroup_closure(self.conj(x, np.arange(self.size)))

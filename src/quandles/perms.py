@@ -2,11 +2,13 @@
 
 This module owns what acts on points: ``Permutation``, the enumeration
 of a ``PermGroup``, orbits, free actions and word lengths, and the one
-closure and one Cayley table of the package.  Group algebra (normal
-closures, commutators, quotients, abelian invariants, element orders)
-lives in ``quandles.groups`` and runs on indices: an enumerated
-``PermGroup`` hands it its Cayley table through ``PermGroup.table()``.
-No stabilizer chains; everything is desk scale.
+point walk, closure and Cayley table of the package.  ``walk`` is the
+orbit algorithm (Holt, Eick and O'Brien, cited below, section 4.1) that
+Schreier balls, ``orbits`` and ``GroupTable.subgroup_closure`` run on.
+Group algebra (normal closures, commutators, quotients, abelian
+invariants, element orders) lives in ``quandles.groups`` and runs on
+indices: an enumerated ``PermGroup`` hands it its Cayley table through
+``PermGroup.table()``.  No stabilizer chains; everything is desk scale.
 
 An enumerated group is one int array: ``PermGroup.images`` has a row of
 images per element, and ``group_closure`` is what fills it.  Products are
@@ -321,31 +323,55 @@ def group_closure(
     return np.concatenate(found)
 
 
+def walk(moves: np.ndarray, start: int, radius: int, bound: int):
+    """Breadth-first walk from ``start`` under the moves x -> ``moves[x, m]``,
+    numbering points by first occurrence, frontier-major and move-minor.
+    Returns (points, sphere sizes, one block of vertex numbers per sphere
+    inside ``radius``, ``finish`` for the last sphere's block, with the
+    count for points off the walk); raises BoundExceededError, with the
+    last completed radius and its count, iff the count passes ``bound``."""
+    vertex = np.full(moves.shape[0], -1, dtype=np.int64)  # point -> vertex index
+    vertex[start] = 0
+    frontier = np.array([start])
+    spheres, blocks = [frontier], []
+    count = 1
+    for d in range(1, radius + 1):
+        if not frontier.size:
+            break
+        targets = moves[frontier]  # frontier-major, move-minor
+        row = vertex[targets]
+        new = row < 0
+        unseen = targets[new]
+        _, first = np.unique(unseen, return_index=True)
+        fresh = unseen[np.sort(first)]  # first-occurrence order
+        if count + fresh.size > bound:
+            raise BoundExceededError("schreier ball", bound, radius=d - 1, vertices=count)
+        vertex[fresh] = np.arange(count, count + fresh.size)
+        row[new] = vertex[unseen]
+        count += fresh.size
+        blocks.append(row)
+        spheres.append(fresh)
+        frontier = fresh
+    vertex[vertex < 0] = count  # points off the walk map to the sentinel V
+    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[frontier]]
+
+
 def orbits(generators, domain: Iterable[int]) -> list[list[int]]:
     """Partition ``domain`` into orbits under the group generated by the
-    (name, permutation) pairs ``generators`` (``PermGroup.generators``).
-
-    Orbits are sorted internally and listed by smallest element, so the
-    output is canonical.
-    """
-    steps = [s for _, g in _named(generators) for s in (g, g.inverse())]
+    (name, permutation) pairs ``generators`` (``PermGroup.generators``):
+    each orbit is a ``walk`` under the generators alone (on a finite set an
+    inverse is a power) from its first point in ``domain``.  Orbits are
+    sorted internally and listed in ``domain`` order of those points."""
     domain = list(domain)
-    remaining = set(domain)
-    parts = []
+    images = [g.images for _, g in _named(generators)]
+    size = len(images[0]) if images else max(domain, default=-1) + 1
+    moves = np.array(images, dtype=np.int64).reshape(len(images), size).T
+    seen, parts = np.zeros(size, dtype=bool), []
     for start in domain:
-        if start not in remaining:
-            continue
-        orbit = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for s in steps:
-                y = s.act(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        parts.append(sorted(orbit))
-        remaining -= orbit
+        if not seen[start]:
+            orbit = walk(moves, start, size, size)[0]
+            seen[orbit] = True
+            parts.append(np.sort(orbit).tolist())
     return parts
 
 

@@ -27,12 +27,12 @@ leaves the ball.  The BFS fills the rows of every vertex inside radius R
 as it goes; the rows of the last sphere, the only ones that can hold V,
 get their second look only when edges or pair queries first need them.
 When the action is the default point action and every move is a
-``Permutation`` (every finite quandle), the BFS is a numpy gather over
-the moves' image arrays; otherwise it applies and keys one move at a
-time.  Both walks discover vertices in the same order.  An edge list
-(JSON input) is converted once into the same kind of table, padded with
-V.  The labeled, sorted edge list is rendered from the table on first
-use, so growth and distances from the basepoint never build it.
+``Permutation`` (every finite quandle), the BFS is ``perms.walk``, a
+numpy gather over the moves' image arrays; otherwise it applies and keys
+one move at a time.  Both walks discover vertices in the same order.
+An edge list (JSON input) is converted once into the same kind of table,
+padded with V.  The labeled, sorted edge list is rendered from the table
+on first use, so growth and distances from the basepoint never build it.
 
 Pair queries walk that table directly, with the ``depth`` array of
 basepoint distances beside it; self-loops, parallel moves and V need no
@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
-from .perms import Permutation, _distinct, _named, word_length
+from .perms import Permutation, _distinct, _named, walk, word_length
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -433,35 +433,6 @@ def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.n
     return moves, move_gen
 
 
-def _permutation_bfs(moves: np.ndarray, base: int, radius: int, max_vertices: int):
-    """BFS over points with numpy gathers; returns (points in BFS order,
-    sphere sizes, neighbor blocks, finish)."""
-    vertex = np.full(moves.shape[0], -1, dtype=np.int64)  # point -> vertex index
-    vertex[base] = 0
-    frontier = np.array([base])
-    spheres, blocks = [frontier], []
-    count = 1
-    for d in range(1, radius + 1):
-        if not frontier.size:
-            break
-        targets = moves[frontier]  # frontier-major, move-minor
-        row = vertex[targets]
-        new = row < 0
-        unseen = targets[new]
-        _, first = np.unique(unseen, return_index=True)
-        fresh = unseen[np.sort(first)]  # first-occurrence order
-        if count + fresh.size > max_vertices:
-            raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=count)
-        vertex[fresh] = np.arange(count, count + fresh.size)
-        row[new] = vertex[unseen]
-        count += fresh.size
-        blocks.append(row)
-        spheres.append(fresh)
-        frontier = fresh
-    vertex[vertex < 0] = count  # points off the ball map to the sentinel V
-    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[frontier]]
-
-
 def build_ball(
     action: SchreierAction,
     basepoint,
@@ -482,7 +453,7 @@ def build_ball(
     fast = _permutation_moves(action, basepoint)
     if fast is not None:
         moves, move_gen = fast
-        points, sizes, blocks, finish = _permutation_bfs(moves, operator.index(basepoint), radius, max_vertices)
+        points, sizes, blocks, finish = walk(moves, operator.index(basepoint), radius, max_vertices)
         elements = [basepoint, *points[1:].tolist()]
         keys = list(map(action.key, elements))
         index = None  # built on first use

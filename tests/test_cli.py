@@ -273,11 +273,12 @@ def test_max_vertices_only_where_a_ball_is_built(capsys, command, capped):
 
 def test_finite_axioms_leave_numpy_ma_unimported(tmp_path):
     """numpy.ma costs about 16 ms of import; a bare np.unique pulls it in.
-    Neither the finite axiom check nor any of the four finite verify
-    suites may import it."""
+    Neither the finite axiom check, nor ``components`` and ``growth``
+    (both on ``perms.walk``), nor any of the four finite verify suites
+    may import it."""
     r9 = write_spec(tmp_path, "r9.json", {"family": "dihedral", "n": 9})
     d4 = write_spec(tmp_path, "d4.json", {"family": "galex-finite", "group": "dihedral:4", "sigma": {"conjugation-by": 1}})
-    runs = [["axioms", r9]] + [
+    runs = [["axioms", r9], ["components", r9], ["growth", r9, "--radius", "3"]] + [
         ["verify", spec, "--suite", suite]
         for spec, suite in ((r9, "dis-properties"), (d4, "p-equals-dis"), (d4, "inner-commutator"), (r9, "reconstruction"))
     ]
@@ -317,17 +318,27 @@ def test_finite_axioms_leave_numpy_ma_unimported(tmp_path):
         ({"family": "finite-table", "table": [[0, 0], [True, 1]]}, [], "malformed-table"),
         ({"family": "conjugation", "group": "cyclic:3", "subset": [1, True]}, [], "bad-construction"),
         ({"family": "galex-finite", "group": "cyclic:2", "sigma": [0, True]}, [], "bad-construction"),
+        ({"family": "conjugation", "group": "cyclic:0"}, [], "bad-spec"),
+        ({"family": "conjugation", "group": "dihedral:0"}, [], "bad-spec"),
+        ({"family": "conjugation", "group": "symmetric:0"}, [], "bad-spec"),
+        ({"family": "conjugation", "group": "symmetric:-1"}, [], "bad-spec"),
+        ({"family": "conjugation", "group": "alternating:0"}, [], "bad-spec"),
+        ({"family": "conjugation", "group": "quaternion:5"}, [], "bad-spec"),
     ],
     ids=[
         "float-table", "bool-table", "float-subset", "float-sigma", "conjugator-9", "conjugator-minus-1", "empty-subset",
         "float-quandle-table", "bool-in-quandle-table", "bool-in-subset", "bool-in-sigma",
+        "cyclic-0", "dihedral-0", "symmetric-0", "symmetric-minus-1", "alternating-0", "quaternion-5",
     ],
 )
 def test_group_input_takes_integers_in_range_only(tmp_path, capsys, spec, options, error):
     path = write_spec(tmp_path, "spec.json", spec)
     assert cli.main(["verify" if options else "components", path, *options]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and json.loads(out.err)["error"] == error
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == error
+    if error == "bad-spec":  # a named group: the message names the value
+        assert err["field"] == "group" and repr(spec["group"]) in err["message"]
 
 
 STOCK_SIZES = {"cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "symmetric:3": 6, "quaternion": 8}
@@ -424,6 +435,8 @@ def test_named_group_specs(tmp_path):
     assert len(out.stdout.splitlines()) == 1
     bad = write_spec(tmp_path, "badgroup.json", {"family": "conjugation", "group": "borel:7"})
     assert run_cli("components", bad).returncode == 2
+    for name in ("alternating:1", "dihedral:1", "symmetric:1"):
+        assert cli.main(["components", write_spec(tmp_path, "small.json", {"family": "conjugation", "group": name})]) == 0
 
 
 def test_usage_error():

@@ -404,6 +404,9 @@ def test_stock_tables_and_algebra_match_the_tuple_code(name):
         if quotient.commutator_of_subgroup(range(quotient.size)) == [quotient.identity]:
             assert quotient.abelian_invariants() == quotient_before.abelian_invariants()
     assert all(type(v) is int for v in group.normal_closure_of(group.size - 1))
+    last = group.size - 1
+    for subset in ([], [group.identity], [last] * 3, [last, group.identity, last, last // 2, last // 2]):
+        assert group.subgroup_closure(subset) == before.subgroup_closure(subset)
 
 
 @pytest.mark.parametrize("name", sorted(STOCK))

@@ -175,6 +175,16 @@ def test_orbits_of_quandles_unchanged():
             assert sorted(len(p) for p in parts) == [1, 3, 6, 6, 8]
         disp = q.displacement_generators()
         assert orbits(disp, range(q.size)) == _orbits_loop([g for _, g in disp], list(range(q.size)))
+    # no generators, the identity, repeated generators; domains that are a
+    # proper subset of the points or out of order
+    r12, two = dihedral_quandle(12).inner_generators(), disconnected.inner_generators()
+    identity = ("e", Permutation.identity(12))
+    for gens in ([], [identity], [identity, r12[1], r12[1]], r12[:1] * 3, [r12[2], identity, r12[4]]):
+        for domain in (range(12), [5, 3, 11], range(11, -1, -1), [8]):
+            assert orbits(gens, domain) == _orbits_loop([g for _, g in gens], list(domain))
+    for gens in (two, two[3:] * 2, []):
+        for domain in ([3, 1], [2], range(3, -1, -1)):
+            assert orbits(gens, domain) == _orbits_loop([g for _, g in gens], list(domain))
 
 
 def test_first_fixed_point():
@@ -301,6 +311,40 @@ def test_group_table_algebra_against_sympy(name):
     )
     assert quotient.is_cyclic() == sym_cyclic
     assert group.is_cyclic() == whole.is_cyclic
+
+
+# the stock groups of order <= 8, so their regular translations move <= 8 points
+SMALL_GROUPS = (
+    [lambda n=n: cyclic_group(n) for n in range(1, 9)]
+    + [lambda n=n: dihedral_group(n) for n in range(1, 5)]
+    + [lambda n=n: symmetric_group(n) for n in range(1, 4)]
+    + [lambda n=n: alternating_group(n) for n in range(1, 4)]
+    + [quaternion_group]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)),
+    st.sampled_from(SMALL_GROUPS),
+    st.data(),
+)
+def test_orbits_and_subgroup_closure_against_sympy(images, make_group, data):
+    """``orbits`` against sympy's orbits of the same permutations, and
+    ``subgroup_closure`` against the group sympy generates from the
+    regular translations of the subset."""
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
+
+    gens = [(f"g{i}", Permutation(tuple(p))) for i, p in enumerate(images)]
+    expected = SymGroup([SymPerm(list(p)) for p in images]).orbits()
+    assert sorted(orbits(gens, range(len(images[0])))) == sorted(sorted(o) for o in expected)
+
+    group = make_group()
+    subset = data.draw(st.lists(st.integers(0, group.size - 1), max_size=4))
+    regular = [SymPerm(list(group.right_translation(x).images)) for x in range(group.size)]
+    generated = SymGroup([regular[x] for x in subset] or [regular[group.identity]])
+    assert {regular[x] for x in group.subgroup_closure(subset)} == set(generated.elements)
 
 
 def test_word_length():

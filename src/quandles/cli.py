@@ -262,7 +262,7 @@ def cmd_axioms(args) -> int:
         if isinstance(backend, FiniteQuandle):
             report = check_quandle_axioms(backend.table)
         else:
-            report = backend.check_axioms_window(args.window)
+            report = backend.check_axioms_window(_window(args))
     record = report.as_dict()
     if backend is not None and not isinstance(backend, FiniteQuandle):
         record["window"] = args.window
@@ -323,16 +323,23 @@ def cmd_ends(args) -> int:
     return 0
 
 
+def _window(args) -> int:
+    """The --window radius of an infinite family, else a bad-spec error."""
+    if args.window is None:
+        raise SpecError("bad-spec", "infinite families need --window", "window")
+    if args.window < 0:
+        raise SpecError("bad-spec", f"--window must be at least 0, got {args.window}", "window")
+    return args.window
+
+
 def cmd_components(args) -> int:
     backend, data = load_spec(args.spec)
     if isinstance(backend, FiniteQuandle):
         for part in backend.components():
             _emit({"component": backend.key(part[0]), "size": len(part)})
         return 0
-    if args.window is None:
-        raise SpecError("bad-spec", "infinite families need --window", "window")
     counts: dict[str, int] = {}
-    for x in backend.elements_window(args.window):
+    for x in backend.elements_window(_window(args)):
         key = backend.component_key(x)
         label = backend.key(key) if isinstance(key, tuple) else str(key)
         counts[label] = counts.get(label, 0) + 1

@@ -14,7 +14,8 @@ Each family is a backend object exposing a common surface:
 
 Infinite backends also provide ``check_axioms_window(radius)``, which
 verifies all three quandle axioms on every triple drawn from a finite
-window of elements.
+window of elements, ``elements_window(radius)``; a negative radius is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def _axiom_window_report(backend, elements) -> AxiomReport:
     return AxiomReport(True)
 
 
+def _check_window(radius: int) -> None:
+    if radius < 0:  # an empty window, on which every check passes
+        raise ValueError(f"window radius must be at least 0, got {radius}")
+
+
 # ---------------------------------------------------------------------------
 # dihedral quandles
 
@@ -88,6 +94,7 @@ class DihedralInfinite:
     op_inv = op
 
     def elements_window(self, radius: int) -> range:
+        _check_window(radius)
         return range(-radius, radius + 1)
 
     def symmetry(self, y: int) -> SignedAffine:
@@ -301,6 +308,8 @@ class GAlexLattice:
         return v
 
     def elements_window(self, radius: int) -> list[tuple[int, ...]]:
+        _check_window(radius)
+
         def rec(k):
             if k == 0:
                 return [()]
@@ -427,6 +436,7 @@ class FreeQuandle:
 
     def elements_window(self, radius: int) -> list[FreeQuandleElement]:
         """All elements a^w with reduced normalized tail of length <= radius."""
+        _check_window(radius)
         out = []
         for a in self.alphabet:
             level = [FreeQuandleElement(a, ())]

@@ -4,7 +4,8 @@ This module owns what acts on points: ``Permutation``, the enumeration
 of a ``PermGroup``, orbits, free actions and word lengths, and the one
 point walk, closure and Cayley table of the package.  ``walk`` is the
 orbit algorithm (Holt, Eick and O'Brien, cited below, section 4.1) that
-Schreier balls, ``orbits`` and ``GroupTable.subgroup_closure`` run on.
+Schreier balls, ``orbits``, ``GroupTable.subgroup_closure`` and the
+zero-sum check of ``verify_dis_properties`` run on.
 Group algebra (normal closures, commutators, quotients, abelian
 invariants, element orders) lives in ``quandles.groups`` and runs on
 indices: an enumerated ``PermGroup`` hands it its Cayley table through
@@ -365,7 +366,13 @@ def orbits(generators, domain: Iterable[int]) -> list[list[int]]:
     domain = list(domain)
     images = [g.images for _, g in _named(generators)]
     size = len(images[0]) if images else max(domain, default=-1) + 1
-    moves = np.array(images, dtype=np.int64).reshape(len(images), size).T
+    return _orbits(np.array(images, dtype=np.int64).reshape(len(images), size).T, domain)
+
+
+def _orbits(moves: np.ndarray, domain: Iterable[int]) -> list[list[int]]:
+    """``orbits`` under the (point x move) array ``moves``, such as a
+    quandle table, whose column m is the m-th generator."""
+    size = moves.shape[0]
     seen, parts = np.zeros(size, dtype=bool), []
     for start in domain:
         if not seen[start]:

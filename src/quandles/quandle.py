@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, MalformedTableError
-from .perms import PermGroup, Permutation, _distinct, orbits
+from .perms import PermGroup, Permutation, _distinct, _orbits
 
 AXIOM3_CELLS = 1 << 21  # cells per numpy pass of a full distributivity scan
 
@@ -251,9 +251,9 @@ class FiniteQuandle:
 
     def components(self) -> list[list[int]]:
         """Connected components = orbits of the inner group (equivalently,
-        of the displacement group)."""
+        of the displacement group), walked on the table: x -> x ◁ y."""
         if self._components is None:
-            self._components = orbits(self.inner_generators(), range(self.size))
+            self._components = _orbits(self.table, range(self.size))
         return self._components
 
     def component_key(self, x: int) -> int:

@@ -30,6 +30,7 @@ from .perms import (
     orbits,
     quotient_is_cyclic,
     row_permutation,
+    walk,
 )
 from .quandle import FiniteQuandle
 from .schreier import (
@@ -75,18 +76,29 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
        s_a1^k1 .. s_am^km with k1 + .. + km = 0,
     4. both groups have the same orbits.
 
-    The zero-sum enumeration in (3) runs to word length 2 * |Inn|, enough
-    to express any element of a group of that order with sign balancing.
     (1) and (3) run on the indices of the Cayley table of Inn; the
     normality witness is the first failure conjugator-major.
+
+    (3) is decided exactly by the spanning-tree argument behind
+    Reidemeister-Schreier (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005).  A ``walk`` of the Cayley graph of
+    Inn under u -> u s_y gives each g its depth phi(g) and a tree path T_g.
+    Let k be the gcd of the edge weights phi(u) + 1 - phi(u s_y), each
+    >= 0 (0 on tree edges); k >= 1, as the cycle s_y^m = 1 weighs m.  An
+    edge raises phi by 1 mod k, so phi(word) = exponent sum mod k.  The
+    loops T_u s_y T_{u s_y}^-1 have value 1 and realise every weight, so
+    every multiple of k; when k divides phi(g), a loop of exponent sum
+    -phi(g) followed by T_g is a zero-sum word for g.  So the zero-sum
+    elements are {phi = 0 mod k}, of index k.  ``word_length_bound`` is
+    2 |Inn|: when (3) passes, each element of Dis is a product of at most
+    |Dis| - 1 generators s_y s_0^-1, zero-sum words of length 2, so every
+    zero-sum element is a zero-sum word of length below 2 |Inn|.
     """
     instance = instance or repr(q)
     inn = q.inner_group()
     dis = q.displacement_group()
     table = inn.table()
     dis_index = inn.positions(dis.images)
-    dis_set = set(dis_index)
-    reports = []
 
     in_dis = _positions(dis_index, table.size) >= 0
     outside = np.argwhere(~in_dis[table.conj(np.array(dis_index), np.arange(table.size)[:, None])])
@@ -94,81 +106,35 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     if len(outside):
         g, d = outside[0]
         bad = {"conjugator": inn.elements[g].key(), "element": inn.elements[dis_index[d]].key()}
-    reports.append(
-        TheoremReport(
-            "dis-normal-in-inn",
-            instance,
-            bad is None,
-            bad,
-            {"inn_order": inn.order, "dis_order": dis.order},
-        )
-    )
+    details = {"inn_order": inn.order, "dis_order": dis.order}
+    reports = [TheoremReport("dis-normal-in-inn", instance, bad is None, bad, details)]
 
     cyclic, qorder = quotient_is_cyclic(inn, dis)
-    reports.append(
-        TheoremReport(
-            "inn-mod-dis-cyclic",
-            instance,
-            cyclic,
-            None if cyclic else {"quotient_order": qorder},
-            {"quotient_order": qorder},
-        )
-    )
+    witness = None if cyclic else {"quotient_order": qorder}
+    reports.append(TheoremReport("inn-mod-dis-cyclic", instance, cyclic, witness, {"quotient_order": qorder}))
 
-    # breadth-first over words in the s_y^(+-1), tracking exponent sums,
-    # on Python lists: indexing them is faster than ndarray scalars
-    max_len = 2 * inn.order
-    mul, inverse = table.mul.tolist(), table.inverse.tolist()
-    steps = []
-    for i in inn.positions(np.array([sym.images for _, sym in inn.generators])):
-        steps += [(i, 1), (inverse[i], -1)]
-    start = (table.identity, 0)
-    seen = {start}
-    frontier = [start]
-    zero_sum = {table.identity}
-    for _ in range(max_len):
-        nxt = []
-        for x, total in frontier:
-            for step, exp in steps:
-                t = total + exp
-                if abs(t) > max_len:
-                    continue
-                state = (mul[x][step], t)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-                    if t == 0:
-                        zero_sum.add(state[0])
-        frontier = nxt
-    if zero_sum == dis_set:
-        bad = None
-    else:
-        bad = {
-            "zero_sum_not_in_dis": sorted(inn.elements[x].key() for x in zero_sum - dis_set)[:3],
-            "dis_not_zero_sum": sorted(inn.elements[x].key() for x in dis_set - zero_sum)[:3],
-        }
-    reports.append(
-        TheoremReport(
-            "dis-equals-zero-sum-words",
-            instance,
-            bad is None,
-            bad,
-            {"word_length_bound": max_len, "zero_sum_count": len(zero_sum)},
-        )
-    )
+    moves = table.mul[:, inn.positions(np.array([sym.images for _, sym in inn.generators]))]
+    points, sizes = walk(moves, table.identity, table.size, table.size)[:2]
+    phi = np.empty(table.size, dtype=np.int64)
+    phi[points] = np.repeat(np.arange(len(sizes)), sizes)
+    k = np.gcd.reduce((phi[:, None] + 1 - phi[moves]).ravel())
+    zero_sum = phi % k == 0
 
-    inn_orbits = orbits(inn.generators, range(q.size))
+    def keys(mask):  # the first three keys, sorted, of the elements in mask
+        return sorted(inn.elements[x].key() for x in np.flatnonzero(mask))[:3]
+
+    bad = None
+    if (zero_sum != in_dis).any():
+        bad = {"zero_sum_not_in_dis": keys(zero_sum & ~in_dis), "dis_not_zero_sum": keys(in_dis & ~zero_sum)}
+    details = {"word_length_bound": 2 * inn.order, "zero_sum_count": int(zero_sum.sum())}
+    reports.append(TheoremReport("dis-equals-zero-sum-words", instance, bad is None, bad, details))
+
+    inn_orbits = q.components()
     dis_orbits = orbits(dis.generators, range(q.size))
     same = inn_orbits == dis_orbits
-    reports.append(
-        TheoremReport(
-            "inn-dis-orbits-equal",
-            instance,
-            same,
-            None if same else {"inn_orbits": inn_orbits, "dis_orbits": dis_orbits},
-            {"component_count": len(inn_orbits)},
-        )
-    )
+    witness = None if same else {"inn_orbits": inn_orbits, "dis_orbits": dis_orbits}
+    details = {"component_count": len(inn_orbits)}
+    reports.append(TheoremReport("inn-dis-orbits-equal", instance, same, witness, details))
     return reports
 
 

@@ -341,6 +341,29 @@ def test_group_input_takes_integers_in_range_only(tmp_path, capsys, spec, option
         assert err["field"] == "group" and repr(spec["group"]) in err["message"]
 
 
+@pytest.mark.parametrize("command", ["axioms", "components"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "galex-lattice", "t": [[0, -1], [1, 0]]},
+        {"family": "dihedral", "n": "inf"},
+        {"family": "free", "alphabet": ["a", "b"]},
+    ],
+    ids=["rot90", "dihedral-inf", "free"],
+)
+def test_negative_window_is_a_bad_spec(tmp_path, capsys, command, spec):
+    """An empty window proves nothing: exit 2 with a bad-spec error on
+    field window, and nothing on stdout."""
+    path = write_spec(tmp_path, "spec.json", spec)
+    for window in ("-1", "-3"):
+        assert cli.main([command, path, "--window", window]) == 2
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "bad-spec" and err["field"] == "window"
+        assert window in err["message"]
+    assert cli.main([command, path, "--window", "0"]) == 0
+
+
 STOCK_SIZES = {"cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "symmetric:3": 6, "quaternion": 8}
 
 

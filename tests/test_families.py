@@ -295,6 +295,22 @@ def test_free_symmetry_word():
 # --------------------------------------------------------------- windows
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [dihedral_quandle("inf"), galex_lattice(ROT90), galex_lattice([[1]]), free_quandle(["a", "b"])],
+    ids=["dihedral-inf", "rot90", "lattice-rank-1", "free"],
+)
+def test_negative_window_is_rejected(backend):
+    """A negative radius would give an empty window, on which the axiom
+    check passes vacuously; both window entry points refuse it."""
+    for radius in (-1, -5):
+        with pytest.raises(ValueError, match="window radius"):
+            backend.check_axioms_window(radius)
+        with pytest.raises(ValueError, match="window radius"):
+            backend.elements_window(radius)
+    assert backend.check_axioms_window(0).ok
+
+
 def test_axiom_windows_random_families():
     rng = random.Random(51)
     backends = [

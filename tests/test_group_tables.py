@@ -9,9 +9,13 @@ loops of ``verify_dis_properties``, ``verify_p_equals_dis`` and the two
 inner-case checks.  Every stock group, every sigma = conjugation by g and
 conjugation-closed subsets (fixed and drawn) must give equal indices,
 tables, orders, invariants, reports and witnesses.
+
+The frozen ``verify_dis_properties`` still finds zero-sum words by a
+search bounded at length 2 |Inn|; it is the oracle for the exact rule
+that replaced it, on quandles where Inn/Dis has order 1 to 4.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles.errors import ConstructionError
-from quandles.families import conjugation_automorphism, conjugation_quandle, galex_finite
+from quandles.families import conjugation_automorphism, conjugation_quandle, dihedral_quandle, galex_finite
 from quandles.groups import (
     GroupTable,
     alternating_group,
@@ -569,3 +573,68 @@ def test_failing_reports_carry_the_witnesses_of_the_tuple_code(monkeypatch):
     reports = verify_dis_properties(q)
     assert reports == _dis_properties_before(q)
     assert not reports[0].passed and reports[0].witness["conjugator"]
+
+
+def _exact_dis_reports(q):
+    """``verify_dis_properties`` of q, equal to the bounded search's; a
+    passing zero-sum report also counts Dis as |Inn| / |Inn/Dis|."""
+    reports = verify_dis_properties(q)
+    assert reports == _dis_properties_before(q)
+    normal, cyclic, zero_sum, _ = reports
+    if zero_sum.passed:
+        assert cyclic.details["quotient_order"] * zero_sum.details["zero_sum_count"] == normal.details["inn_order"]
+    return reports
+
+
+def _class_unions(name):
+    group, before = _pair(name)
+    classes = _conjugacy_classes(before)
+    for r in range(1, len(classes) + 1):
+        for chosen in combinations(classes, r):
+            yield conjugation_quandle(group, sorted(sum(chosen, [])))
+
+
+def _disjoint_union(a, b):
+    """a and b side by side, each acting trivially on the other: an
+    element of Inn pairs an element of Inn(a) with one of Inn(b), and
+    generators of coprime orders give loops of coprime weights."""
+    n, m = a.size, b.size
+    table = np.empty((n + m, n + m), dtype=np.int64)
+    table[:n, :n], table[n:, n:] = a.table, b.table + n
+    table[:n, n:], table[n:, :n] = np.arange(n)[:, None], np.arange(n, n + m)[:, None]
+    return FiniteQuandle(table)
+
+
+def _doubling(n):
+    """GAlex(Z/n, x -> 2x), where x ◁ y = 2x - y."""
+    return galex_finite(cyclic_group(n), [2 * x % n for x in range(n)])
+
+
+EXACTNESS_CASES = {
+    "dihedral-3-40": lambda: (dihedral_quandle(n) for n in range(3, 41)),
+    "disjoint-unions": lambda: (
+        _disjoint_union(a, b)
+        for a, b in permutations([_doubling(7), _doubling(5), dihedral_quandle(3), FiniteQuandle([[0]])], 2)
+        if a.size * b.size < 35
+    ),
+    "s4-class-unions": lambda: _class_unions("symmetric:4"),
+    "trivial-1-5": lambda: (FiniteQuandle([[x] * n for x in range(n)]) for n in range(1, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+def test_zero_sum_words_are_decided_exactly(name):
+    """The exact zero-sum rule gives the reports of the bounded search."""
+    for q in EXACTNESS_CASES[name]():
+        assert all(r.passed for r in _exact_dis_reports(q))
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (5, 4)])
+def test_zero_sum_words_of_index_above_two(n, k):
+    """GAlex(Z/n, x -> 2x), where 2 has order k mod n: Inn is the affine
+    maps x -> 2^i x + c and Dis its translations, of index k."""
+    q = _doubling(n)
+    normal, cyclic, zero_sum, orbits_equal = _exact_dis_reports(q)
+    assert normal.passed and cyclic.passed and zero_sum.passed and orbits_equal.passed
+    assert (normal.details["inn_order"], cyclic.details["quotient_order"]) == (n * k, k)
+    assert zero_sum.details == {"word_length_bound": 2 * n * k, "zero_sum_count": n}

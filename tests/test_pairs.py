@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import depths, rewired
 
@@ -162,6 +162,54 @@ def test_certified_rows_match_networkx_finite(ball, cells):
 def test_certified_rows_match_networkx_lattice(t, make_action, base, radius, cells):
     with _block_cells(cells):
         _check_rows(build_ball(make_action(galex_lattice(t)), base, radius))
+
+
+def _r_n_symmetries(n, points):
+    """R_n acted on by the point symmetries at ``points`` only: with three
+    or more the Schreier graph has shortcuts around the ball."""
+    q = dihedral_quandle(n)
+    return SchreierAction(f"R_{n}", [(f"s{y}", q.symmetry(y)) for y in points], q.key)
+
+
+def _growth_cases():
+    """(action, basepoint, radius) on R_n, the dihedral quandle on Z, a
+    lattice and free(a, b), with radii that keep each ball small."""
+    dq, fq, lattice = dihedral_quandle("inf"), free_quandle(["a", "b"]), galex_lattice(CAT)
+    r_n = st.integers(3, 32).flatmap(
+        lambda n: st.tuples(
+            st.one_of(
+                st.sampled_from([inner_action, displacement_action]).map(lambda act: act(dihedral_quandle(n))),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True).map(
+                    lambda points: _r_n_symmetries(n, points)
+                ),
+            ),
+            st.integers(0, n - 1),
+            st.integers(0, n // 2 + 1),
+        )
+    )
+    return st.one_of(
+        r_n,
+        st.tuples(st.sampled_from([inner_action(dq), displacement_action(dq)]), st.integers(-20, 20), st.integers(0, 12)),
+        st.tuples(
+            st.sampled_from([inner_action(lattice), displacement_action(lattice)]),
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            st.integers(0, 4),
+        ),
+        st.tuples(st.just(inner_action(fq)), st.sampled_from(["a^1", "b^a", "a^b^-1"]).map(fq.parse_key), st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_growth_cases(), st.integers(1, 3))
+@example((_r_n_symmetries(19, [0, 2, 13]), 0, 4), 2)  # shortcuts outside the radius-4 ball
+def test_growing_the_ball_keeps_every_certified_distance(case, extra):
+    """Every pair certified at radius R is certified at R + extra with the
+    same distance, so no emitted distance changes as the ball grows."""
+    action, base, radius = case
+    small, big = build_ball(action, base, radius), build_ball(action, base, radius + extra)
+    pairs = list(small.certified_pairs())
+    assert pairs == [(x, y, big.distance(x, y)) for x, y, _d in pairs]
+    assert [big.distance(small.basepoint, x) for x in small.keys] == small.depth.tolist()
 
 
 @SETTINGS

@@ -2,10 +2,13 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from support import depths, rewired
 
 from quandles.errors import BoundExceededError
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
+from quandles.lattice import mat_det
 from quandles.schreier import (
     SchreierAction,
     ball_from_json_lines,
@@ -125,6 +128,35 @@ def test_ends_estimates():
     assert ends_estimate(tree, 2) == 18
     lat = build_ball(displacement_action(galex_lattice(ROT90)), (0, 0), 12)
     assert ends_estimate(lat, 4) == 1
+
+
+@st.composite
+def _unimodular(draw):
+    """A square matrix of size 1 to 3 with entries in [-2, 2] and
+    determinant +-1."""
+    size = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    assume(mat_det(rows) in (1, -1))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_unimodular(), st.sampled_from([2, 3, 4]))
+@example([[1]], 3)  # rank 0: Dis is trivial
+@example([[1, 1], [0, 1]], 4)  # rank 1
+@example(ROT90, 4)  # rank 2
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 4)  # rank 2 in Z^3
+@example([[-1, 0, 0], [0, 0, -1], [0, 1, 0]], 4)  # rank 3
+def test_displacement_ends_follow_the_rank_of_dis(t, n):
+    """The displacement graph of GAlex(Z^d, t) is quasi-isometric to Dis,
+    the lattice ``displacement_lattice()`` of rank r; ends are a
+    quasi-isometry invariant, and Z^r has 0, 2 and 1 ends for r = 0,
+    r = 1 and r >= 2 (Freudenthal-Hopf).  The estimate at (n, 4n) agrees."""
+    q = galex_lattice(t)
+    rank = q.displacement_lattice().rank
+    ball = build_ball(displacement_action(q), q.zero(), 4 * n)
+    assert ends_estimate(ball, n) == {0: 0, 1: 2}.get(rank, 1), (rank, ball.vertex_count)
 
 
 def test_loopless_forest_check():

@@ -27,7 +27,6 @@ from .groups import (
     alternating_group,
     cyclic_group,
     dihedral_group,
-    group_from_elements,
     quaternion_group,
     symmetric_group,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "galex_finite",
     "galex_lattice",
     "group_closure",
-    "group_from_elements",
     "inner_action",
     "loopless_forest_check",
     "orbits",

@@ -173,6 +173,8 @@ def load_spec(path: str):
         elif family == "free":
             if "alphabet" not in data:
                 raise SpecError("missing-field", "free spec needs \"alphabet\"", "alphabet")
+            if not isinstance(data["alphabet"], list):
+                raise ConstructionError(f"alphabet must be a list of letters, got {data['alphabet']!r}")
             backend = free_quandle(data["alphabet"])
         else:
             raise SpecError("unknown-family", f"unknown family {family!r}", "family")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .affine import SignedAffine
 from .errors import ConstructionError
-from .freewords import FreeQuandleElement, FreeWordAut, fq_conjugator, fq_from_reduced, fq_op, parse_fq_key, word_mul
+from .freewords import FreeQuandleElement, FreeWordAut, fq_conjugator, fq_op, parse_fq_key
 from .groups import GroupTable, _positions
 from .lattice import (
     IntegerLattice,
@@ -37,6 +37,7 @@ from .lattice import (
     one_minus_inverse,
 )
 from .quandle import AxiomReport, FiniteQuandle, _integers
+from .schreier import build_ball, inner_action
 
 
 def _axiom_window_report(backend, elements) -> AxiomReport:
@@ -127,9 +128,8 @@ def dihedral_quandle(n) -> "FiniteQuandle | DihedralInfinite":
     """R_n for an integer n >= 2, or the quandle on Z for n in (None, "inf")."""
     if n is None or n == "inf":
         return DihedralInfinite()
-    n = int(n)
-    if n < 2:
-        raise ConstructionError(f"dihedral quandle needs n >= 2, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ConstructionError(f"dihedral quandle needs an integer n >= 2 or \"inf\", got {n!r}")
     x = np.arange(n)
     return FiniteQuandle((2 * x[None, :] - x[:, None]) % n, validate=False)
 
@@ -393,13 +393,13 @@ class FreeQuandle:
 
     def __init__(self, alphabet: Sequence[str]):
         letters = list(alphabet)
+        for a in letters:
+            if not isinstance(a, str) or not a or any(ch in a for ch in "^*,()! \t"):
+                raise ConstructionError(f"bad letter {a!r}")
         if len(letters) != len(set(letters)):
             raise ConstructionError(f"duplicate letters in alphabet {letters}")
         if len(letters) < 2:
             raise ConstructionError("free quandle needs at least two letters")
-        for a in letters:
-            if not a or any(ch in a for ch in "^*,()! \t"):
-                raise ConstructionError(f"bad letter {a!r}")
         self.alphabet = tuple(letters)
 
     def generator(self, letter: str) -> FreeQuandleElement:
@@ -435,25 +435,16 @@ class FreeQuandle:
         return el
 
     def elements_window(self, radius: int) -> list[FreeQuandleElement]:
-        """All elements a^w with reduced normalized tail of length <= radius."""
+        """All elements a^w with reduced normalized tail of length <= radius.
+
+        s_b moves a^w to a^(w b), and d(a^1, a^w) = |w|, so the window at a
+        is the inner Schreier ball of that radius at a^1.  Letters come in
+        alphabet order, and each ball in BFS order over the sorted generator
+        names; a window past ``build_ball``'s vertex cap raises
+        BoundExceededError."""
         _check_window(radius)
-        out = []
-        for a in self.alphabet:
-            level = [FreeQuandleElement(a, ())]
-            seen = set(level)
-            out.extend(level)
-            for _ in range(radius):
-                nxt = []
-                for el in level:
-                    for b in self.alphabet:
-                        for e in (1, -1):
-                            cand = fq_from_reduced(a, word_mul(el.tail, ((b, e),)))
-                            if cand not in seen:
-                                seen.add(cand)
-                                nxt.append(cand)
-                out.extend(nxt)
-                level = nxt
-        return out
+        action = inner_action(self)
+        return [x for a in self.alphabet for x in build_ball(action, self.generator(a), radius).elements]
 
     def check_axioms_window(self, radius: int) -> AxiomReport:
         return _axiom_window_report(self, self.elements_window(radius))

@@ -11,7 +11,7 @@ it.  A subgroup is closed by ``perms.walk`` from the identity under the
 right translations ``mul[:, g]``.  ``perms.cayley_table`` tabulates an
 enumerated ``PermGroup`` (index i is its i-th element) and the stock
 symmetric and alternating groups (permutations in lexicographic order);
-``group_from_elements`` builds the dihedral and quaternion groups.
+the cyclic, dihedral and quaternion tables are formulas on the indices.
 """
 
 from __future__ import annotations
@@ -160,15 +160,6 @@ def _positions(elements: np.ndarray, size: int) -> np.ndarray:
     return pos
 
 
-def group_from_elements(elements: list, multiply) -> GroupTable:
-    """A GroupTable from concrete elements and a multiply callable; the
-    element order fixes the numbering, so tables are reproducible."""
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    mul = [[index[multiply(elements[a], elements[b])] for b in range(n)] for a in range(n)]
-    return GroupTable(mul)
-
-
 def cyclic_group(n: int) -> GroupTable:
     x = np.arange(n)
     return GroupTable((x[:, None] + x[None, :]) % n)
@@ -191,44 +182,24 @@ def alternating_group(n: int) -> GroupTable:
 
 
 def dihedral_group(n: int) -> GroupTable:
-    """Symmetries of the regular n-gon, elements (rotation, flip)."""
-    els = [(r, f) for f in (0, 1) for r in range(n)]
-
-    def mult(a, b):
-        r1, f1 = a
-        r2, f2 = b
-        r = (r2 - r1) % n if f2 else (r1 + r2) % n
-        return (r, f1 ^ f2)
-
-    return group_from_elements(els, mult)
+    """Symmetries of the regular n-gon as (rotation, flip) pairs (r, f) at
+    index f*n + r, with (r1, f1)(r2, f2) = (r2 - r1 if f2 else r1 + r2
+    mod n, f1 ^ f2)."""
+    x = np.arange(2 * n)
+    f, r = x // n, x % n
+    f2, r1, r2 = f[None, :], r[:, None], r[None, :]
+    return GroupTable((f[:, None] ^ f2) * n + np.where(f2, r2 - r1, r1 + r2) % n)
 
 
 def quaternion_group() -> GroupTable:
-    """The eight quaternions 1, -1, i, -i, j, -j, k, -k."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    base = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-
-    def split(x):
-        return (-1, x[1:]) if x.startswith("-") else (1, x)
-
-    def mult(a, b):
-        sa, ua = split(a)
-        sb, ub = split(b)
-        if ua == "1":
-            s, u = sa * sb, ub
-        elif ub == "1":
-            s, u = sa * sb, ua
-        else:
-            sc, uc = split(base[(ua, ub)])
-            s, u = sa * sb * sc, uc
-        return u if s == 1 else ("-" + u if not u.startswith("-") else u[1:])
-
-    return group_from_elements(names, mult)
+    """The eight quaternions 1, -1, i, -i, j, -j, k, -k: index 2u + s for
+    the unit u in (1, i, j, k) and the sign bit s.  Units multiply by XOR
+    of their indices, and ij = k, jk = i, ki = j fix the sign."""
+    x = np.arange(8)
+    u, s = x // 2, x % 2
+    u1, u2 = u[:, None], u[None, :]
+    neg = (u1 > 0) & (u2 > 0) & ((u1 == u2) | ((u2 - u1) % 3 == 2))
+    return GroupTable(2 * (u1 ^ u2) + (s[:, None] ^ s[None, :] ^ neg))
 
 
 def find_element(group: GroupTable, order: Optional[int] = None) -> int:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .quandle import _integers
+
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # row-major
 
@@ -94,13 +96,15 @@ def mat_inverse_exact(a: Matrix) -> Matrix:
 
 
 class UnimodularMatrix:
-    """An n x n integer matrix with determinant +-1, with cached exact powers."""
+    """An n x n matrix of int64 entries with determinant +-1, with cached
+    exact powers; ValueError on any other input."""
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
+        array = _integers(rows, 2, "matrix", ValueError)
+        n = len(array)
+        if not array.size or array.shape[1] != n:
+            raise ValueError(f"matrix must be square and non-empty, got shape {array.shape}")
+        entries = tuple(map(tuple, array.tolist()))
         d = mat_det(entries)
         if d not in (1, -1):
             raise ValueError(f"matrix must have determinant +-1, got {d}")

@@ -44,8 +44,8 @@ applies the certificate, to a block of pairs and to a single
 2R+1 - d(x), and in fact at R: the path through the basepoint gives
 d(x, y) <= d(x) + d(y), so a certified pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
 ``_BLOCK_CELLS`` fixes, and never grows with the square of the ball: no
-pair table is kept, and a single ``distance`` query keeps only the last
-source row.
+pair table is kept, and a single ``distance`` query is a block of one
+pair, searched to depth R, that keeps no row.
 
 Ends are estimated from an annulus: the number of connected components of
 {v : n < d(v) <= N} that touch the outer frontier d(v) = N.  For graphs
@@ -165,7 +165,6 @@ class LabeledBall:
         self._index = index
         self._neighbors = neighbors
         self._edges: Optional[list[Edge]] = None  # rendered from the table on first use
-        self._last: tuple[int, Optional[np.ndarray]] = (-1, None)  # the last uncapped row
 
     @property
     def basepoint(self) -> str:
@@ -194,12 +193,6 @@ class LabeledBall:
         n, width = self._neighbors.array().shape
         return max(1, _BLOCK_CELLS // ((n + 1) * max(1, width)))
 
-    def _row(self, i: int) -> np.ndarray:
-        """Uncapped distances from vertex i; only the last row is kept."""
-        if self._last[0] != i:
-            self._last = (i, _bfs(self._neighbors.array(), np.array([i]), self.vertex_count)[0])
-        return self._last[1]
-
     def _certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Certified distances from each vertex of ``rows`` to each of
         ``cols``, -1 where the ball cannot certify the pair."""
@@ -216,7 +209,7 @@ class LabeledBall:
         """BFS distances inside the ball subgraph from one vertex."""
         if key not in self.index:
             raise KeyError(f"vertex {key!r} not in ball")
-        row = self._row(self.index[key]).tolist()
+        row = _bfs(self._neighbors.array(), np.array([self.index[key]]), self.vertex_count)[0].tolist()
         return {k: d for k, d in zip(self.keys, row) if d >= 0}
 
     def distance(self, x: str, y: str) -> Optional[int]:
@@ -228,9 +221,7 @@ class LabeledBall:
             return None
         if i == j:
             return 0
-        dx, dy = int(self.depth[i]), int(self.depth[j])
-        # pairs through the basepoint need no search: _certify answers them
-        d = int(_certify(int(self._row(i)[j]) if dx and dy else -1, dx, dy, self.radius))
+        d = int(self._certified(np.array([i]), np.array([j]))[0, 0])
         return d if d >= 0 else None
 
     def certified_pairs(self):
@@ -249,7 +240,7 @@ def _certify(d, dx, dy, radius: int):
     and ``dy``: d where it is certified, -1 elsewhere.  A pair through
     the basepoint is exact, since the ball was grown by BFS over the full
     graph; any other needs both ends strictly inside the ball and
-    d + dx + dy <= 2R + 1.  Takes ints or broadcasting arrays alike."""
+    d + dx + dy <= 2R + 1.  The arguments broadcast."""
     ok = (d >= 0) & (dx < radius) & (dy < radius) & (d + dx + dy <= 2 * radius + 1)
     return np.where(dx == 0, dy, np.where(dy == 0, dx, np.where(ok, d, -1)))
 
@@ -675,12 +666,18 @@ def ball_from_json_lines(text: str) -> LabeledBall:
     index = {k: i for i, k in enumerate(keys)}
     if keys[:1] != [header["basepoint"]] or len(index) != len(keys):
         raise ValueError("vertex records must be distinct and start at the basepoint")
+    depth = np.array(depth, dtype=np.int64)
+    if depth[0] != 0 or (depth[1:] < 1).any() or (np.diff(depth) < 0).any() or depth[-1] > header["radius"]:
+        raise ValueError("vertex distances must rise from 0 at the basepoint alone to at most the radius")
+    stray = [k for edge in edges for k in edge[:2] if k not in index]
+    if stray:
+        raise ValueError(f"edge endpoint {stray[0]!r} has no vertex record")
     return LabeledBall(
         backend_id=header["backend"],
         radius=header["radius"],
         generator_names=list(header["generators"]),
         keys=keys,
-        depth=np.array(depth, dtype=np.int64),
+        depth=depth,
         neighbors=_NeighborTable.from_edges(index, edges),
         index=index,
     )

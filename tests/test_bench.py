@@ -1,9 +1,17 @@
-"""The traced benchmark run (`bench/trace_child.py`) wraps package
-functions by name, so renaming or deleting one of them breaks it."""
+"""The benchmark's harness leans on the package: the traced run
+(`bench/trace_child.py`) wraps package functions by name, so renaming or
+deleting one of them breaks it, and `bench/jobs.py` copies the element
+order of the named groups."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from quandles.cli import load_group
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +26,32 @@ def test_trace_child_install_finds_every_wrapped_function():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def _bench_jobs(monkeypatch):
+    """``bench/jobs.py`` as a module, read from its file."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"dihedral:{n}" for n in range(1, 9)]
+    + [f"symmetric:{n}" for n in range(1, 5)]
+    + [f"alternating:{n}" for n in range(1, 6)],
+)
+def test_bench_group_orders_are_the_cli_orders(monkeypatch, name):
+    """The benchmark re-derives the CLI's element order to pick conjugacy
+    classes; its products must index the CLI's table, and its classes
+    must be the table's."""
+    jobs = _bench_jobs(monkeypatch)
+    group = load_group(name)
+    els, mult = jobs._named_group(name)
+    pos = {e: i for i, e in enumerate(els)}
+    assert [[pos[mult(a, b)] for b in els] for a in els] == group.mul.tolist()
+    if group.size > 1:
+        expected = np.unique(group.conj(1, np.arange(group.size))).tolist()
+        assert jobs.conjugacy_class(name, 1) == expected

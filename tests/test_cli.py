@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import src_env
 
-from quandles import cli
+from quandles import cli, schreier
 
 CLI = [sys.executable, "-m", "quandles"]
 
@@ -341,6 +341,37 @@ def test_group_input_takes_integers_in_range_only(tmp_path, capsys, spec, option
         assert err["field"] == "group" and repr(spec["group"]) in err["message"]
 
 
+@pytest.mark.parametrize("command", [["axioms"], ["growth", "--radius", "2"]], ids=["axioms", "growth"])
+@pytest.mark.parametrize(
+    "spec,error",
+    [
+        ({"family": "dihedral", "n": [5]}, "bad-construction"),
+        ({"family": "dihedral", "n": 2.5}, "bad-construction"),
+        ({"family": "dihedral", "n": "5"}, "bad-construction"),
+        ({"family": "galex-lattice", "t": 5}, "non-unimodular"),
+        ({"family": "galex-lattice", "t": []}, "non-unimodular"),
+        ({"family": "galex-lattice", "t": [[1.5]]}, "non-unimodular"),
+        ({"family": "galex-lattice", "t": [[True]]}, "non-unimodular"),
+        ({"family": "free", "alphabet": [1, 2]}, "bad-construction"),
+        ({"family": "free", "alphabet": ["a", ["b"]]}, "bad-construction"),
+        ({"family": "free", "alphabet": 5}, "bad-construction"),
+        ({"family": "free", "alphabet": "ab"}, "bad-construction"),
+    ],
+    ids=[
+        "n-list", "n-float", "n-string", "t-int", "t-empty", "t-float", "t-bool",
+        "alphabet-ints", "alphabet-nested", "alphabet-int", "alphabet-string",
+    ],
+)
+def test_infinite_family_input_is_checked(tmp_path, capsys, command, spec, error):
+    """Malformed parameters of the infinite families exit 2 with one
+    JSON error record, never a traceback or a silently truncated value."""
+    path = write_spec(tmp_path, "spec.json", spec)
+    assert cli.main([command[0], path, *command[1:]]) == 2
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == error
+
+
 @pytest.mark.parametrize("command", ["axioms", "components"])
 @pytest.mark.parametrize(
     "spec",
@@ -362,6 +393,20 @@ def test_negative_window_is_a_bad_spec(tmp_path, capsys, command, spec):
         assert out.out == "" and err["error"] == "bad-spec" and err["field"] == "window"
         assert window in err["message"]
     assert cli.main([command, path, "--window", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["axioms", "components"])
+def test_free_window_past_the_vertex_cap_exits_3(tmp_path, capsys, monkeypatch, command):
+    """A free window is a ball per letter, so the ball's vertex cap bounds
+    it: 3^W elements per letter on two letters."""
+    monkeypatch.setattr(schreier.build_ball, "__defaults__", (27,))
+    path = write_spec(tmp_path, "spec.json", {"family": "free", "alphabet": ["a", "b"]})
+    assert cli.main(["components", path, "--window", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main([command, path, "--window", "4"]) == 3
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == "bound-exceeded" and err["radius"] == 3 and err["vertices"] == 27
 
 
 STOCK_SIZES = {"cyclic:3": 3, "cyclic:4": 4, "dihedral:3": 6, "symmetric:3": 6, "quaternion": 8}

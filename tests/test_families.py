@@ -15,6 +15,7 @@ from quandles.families import (
     galex_finite,
     galex_lattice,
 )
+from quandles.freewords import FreeQuandleElement, fq_from_reduced, word_mul
 from quandles.groups import (
     alternating_group,
     cyclic_group,
@@ -279,6 +280,50 @@ def test_free_quandle_window_counts():
     assert len(fq.elements_window(0)) == 2
     assert len(fq.elements_window(1)) == 2 + 2 * 2
     assert len(fq.elements_window(2)) == 2 * (1 + 2 + 6)
+
+
+def _window_before(fq, radius):
+    """The word BFS that built free windows before they became balls."""
+    out = []
+    for a in fq.alphabet:
+        level = [FreeQuandleElement(a, ())]
+        seen = set(level)
+        out.extend(level)
+        for _ in range(radius):
+            nxt = []
+            for el in level:
+                for b in fq.alphabet:
+                    for e in (1, -1):
+                        cand = fq_from_reduced(a, word_mul(el.tail, ((b, e),)))
+                        if cand not in seen:
+                            seen.add(cand)
+                            nxt.append(cand)
+            out.extend(nxt)
+            level = nxt
+    return out
+
+
+@pytest.mark.parametrize("alphabet", [["a", "b"], ["b", "a"], ["a", "b", "c"], ["c", "a", "b"]])
+def test_free_windows_are_the_word_bfs_windows(alphabet):
+    fq = free_quandle(alphabet)
+    for radius in range(5):
+        window = fq.elements_window(radius)
+        before = _window_before(fq, radius)
+        assert len(window) == len(set(window)) == len(before) == (2 * len(alphabet) - 1) ** radius * len(alphabet)
+        assert set(window) == set(before)
+        if alphabet == sorted(alphabet):
+            assert window == before
+
+
+def test_free_window_order_on_an_unsorted_alphabet():
+    """Letters in alphabet order; within a letter, BFS over the sorted
+    generator names, each generator before its inverse."""
+    keys = [x.key() for x in free_quandle(["c", "a", "b"]).elements_window(1)]
+    assert keys == [
+        "c^1", "c^a", "c^a^-1", "c^b", "c^b^-1",
+        "a^1", "a^b", "a^b^-1", "a^c", "a^c^-1",
+        "b^1", "b^a", "b^a^-1", "b^c", "b^c^-1",
+    ]
 
 
 def test_free_symmetry_word():

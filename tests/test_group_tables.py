@@ -3,10 +3,11 @@ it replaced.
 
 The copy below is the code as it was when a table was nested tuples: the
 ``GroupTable`` algebra as Python loops, the comprehension-built tables of
-the conjugation and twisted Alexander quandles, the symmetric and
-alternating groups built by one tuple product per entry, and the Python
-loops of ``verify_dis_properties``, ``verify_p_equals_dis`` and the two
-inner-case checks.  Every stock group, every sigma = conjugation by g and
+the conjugation and twisted Alexander quandles, the symmetric,
+alternating, dihedral and quaternion groups built by one product of
+concrete elements per entry, and the Python loops of
+``verify_dis_properties``, ``verify_p_equals_dis`` and the two inner-case
+checks.  Every stock group, every sigma = conjugation by g and
 conjugation-closed subsets (fixed and drawn) must give equal indices,
 tables, orders, invariants, reports and witnesses.
 
@@ -160,6 +161,41 @@ def _alternating_before(n):
         return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]) % 2
 
     return _tuple_table(sorted(p for p in permutations(range(n)) if parity(p) == 0), _perm_mul)
+
+
+def _dihedral_before(n):
+    def mult(a, b):
+        r1, f1 = a
+        r2, f2 = b
+        r = (r2 - r1) % n if f2 else (r1 + r2) % n
+        return (r, f1 ^ f2)
+
+    return _tuple_table([(r, f) for f in (0, 1) for r in range(n)], mult)
+
+
+def _quaternion_before():
+    base = {
+        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
+        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
+        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
+    }
+
+    def split(x):
+        return (-1, x[1:]) if x.startswith("-") else (1, x)
+
+    def mult(a, b):
+        sa, ua = split(a)
+        sb, ub = split(b)
+        if ua == "1":
+            s, u = sa * sb, ub
+        elif ub == "1":
+            s, u = sa * sb, ua
+        else:
+            sc, uc = split(base[(ua, ub)])
+            s, u = sa * sb * sc, uc
+        return u if s == 1 else ("-" + u if not u.startswith("-") else u[1:])
+
+    return _tuple_table(["1", "-1", "i", "-i", "j", "-j", "k", "-k"], mult)
 
 
 def _conjugation_table_before(group, subset):
@@ -347,10 +383,8 @@ def _cyclic_before(n):
 
 
 STOCK = {f"cyclic:{n}": (lambda n=n: cyclic_group(n), lambda n=n: _cyclic_before(n)) for n in range(1, 9)}
-# the dihedral and quaternion groups are still built by group_from_elements,
-# so their tuple tables are their own tables read back
-STOCK.update({f"dihedral:{n}": (lambda n=n: dihedral_group(n), None) for n in range(1, 7)})
-STOCK["quaternion"] = (quaternion_group, None)
+STOCK.update({f"dihedral:{n}": (lambda n=n: dihedral_group(n), lambda n=n: _dihedral_before(n)) for n in range(1, 7)})
+STOCK["quaternion"] = (quaternion_group, _quaternion_before)
 STOCK.update({f"symmetric:{n}": (lambda n=n: symmetric_group(n), lambda n=n: _symmetric_before(n)) for n in range(1, 5)})
 STOCK.update(
     {f"alternating:{n}": (lambda n=n: alternating_group(n), lambda n=n: _alternating_before(n)) for n in range(1, 6)}
@@ -363,8 +397,7 @@ def _pair(name):
     """(new GroupTable, frozen TupleGroupTable) of a stock group."""
     if name not in _CACHE:
         new, before = STOCK[name]
-        group = new()
-        _CACHE[name] = group, before() if before else TupleGroupTable(group.mul.tolist())
+        _CACHE[name] = new(), before()
     return _CACHE[name]
 
 
@@ -411,6 +444,11 @@ def test_stock_tables_and_algebra_match_the_tuple_code(name):
     last = group.size - 1
     for subset in ([], [group.identity], [last] * 3, [last, group.identity, last, last // 2, last // 2]):
         assert group.subgroup_closure(subset) == before.subgroup_closure(subset)
+
+
+def test_dihedral_tables_match_the_product_loop():
+    for n in range(1, 65):
+        assert dihedral_group(n).mul.tolist() == _as_lists(_dihedral_before(n)), n
 
 
 @pytest.mark.parametrize("name", sorted(STOCK))

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 
@@ -255,6 +256,15 @@ def test_json_vertex_records_start_at_the_basepoint():
     for bad in (vertices[1:], vertices[::-1], vertices + vertices[1:2]):
         with pytest.raises(ValueError, match="start at the basepoint"):
             ball_from_json_lines("\n".join([header, *bad, *edges]))
+    # distances above the radius, falling, 0 past the basepoint or not 0 at it
+    for bad in ([0, 2, 3], [0, 2, 1], [0, 0, 2], [0, 1, 0], [1, 1, 2]):
+        records = [json.loads(v) for v in vertices]
+        for record, d in zip(records, bad):
+            record["distance"] = d
+        with pytest.raises(ValueError, match="vertex distances"):
+            ball_from_json_lines("\n".join([header, *map(json.dumps, records), *edges]))
+    with pytest.raises(ValueError, match="'4' has no vertex record"):
+        ball_from_json_lines("\n".join([header, *vertices, *edges, '{"label":"s1","type":"edge","u":"-2","v":"4"}']))
 
 
 def _roundtrip_cases():

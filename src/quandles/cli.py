@@ -67,13 +67,6 @@ from .schreier import (
     ends_estimate,
     inner_action,
 )
-from .verify import (
-    verify_dis_properties,
-    verify_free_action_isometry,
-    verify_free_transitive_reconstruction,
-    verify_inner_case_commutator,
-    verify_p_equals_dis,
-)
 
 
 class SpecError(Exception):
@@ -426,6 +419,15 @@ def cmd_growth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here so that the other subcommands never load verify.py
+    from .verify import (
+        verify_dis_properties,
+        verify_free_action_isometry,
+        verify_free_transitive_reconstruction,
+        verify_inner_case_commutator,
+        verify_p_equals_dis,
+    )
+
     backend, data = load_spec(args.spec)
     suite = args.suite
     reports = []

@@ -643,6 +643,14 @@ def ball_to_json_lines(ball: LabeledBall) -> str:
     return "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records) + "\n"
 
 
+def _fields(rec, *names: str) -> list:
+    """The values of ``names`` in one JSON record; ValueError if it lacks any."""
+    missing = [name for name in names if not isinstance(rec, dict) or name not in rec]
+    if missing:
+        raise ValueError(f"record {rec!r} lacks {', '.join(missing)}")
+    return [rec[name] for name in names]
+
+
 def ball_from_json_lines(text: str) -> LabeledBall:
     header = None
     keys: list[str] = []
@@ -652,30 +660,41 @@ def ball_from_json_lines(text: str) -> LabeledBall:
         if not line.strip():
             continue
         rec = json.loads(line)
-        if rec["type"] == "header":
+        (kind,) = _fields(rec, "type")
+        if kind == "header":
             header = rec
-        elif rec["type"] == "vertex":
-            keys.append(rec["key"])
-            depth.append(rec["distance"])
-        elif rec["type"] == "edge":
-            edges.append((rec["u"], rec["v"], rec["label"]))
+        elif kind == "vertex":
+            key, distance = _fields(rec, "key", "distance")
+            # bool is an int subclass; json gives int, float or bool here
+            if type(distance) is not int:
+                raise ValueError(f"vertex {key!r} has distance {distance!r}, not an integer")
+            keys.append(key)
+            depth.append(distance)
+        elif kind == "edge":
+            edges.append(tuple(_fields(rec, "u", "v", "label")))
         else:
-            raise ValueError(f"unknown record type {rec['type']!r}")
+            raise ValueError(f"unknown record type {kind!r}")
     if header is None:
         raise ValueError("missing header record")
+    backend, basepoint, radius, generators = _fields(header, "backend", "basepoint", "radius", "generators")
+    if type(radius) is not int:
+        raise ValueError(f"header radius {radius!r} is not an integer")
     index = {k: i for i, k in enumerate(keys)}
-    if keys[:1] != [header["basepoint"]] or len(index) != len(keys):
+    if keys[:1] != [basepoint] or len(index) != len(keys):
         raise ValueError("vertex records must be distinct and start at the basepoint")
     depth = np.array(depth, dtype=np.int64)
-    if depth[0] != 0 or (depth[1:] < 1).any() or (np.diff(depth) < 0).any() or depth[-1] > header["radius"]:
-        raise ValueError("vertex distances must rise from 0 at the basepoint alone to at most the radius")
+    steps = np.diff(depth)
+    if depth[0] != 0 or (depth[1:] < 1).any() or (steps < 0).any() or (steps > 1).any() or depth[-1] > radius:
+        raise ValueError(
+            "vertex distances must rise by steps of 0 or 1 from 0 at the basepoint alone to at most the radius"
+        )
     stray = [k for edge in edges for k in edge[:2] if k not in index]
     if stray:
         raise ValueError(f"edge endpoint {stray[0]!r} has no vertex record")
     return LabeledBall(
-        backend_id=header["backend"],
-        radius=header["radius"],
-        generator_names=list(header["generators"]),
+        backend_id=backend,
+        radius=radius,
+        generator_names=list(generators),
         keys=keys,
         depth=depth,
         neighbors=_NeighborTable.from_edges(index, edges),

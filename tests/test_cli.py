@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,54 @@ def test_finite_axioms_leave_numpy_ma_unimported(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=src_env(), capture_output=True, text=True)
     assert out.stdout.splitlines() == ['{"axiom":null,"ok":true,"witness":null}', json.dumps([False] * len(runs))]
+
+
+def test_import_quandles_leaves_numpy_unimported():
+    """numpy loads OpenBLAS, and so its thread pool; neither the package
+    nor its entry point may load it before ``main`` has run."""
+    code = "\n".join(
+        [
+            "import sys",
+            "import quandles",
+            "print('numpy' in sys.modules)",
+            "from quandles.__main__ import main",
+            "print('numpy' in sys.modules)",
+        ]
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["False", "False"], out.stderr
+
+
+@pytest.mark.parametrize("preset,seen", [(None, "1"), ("2", "2")])
+def test_main_defaults_openblas_threads_to_one_and_skips_verify(tmp_path, preset, seen):
+    """``main`` sets OPENBLAS_NUM_THREADS only where the caller has not,
+    and a subcommand other than ``verify`` never imports verify.py."""
+    r9 = write_spec(tmp_path, "r9.json", {"family": "dihedral", "n": 9})
+    code = "\n".join(
+        [
+            "import json, os, sys",
+            "from quandles.__main__ import main",
+            "sys.argv[1:] = ['axioms', sys.argv[1]]",
+            "code = main()",
+            "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'), 'quandles.verify' in sys.modules]))",
+        ]
+    )
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", code, r9], env=env, capture_output=True, text=True)
+    assert out.stdout.splitlines() == ['{"axiom":null,"ok":true,"witness":null}', json.dumps([0, seen, False])]
+
+
+def test_installed_command_is_the_python_m_entry_point():
+    """``[project.scripts]`` and ``python -m quandles`` start the same way."""
+    tomllib = pytest.importorskip("tomllib")
+    import quandles.__main__
+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, attr = pyproject["project"]["scripts"]["quandles"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is quandles.__main__.main
 
 
 @pytest.mark.parametrize(

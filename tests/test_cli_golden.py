@@ -4,6 +4,7 @@ Each case runs ``quandles.cli.main(argv)`` in-process and compares its
 stdout, stderr and exit code with ``tests/golden/<case>.json``.  The
 specs are written to a temporary directory and named by relative path,
 so the instance strings in the output do not depend on where it is.
+Three cases also run through a fresh ``python -m quandles``.
 
 To record the files again after a deliberate change of output:
 
@@ -12,12 +13,15 @@ To record the files again after a deliberate change of output:
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
+from support import src_env
 
 from quandles import cli
 
@@ -94,6 +98,25 @@ def test_cli_golden(case, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     expected = json.loads((GOLDEN / f"{case}.json").read_text())
     assert {"argv": CASES[case], "exit": code, "stdout": out, "stderr": err} == expected
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("case", ["axioms-r5", "ball-rot90-dot", "verify-isometry-rot90"])
+def test_cli_golden_through_python_m(case, threads, tmp_path):
+    """The same bytes from a fresh ``python -m quandles``, whose entry point
+    caps OpenBLAS at one thread unless the caller chose a count."""
+    write_specs(tmp_path)
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-m", "quandles", *CASES[case]], cwd=tmp_path, env=env, capture_output=True)
+    expected = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert (out.returncode, out.stdout, out.stderr) == (
+        expected["exit"],
+        expected["stdout"].encode(),
+        expected["stderr"].encode(),
+    )
 
 
 def test_golden_files_match_cases():

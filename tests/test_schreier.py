@@ -3,13 +3,12 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import depths, rewired
 
 from quandles.errors import BoundExceededError
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
-from quandles.lattice import mat_det
 from quandles.schreier import (
     SchreierAction,
     ball_from_json_lines,
@@ -133,12 +132,19 @@ def test_ends_estimates():
 
 @st.composite
 def _unimodular(draw):
-    """A square matrix of size 1 to 3 with entries in [-2, 2] and
-    determinant +-1."""
+    """A square matrix of size 1 to 3 with determinant +-1, drawn directly
+    (no rejection): a signed permutation matrix, then up to three row
+    operations row_i += c row_j with i != j and c = +-1.  Entries stay
+    within [-3, 3]."""
     size = draw(st.integers(1, 3))
-    row = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
-    rows = draw(st.lists(row, min_size=size, max_size=size))
-    assume(mat_det(rows) in (1, -1))
+    perm = draw(st.permutations(range(size)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    rows = [[signs[i] if j == perm[i] else 0 for j in range(size)] for i in range(size)]
+    for _ in range(draw(st.integers(0, 3)) if size > 1 else 0):
+        i = draw(st.integers(0, size - 1))
+        j = (i + draw(st.integers(1, size - 1))) % size
+        c = draw(st.sampled_from([1, -1]))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     return rows
 
 
@@ -265,6 +271,48 @@ def test_json_vertex_records_start_at_the_basepoint():
             ball_from_json_lines("\n".join([header, *map(json.dumps, records), *edges]))
     with pytest.raises(ValueError, match="'4' has no vertex record"):
         ball_from_json_lines("\n".join([header, *vertices, *edges, '{"label":"s1","type":"edge","u":"-2","v":"4"}']))
+
+
+def _ball_records(radius):
+    text = ball_to_json_lines(build_ball(inner_action(dihedral_quandle("inf")), 0, radius))
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _load(records):
+    return ball_from_json_lines("\n".join(map(json.dumps, records)))
+
+
+@pytest.mark.parametrize("field", ["backend", "basepoint", "radius", "generators"])
+def test_json_header_lacking_a_field_is_rejected(field):
+    records = _ball_records(2)
+    del records[0][field]
+    with pytest.raises(ValueError, match=f"lacks {field}"):
+        _load(records)
+
+
+def test_json_record_lacking_its_type_is_rejected():
+    records = _ball_records(2)
+    del records[1]["type"]
+    with pytest.raises(ValueError, match="lacks type"):
+        _load(records)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+@pytest.mark.parametrize("row,field", [(2, "distance"), (0, "radius")])
+def test_json_distance_that_is_not_an_integer_is_rejected(row, field, value):
+    records = _ball_records(2)
+    records[row][field] = value
+    with pytest.raises(ValueError, match="not an integer"):
+        _load(records)
+
+
+def test_json_distances_that_skip_a_level_are_rejected():
+    records = _ball_records(3)
+    assert [r["distance"] for r in records[1:5]] == [0, 1, 2, 3]
+    records[3]["distance"] = 3
+    # read as it was, the ball would report an empty sphere 2: [1, 1, 0, 2]
+    with pytest.raises(ValueError, match="steps of 0 or 1"):
+        _load(records)
 
 
 def _roundtrip_cases():

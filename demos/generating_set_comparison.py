@@ -11,16 +11,18 @@ from quandles import (
     bilipschitz_compare,
     bilipschitz_constant,
     build_ball,
+    cayley_action,
     dihedral_quandle,
-    word_length,
 )
 
 q = dihedral_quandle("inf")
 gens_a = q.inner_generators()
 gens_b = gens_a + [("s2", q.symmetry(2))]
 
+# shortest words over {s0, s1} are depths in its Cayley ball at the identity
+cayley = build_ball(cayley_action("dih", gens_a), gens_a[0][1] * gens_a[0][1].inverse(), 8)
 for name, aut in gens_b:
-    print(f"shortest word for {name} over {{s0, s1}}:", word_length(gens_a, aut, 8))
+    print(f"shortest word for {name} over {{s0, s1}}:", int(cayley.depth[cayley.index[aut.key()]]))
 
 constant = bilipschitz_constant(gens_a, gens_b, 8)
 print("bilipschitz constant:", constant)

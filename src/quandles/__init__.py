@@ -24,15 +24,15 @@ _HOMES = {
     "groups": """GroupTable alternating_group cyclic_group dihedral_group quaternion_group
         symmetric_group""",
     "lattice": "IntegerLattice LatticeAffine UnimodularMatrix column_hnf dis_lattice",
-    "perms": "PermGroup Permutation group_closure orbits word_length",
+    "perms": "PermGroup Permutation group_closure orbits",
     "quandle": """AxiomReport FiniteQuandle check_quandle_axioms quandle_word_value
         symmetry_rewrite symmetry_word_automorphism""",
     "schreier": """LabeledBall SchreierAction ball_from_json_lines ball_to_dot
         ball_to_json_lines bilipschitz_compare bilipschitz_constant build_ball
         cayley_action displacement_action ends_estimate inner_action loopless_forest_check""",
     "verify": """TheoremReport verify_dis_properties verify_free_action_isometry
-        verify_free_transitive_reconstruction verify_homogeneous_component_isometry
-        verify_inner_case_commutator verify_inner_case_identity_component verify_p_equals_dis""",
+        verify_free_transitive_reconstruction verify_inner_case_commutator
+        verify_inner_case_identity_component verify_p_equals_dis""",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

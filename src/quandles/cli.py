@@ -372,7 +372,7 @@ def cmd_compare_gensets(args) -> int:
     base = backend.parse_key(args.base) if args.base else default_basepoint(backend)
     constant = args.constant
     if constant is None:
-        constant = bilipschitz_constant(gens_a, gens_b, args.max_word_length)
+        constant = bilipschitz_constant(gens_a, gens_b, args.max_word_length, max_vertices=args.max_vertices)
         if constant is None:
             raise SpecError(
                 "bad-spec",
@@ -539,10 +539,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args) -> None:
+    """ValueError (bad input, exit 2) for a vertex cap below 1 or a word
+    length below 0."""
+    for flag, least in (("max_vertices", 1), ("max_word_length", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.fn(args)
     except SpecError as e:
         sys.stderr.write(e.as_json() + "\n")

@@ -1,7 +1,7 @@
 """Permutations and the groups they generate, as actions on points.
 
 This module owns what acts on points: ``Permutation``, the enumeration
-of a ``PermGroup``, orbits, free actions and word lengths, and the one
+of a ``PermGroup``, orbits and free actions, and the one
 point walk, closure and Cayley table of the package.  ``walk`` is the
 orbit algorithm (Holt, Eick and O'Brien, cited below, section 4.1) that
 Schreier balls, ``orbits``, ``GroupTable.subgroup_closure`` and the
@@ -31,7 +31,7 @@ does the lookup; with it the Cayley table costs |G|^2 L gathers.
 
 Generators come in one form everywhere in the package: a sequence of
 (name, automorphism) pairs, as ``inner_generators()`` returns them.
-``PermGroup``, ``group_closure``, ``orbits`` and ``word_length`` take
+``PermGroup``, ``group_closure`` and ``orbits`` take
 that and only that; ``_named`` is the one check, and anything else is a
 TypeError.
 
@@ -403,47 +403,3 @@ def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:
     """Whether group/sub is cyclic (sub must be normal).  Returns (flag, order)."""
     quotient = group.table().quotient(group.positions(sub.images))
     return quotient.is_cyclic(), quotient.size
-
-
-def word_length(generators, target, max_length: int) -> Optional[int]:
-    """Length of the shortest word in the (name, automorphism) pairs
-    ``generators`` (and their inverses) equal to ``target``, or None if no
-    word of length <= max_length works.
-
-    Works for any automorphism representation with exact equality and
-    hashing, not just Permutation; mixing representations is a TypeError.
-    """
-    named = _named(generators)
-    if not named:
-        raise ValueError("word_length needs at least one generator")
-    family = type(named[0][1])
-    for name, g in named:
-        if type(g) is not family:
-            raise TypeError(f"generator {name} is a {type(g).__name__}, expected {family.__name__}")
-    if type(target) is not family:
-        raise TypeError(f"target is a {type(target).__name__}, expected {family.__name__}")
-
-    steps = []
-    for _, g in named:
-        steps.append(g)
-        steps.append(g.inverse())
-    identity = named[0][1] * named[0][1].inverse()
-    if target == identity:
-        return 0
-    seen = {identity}
-    frontier = [identity]
-    for depth in range(1, max_length + 1):
-        new = []
-        for el in frontier:
-            for s in steps:
-                prod = el * s
-                if prod in seen:
-                    continue
-                if prod == target:
-                    return depth
-                seen.add(prod)
-                new.append(prod)
-        if not new:
-            return None
-        frontier = new
-    return None

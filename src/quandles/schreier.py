@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
-from .perms import Permutation, _distinct, _named, walk, word_length
+from .perms import Permutation, _distinct, _named, walk
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -127,6 +127,13 @@ def cayley_action(backend_id: str, generators) -> SchreierAction:
         key=lambda g: g.key(),
         apply=lambda aut, g: g * aut,
     )
+
+
+def _identity_like(gens):
+    """The identity of the group the (name, automorphism) pairs live in:
+    the Cayley-ball basepoint."""
+    g = gens[0][1]
+    return g * g.inverse()
 
 
 class LabeledBall:
@@ -573,18 +580,42 @@ class ComparisonResult:
         return self.status == "pass"
 
 
-def bilipschitz_constant(gens_a, gens_b, max_length: int) -> Optional[int]:
+def bilipschitz_constant(
+    gens_a, gens_b, max_length: int, max_vertices: int = DEFAULT_VERTEX_BOUND
+) -> Optional[int]:
     """Smallest L with every generator of each set a word of length <= L
     in the other; None if some generator is not expressible within
-    max_length."""
+    max_length.
+
+    Word lengths are depths in the Cayley ball of the other set at the
+    identity, grown one radius at a time until it holds every target or
+    closes up; its ``max_vertices`` cap is ``build_ball``'s.  Both sets
+    must use one automorphism representation, else TypeError.
+    """
     a, b = _named(gens_a), _named(gens_b)
+    kinds = sorted({type(aut).__name__ for _, aut in a + b})
+    if len(kinds) > 1:
+        raise TypeError(f"generating sets mix representations: {', '.join(kinds)}")
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
     worst = 1
     for one, other in ((a, b), (b, a)):
-        for _, aut in one:
-            n = word_length(other, aut, max_length)
-            if n is None:
+        if not one:
+            continue
+        if not other:
+            raise ValueError("an empty generating set expresses no generator")
+        action, identity = cayley_action("bilipschitz", other), _identity_like(other)
+        targets = [aut.key() for _, aut in one]
+        for r in range(max_length + 1):
+            ball = build_ball(action, identity, r, max_vertices=max_vertices)
+            found = [ball.index.get(k) for k in targets]
+            if None not in found:
+                break
+            if ball.depth[-1] < r:  # closed up: the group is finite and enumerated
                 return None
-            worst = max(worst, n)
+        else:
+            return None
+        worst = max(worst, int(ball.depth[found].max()))
     return worst
 
 

@@ -35,12 +35,11 @@ from .perms import (
 from .quandle import FiniteQuandle
 from .schreier import (
     DEFAULT_VERTEX_BOUND,
-    SchreierAction,
+    _identity_like,
     build_ball,
     cayley_action,
     displacement_action,
     first_failing_pair,
-    inner_action,
 )
 
 
@@ -523,67 +522,3 @@ def _is_pure_translation(aut) -> bool:
     if isinstance(aut, LatticeAffine):
         return aut.is_translation()
     return False
-
-
-def _identity_like(gens):
-    g = gens[0][1]
-    return g * g.inverse()
-
-
-def verify_homogeneous_component_isometry(
-    q: FiniteQuandle, automorphism: Permutation, component: Sequence[int], instance: str = ""
-) -> TheoremReport:
-    """An automorphism f maps a component O isometrically onto f(O) when
-    the generating symmetries are conjugated along: the inner metric of
-    the full symmetry set satisfies d(x, y) = d(f(x), f(y)).
-
-    Conjugating the point symmetries by f permutes them (f^-1 s_y f is
-    the symmetry at f(y)), so both metrics come from the same generating
-    family and the check runs on full component graphs.
-    """
-    instance = instance or repr(q)
-    statement = "automorphism-moves-components-isometrically"
-    bad = q.is_automorphism(automorphism)
-    if bad is not None:
-        raise ValueError(f"map is not a quandle automorphism at {bad}")
-
-    action = inner_action(q)
-    conjugated = [
-        (f"f^-1*{name}*f", automorphism.inverse() * aut * automorphism)
-        for name, aut in q.inner_generators()
-    ]
-    target_action = SchreierAction(f"{q.backend_id}:inner-conjugated", conjugated, q.key)
-
-    component = sorted(component)
-    # in a component of an n-element quandle every distance, basepoint
-    # distances included, is at most n - 1, and 3(n - 1) <= 2R + 1 at
-    # R = 2n: every pair of the component is certified in both balls
-    radius = 2 * q.size
-    source_ball = build_ball(action, component[0], radius)
-    target_ball = build_ball(target_action, automorphism.act(component[0]), radius)
-    missing = [x for x in component if q.key(x) not in source_ball.index]
-    if missing:
-        raise ValueError(f"elements {missing} are not in the component of {component[0]}")
-    _, failure = first_failing_pair(
-        source_ball,
-        np.array([source_ball.index[q.key(x)] for x in component], dtype=np.int64),
-        target_ball,
-        np.array([target_ball.index[q.key(automorphism.act(x))] for x in component], dtype=np.int64),
-        lambda ds, dt: ds != dt,
-    )
-    if failure is not None:
-        i, j, ds, dt = failure
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {"pair": (component[i], component[j]), "source_distance": ds, "target_distance": dt},
-            None,
-        )
-    return TheoremReport(
-        statement,
-        instance,
-        True,
-        None,
-        {"component": component, "image": sorted(automorphism.act(x) for x in component)},
-    )

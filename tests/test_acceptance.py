@@ -34,12 +34,12 @@ from quandles.groups import (
     symmetric_group,
 )
 from quandles.lattice import UnimodularMatrix, mat_det, one_minus_inverse
-from quandles.perms import word_length
 from quandles.quandle import check_quandle_axioms
 from quandles.schreier import (
     SchreierAction,
     bilipschitz_compare,
     build_ball,
+    cayley_action,
     displacement_action,
     ends_estimate,
     inner_action,
@@ -300,13 +300,14 @@ def test_criterion_09_generating_set_independence():
     dq = dihedral_quandle("inf")
     gens_a = dq.inner_generators()
     gens_b = gens_a + [("s2", dq.symmetry(2))]
-    constant = None
-    for bound in (4, 6, 8):
-        lengths = [word_length(gens_a, aut, bound) for _n, aut in gens_b]
-        lengths += [word_length(gens_b, aut, bound) for _n, aut in gens_a]
-        if None not in lengths:
-            constant = max(lengths)
-            break
+    # a word length is a depth in the Cayley ball of the other set
+    lengths = []
+    for one, other in ((gens_a, gens_b), (gens_b, gens_a)):
+        identity = other[0][1] * other[0][1].inverse()
+        cayley = build_ball(cayley_action("dih", other), identity, 8)
+        found = [cayley.index.get(aut.key()) for _n, aut in one]
+        lengths += [None if i is None else int(cayley.depth[i]) for i in found]
+    constant = None if None in lengths else max(lengths)
     ball_a = build_ball(SchreierAction("dih:a", gens_a, dq.key), 0, 20)
     ball_b = build_ball(SchreierAction("dih:b", gens_b, dq.key), 0, 20)
     result = bilipschitz_compare(ball_a, ball_b, constant)

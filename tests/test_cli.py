@@ -253,6 +253,41 @@ def test_cap_reports_progress(dihinf, tmp_path):
     assert run_cli("growth", r12, "--radius", "4", "--max-vertices", "6").returncode == 0
 
 
+def test_constant_search_honors_the_vertex_cap(tmp_path):
+    """s_c is no word in s_a and s_b, so the Cayley balls of {s_a, s_b}
+    grow as 2 * 3^r - 1 until the cap stops them."""
+    free3 = write_spec(tmp_path, "free3.json", {"family": "free", "alphabet": ["a", "b", "c"]})
+    args = ("compare-gensets", free3, "--genset-a", "s:a^1,s:b^1,s:c^1", "--genset-b", "s:a^1,s:b^1")
+    out = run_cli(*args, "--radius", "2", "--max-vertices", "1000")
+    err = json.loads(out.stderr)
+    assert out.returncode == 3 and out.stdout == ""
+    assert (err["error"], err["radius"], err["vertices"]) == ("bound-exceeded", 5, 485)
+
+
+def test_vertex_cap_below_one_is_bad_input(dihinf, capsys):
+    args = ["ball", dihinf, "--radius", "0"]
+    for cap in ("-5", "0"):
+        assert cli.main([*args, "--max-vertices", cap]) == 2
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "bad-input"
+        assert "--max-vertices" in err["message"] and cap in err["message"]
+    assert cli.main([*args, "--max-vertices", "1"]) == 0
+
+
+def test_negative_word_length_is_bad_input(dihinf, capsys):
+    args = ["compare-gensets", dihinf, "--genset-a", "s:0,s:1", "--genset-b", "s:0,s:1,s:2", "--radius", "4"]
+    assert cli.main([*args, "--max-word-length", "-1"]) == 2
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == "bad-input"
+    assert "--max-word-length" in err["message"] and "-1" in err["message"]
+    # zero is a limit: words of length 0 express no generator
+    assert cli.main([*args, "--max-word-length", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-spec"
+    assert cli.main([*args, "--max-word-length", "3"]) == 0
+
+
 def test_verify_honors_the_vertex_cap(rot90):
     args = ("verify", rot90, "--suite", "free-action-isometry", "--radius", "20")
     assert run_cli(*args).returncode == 0  # an 841-vertex orbit ball

@@ -25,7 +25,6 @@ from quandles.perms import (
     group_closure,
     orbits,
     quotient_is_cyclic,
-    word_length,
 )
 from quandles.quandle import FiniteQuandle
 
@@ -109,8 +108,6 @@ def test_generators_are_named_pairs_only():
             PermGroup(bad)
         with pytest.raises(TypeError):
             group_closure(bad)
-        with pytest.raises(TypeError):
-            word_length(bad, a, 3)
     assert PermGroup([("a", a), ("c", c)]).generators == [("a", a), ("c", c)]
 
 
@@ -346,17 +343,6 @@ def test_orbits_and_subgroup_closure_against_sympy(images, make_group, data):
     regular = [SymPerm(list(group.right_translation(x).images)) for x in range(group.size)]
     generated = SymGroup([regular[x] for x in subset] or [regular[group.identity]])
     assert {regular[x] for x in group.subgroup_closure(subset)} == set(generated.elements)
-
-
-def test_word_length():
-    c = Permutation((1, 2, 3, 4, 0))
-    gens = [("c", c)]
-    assert word_length(gens, Permutation.identity(5), 10) == 0
-    assert word_length(gens, c, 10) == 1
-    assert word_length(gens, c * c, 10) == 2
-    # c^3 = (c^-1)^2 is shorter backwards
-    assert word_length(gens, c * c * c, 10) == 2
-    assert word_length(gens, Permutation((1, 0, 2, 3, 4)), 4) is None
 
 
 def _closure_before_arrays(generators, bound=200_000):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from support import depths, rewired
 
 from quandles.errors import BoundExceededError
-from quandles.families import dihedral_quandle, free_quandle, galex_lattice
+from quandles.families import conjugation_quandle, dihedral_quandle, free_quandle, galex_lattice
+from quandles.groups import symmetric_group
+from quandles.perms import Permutation
 from quandles.schreier import (
     SchreierAction,
     ball_from_json_lines,
@@ -201,6 +203,14 @@ def test_bilipschitz_constant_golden():
     assert bilipschitz_constant(gens_a, gens_b, 8) == 3
     # a lone generator of infinite order cannot express the rest
     assert bilipschitz_constant(gens_a, [("s5", dq.symmetry(5))], 4) is None
+    # c^3 = (c^-1)^2 is shorter backwards, and c = (c^3)^2
+    c = Permutation((1, 2, 3, 4, 0))
+    assert bilipschitz_constant([("c", c)], [("c3", c * c * c)], 10) == 2
+    # s3 = s0 in R_6, so {s0, s3} generates a group of order 2: its
+    # Cayley ball closes up without s1, whatever the word length
+    r6 = dihedral_quandle(6)
+    order_two = [("s0", r6.symmetry(0)), ("s3", r6.symmetry(3))]
+    assert bilipschitz_constant(r6.inner_generators(), order_two, 50) is None
 
 
 def test_bilipschitz_constant_rejects_bare_automorphisms():
@@ -212,9 +222,121 @@ def test_bilipschitz_constant_rejects_bare_automorphisms():
         bilipschitz_constant(gens_a, [dq.symmetry(5)], 4)
     with pytest.raises(TypeError):
         bilipschitz_constant([dq.symmetry(0), dq.symmetry(1)], gens_a, 4)
+    # so is a set that mixes automorphism representations
+    with pytest.raises(TypeError):
+        bilipschitz_constant(gens_a, [("p", Permutation((1, 0)))], 4)
     # an action's sorted pairs are themselves valid input
     gens_b = SchreierAction("dih", gens_a + [("s2", dq.symmetry(2))], dq.key).generators
     assert bilipschitz_constant(gens_a, gens_b, 5) == 3
+
+
+def test_bilipschitz_constant_needs_a_length_and_generators():
+    gens = dihedral_quandle("inf").inner_generators()
+    with pytest.raises(ValueError):
+        bilipschitz_constant(gens, gens, -1)
+    with pytest.raises(ValueError):
+        bilipschitz_constant(gens, [], 4)
+
+
+def _word_length_before_cayley_balls(generators, target, max_length):
+    """The word-length search as it was before it read Cayley-ball
+    depths: a breadth-first search over automorphism objects."""
+    named = list(generators)
+    steps = []
+    for _, g in named:
+        steps.append(g)
+        steps.append(g.inverse())
+    identity = named[0][1] * named[0][1].inverse()
+    if target == identity:
+        return 0
+    seen = {identity}
+    frontier = [identity]
+    for depth in range(1, max_length + 1):
+        new = []
+        for el in frontier:
+            for s in steps:
+                prod = el * s
+                if prod in seen:
+                    continue
+                if prod == target:
+                    return depth
+                seen.add(prod)
+                new.append(prod)
+        if not new:
+            return None
+        frontier = new
+    return None
+
+
+def _constant_before_cayley_balls(gens_a, gens_b, max_length):
+    worst = 1
+    for one, other in ((gens_a, gens_b), (gens_b, gens_a)):
+        for _, aut in one:
+            n = _word_length_before_cayley_balls(other, aut, max_length)
+            if n is None:
+                return None
+            worst = max(worst, n)
+    return worst
+
+
+def _product(auts):
+    out = auts[0]
+    for g in auts[1:]:
+        out = out * g
+    return out
+
+
+@st.composite
+def _generating_set_pairs(draw):
+    """Two generating sets of one backend.  The first holds products of
+    one or two point symmetries; the second is drawn alike, or (to share
+    the first's group) holds each of its generators times a word in the
+    ones before it, with perhaps one more word in them all."""
+    backend = draw(st.sampled_from(["R_n", "conj-s4", "dihedral-inf", "rot90", "free2"]))
+    if backend == "R_n":
+        q = dihedral_quandle(draw(st.integers(3, 12)))
+        points = range(q.size)
+    elif backend == "conj-s4":
+        q = conjugation_quandle(symmetric_group(4))
+        points = range(q.size)
+    elif backend == "dihedral-inf":
+        q = dihedral_quandle("inf")
+        points = range(-3, 4)
+    elif backend == "rot90":
+        q = galex_lattice(ROT90)
+        points = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    else:
+        q = free_quandle(["a", "b"])
+        points = q.elements_window(1)
+    # free balls grow like 3^r: two generators keep radius 6 small
+    size = 2 if backend == "free2" else 3
+
+    def genset(prefix):
+        word = st.lists(st.sampled_from(list(points)), min_size=1, max_size=2)
+        words = draw(st.lists(word, min_size=1, max_size=size))
+        return [(f"{prefix}{i}", _product([q.symmetry(y) for y in w])) for i, w in enumerate(words)]
+
+    gens_a = genset("a")
+    if not draw(st.booleans()):
+        return gens_a, genset("b")
+    letters = [g for _, g in gens_a] + [g.inverse() for _, g in gens_a]
+    gens_b = []
+    for i, (_, aut) in enumerate(gens_a):
+        earlier = letters[:i] + letters[len(gens_a) : len(gens_a) + i]
+        tail = draw(st.lists(st.sampled_from(earlier), max_size=2)) if earlier else []
+        gens_b.append((f"b{i}", _product([aut, *tail])))
+    for word in draw(st.lists(st.lists(st.sampled_from(letters), min_size=2, max_size=3), max_size=1)):
+        gens_b.append(("extra", _product(word)))
+    return gens_a, gens_b
+
+
+@settings(max_examples=120, deadline=None)
+@given(_generating_set_pairs(), st.integers(0, 6))
+def test_bilipschitz_constant_matches_the_object_search(gensets, max_length):
+    gens_a, gens_b = gensets
+    assert bilipschitz_constant(gens_a, gens_b, max_length) == _constant_before_cayley_balls(
+        gens_a, gens_b, max_length
+    )
 
 
 def test_bilipschitz_compare():

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from support import depths, rewired
+from support import depths
 
 from quandles import verify
 from quandles.families import (
@@ -23,13 +23,12 @@ from quandles.groups import (
 )
 from quandles.groups import GroupTable
 from quandles.perms import PermGroup, Permutation
-from quandles.schreier import SchreierAction, build_ball, cayley_action, inner_action
+from quandles.schreier import SchreierAction, build_ball, cayley_action
 from quandles.verify import (
     TheoremReport,
     verify_dis_properties,
     verify_free_action_isometry,
     verify_free_transitive_reconstruction,
-    verify_homogeneous_component_isometry,
     verify_inner_case_commutator,
     verify_inner_case_identity_component,
     verify_p_equals_dis,
@@ -532,69 +531,3 @@ def test_free_action_witnesses_match_the_keyed_loops(monkeypatch, variant, expec
                 assert report.witness == oracle
                 seen.update(k for k, v in oracle.items() if v)
     assert expected in seen
-
-
-def test_homogeneous_component_isometry():
-    q = dihedral_quandle(4)
-    shift = Permutation((1, 2, 3, 0))  # x -> x+1 is an automorphism of R_4
-    rep = verify_homogeneous_component_isometry(q, shift, [0, 2])
-    assert rep.passed
-    with pytest.raises(ValueError):
-        verify_homogeneous_component_isometry(q, Permutation((1, 0, 2, 3)), [0, 2])
-    with pytest.raises(ValueError):
-        verify_homogeneous_component_isometry(q, shift, [0, 1])
-
-
-def _pairwise_component_isometry(q, automorphism, component):
-    """A copy of the per-pair loop the component isometry check ran before
-    it walked certified pairs: uncapped ball distances at radius |Q|."""
-    conjugated = [
-        (f"f^-1*{name}*f", automorphism.inverse() * aut * automorphism)
-        for name, aut in q.inner_generators()
-    ]
-    target_action = SchreierAction(f"{q.backend_id}:inner-conjugated", conjugated, q.key)
-    component = sorted(component)
-    source_ball = verify.build_ball(inner_action(q), component[0], q.size)
-    target_ball = verify.build_ball(target_action, automorphism.act(component[0]), q.size)
-    statement = "automorphism-moves-components-isometrically"
-    for i, x in enumerate(component):
-        for y in component[i + 1 :]:
-            dx = source_ball.distances_from(q.key(x)).get(q.key(y))
-            dy = target_ball.distances_from(q.key(automorphism.act(x))).get(q.key(automorphism.act(y)))
-            if dx != dy:
-                witness = {"pair": (x, y), "source_distance": dx, "target_distance": dy}
-                return TheoremReport(statement, repr(q), False, witness, None)
-    image = sorted(automorphism.act(x) for x in component)
-    return TheoremReport(statement, repr(q), True, None, {"component": component, "image": image})
-
-
-def _cut_target(action, basepoint, radius, **kwargs):
-    """build_ball that drops the target ball's edges between its second
-    and third vertex: both stay next to the basepoint, so basepoint
-    distances hold, but the two lose their direct edge."""
-    ball = build_ball(action, basepoint, radius, **kwargs)
-    if action.backend_id.endswith(":inner-conjugated") and ball.vertex_count > 2:
-        cut = set(ball.keys[1:3])
-        ball = rewired(ball, [e for e in ball.edges if {e[0], e[1]} != cut])
-    return ball
-
-
-@pytest.mark.parametrize("cut", [False, True], ids=["automorphism", "cut-edge"])
-def test_component_isometry_matches_pairwise_loop(monkeypatch, cut):
-    d4 = dihedral_group(4)
-    cases = [
-        (dihedral_quandle(9), Permutation(tuple((2 * x + 1) % 9 for x in range(9)))),
-        (conjugation_quandle(symmetric_group(4)), None),
-        (galex_finite(d4, conjugation_automorphism(d4, 1)), None),
-    ]
-    if cut:
-        monkeypatch.setattr(verify, "build_ball", _cut_target)
-    failures = 0
-    for q, f in cases:
-        f = f or q.symmetry(q.size - 1)
-        assert not f.is_identity() and q.is_automorphism(f) is None
-        for component in q.components():
-            rep = verify_homogeneous_component_isometry(q, f, component)
-            assert rep == _pairwise_component_isometry(q, f, component)
-            failures += not rep.passed
-    assert (failures > 0) == cut

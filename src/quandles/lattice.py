@@ -1,7 +1,9 @@
 """Exact integer linear algebra for lattice quandles on Z^n.
 
 Everything here uses Python integers only; powers of a unimodular matrix
-grow without bound and must stay exact.  The Hermite normal form is
+grow without bound and must stay exact.  The one exception is the walk of
+Schreier balls, ``offset_walk``, which runs in int64 numpy only where
+``offset_moves`` proves beforehand that no value can overflow.  The Hermite normal form is
 column-style: basis vectors are columns, pivots descend strictly (so a
 full-rank basis is lower triangular), pivot entries are positive, and
 entries to the left of a pivot are reduced into [0, pivot).  That form is
@@ -14,10 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from .errors import BoundExceededError
 from .quandle import _integers
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # row-major
+
+# every int64 value of a ball walk stays below this (see offset_moves)
+_INT64_ROOM = 1 << 62
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -299,3 +307,102 @@ def dis_lattice(t: UnimodularMatrix) -> IntegerLattice:
     m = one_minus_inverse(t)
     cols = [tuple(m[i][j] for i in range(t.n)) for j in range(t.n)]
     return IntegerLattice(t.n, cols)
+
+
+def offset_moves(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int):
+    """The affine ``moves`` of Z^n, as ``(step, shifts, bound)`` for
+    ``offset_walk`` of the ball of ``radius`` at ``basepoint``, or None
+    when the walk might leave int64.
+
+    Offsets u = x - b from the basepoint b turn the move x -> A x + c into
+    u -> A u + k with k = A b + c - b.  The targets of an (f x n) frontier
+    are ``frontier @ step`` plus ``shifts``, where ``step`` puts the A^T of
+    the moves side by side, so they come frontier-major and move-minor.
+
+    The guard.  Let N = max(1, largest absolute row sum of any A) and
+    D = max ||k||_inf.  Then a vertex at depth d has ||u||_inf <= B_d =
+    D (1 + N + .. + N^(d-1)), by induction: ||A u + k|| <= N B_d + D =
+    B_(d+1).  The walk moves vertices of depth at most R (the last sphere
+    in ``finish``), so each product a_ij u_j, each partial sum of A u
+    (both at most N B_R) and each target is at most B = B_(R+1) in
+    absolute value.  An offset's code is its mixed-radix number
+    sum_i (u_i + B) W^i in base W = 2B + 1, which tells offsets with
+    entries in [-B, B] apart; it and its partial sums lie in [0, W^n).
+    The elements u + b have entries at most ||b|| + B.  So when N, W^n and
+    ||b|| + B are all below 2^62, no int64 value of the walk overflows;
+    otherwise this returns None, and the ball is walked in Python ints.
+    """
+    n = len(basepoint)
+    shifts = [[a + c - b for a, c, b in zip(mat_vec(m.matrix, basepoint), m.shift, basepoint)] for m in moves]
+    norm = max(1, *(sum(map(abs, row)) for m in moves for row in m.matrix))
+    reach = max(abs(v) for k in shifts for v in k)
+    if norm == 1:
+        bound = reach * (radius + 1)
+    else:
+        # past 63 terms a nonzero sum is already above 2^62
+        bound = reach * (norm ** min(radius + 1, 63) - 1) // (norm - 1)
+    if norm >= _INT64_ROOM or (2 * bound + 1) ** n >= _INT64_ROOM or max(map(abs, basepoint)) + bound >= _INT64_ROOM:
+        return None
+    step = np.concatenate([np.array(m.matrix, dtype=np.int64).T for m in moves], axis=1)
+    return step, np.array(shifts, dtype=np.int64), bound
+
+
+def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, max_vertices: int):
+    """``perms.walk`` for the moves of ``offset_moves``, over int64
+    offsets from the basepoint: returns (offsets, sphere sizes, blocks,
+    finish) as ``perms.walk`` does, with the same numbering and cap.
+
+    Every move has its inverse among the moves, so a neighbour of a
+    vertex at depth d lies at depth d - 1, d or d + 1: targets are looked
+    up in the last two spheres only, each kept as its sorted codes and
+    their vertex numbers, and the rest are the next sphere.
+    """
+    n, m = shifts.shape[1], len(shifts)
+    width = 2 * bound + 1
+    radix = np.array([width**i for i in range(n)], dtype=np.int64)
+
+    def targets(frontier):
+        moved = (frontier @ step).reshape(-1, m, n) + shifts
+        return moved.reshape(-1, n)
+
+    def codes(offsets):
+        return (offsets + bound) @ radix
+
+    def find(code, spheres):
+        row = np.full(code.size, -1, dtype=np.int64)
+        for sorted_codes, vertex in spheres:
+            at = np.minimum(np.searchsorted(sorted_codes, code), sorted_codes.size - 1)
+            hit = sorted_codes[at] == code
+            row[hit] = vertex[at[hit]]
+        return row
+
+    frontier = np.zeros((1, n), dtype=np.int64)
+    last = [(codes(frontier), np.zeros(1, dtype=np.int64))]  # the last two spheres
+    spheres, blocks = [frontier], []
+    count = 1
+    for d in range(1, radius + 1):
+        if not len(frontier):
+            break
+        moved = targets(frontier)
+        code = codes(moved)
+        row = find(code, last)
+        new = row < 0
+        fresh, first, inverse = np.unique(code[new], return_index=True, return_inverse=True)
+        if count + fresh.size > max_vertices:
+            raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=count)
+        order = np.argsort(first)  # first-occurrence order
+        vertex = np.empty(fresh.size, dtype=np.int64)
+        vertex[order] = np.arange(count, count + fresh.size)
+        row[new] = vertex[inverse]
+        count += fresh.size
+        frontier = moved[new][first[order]]
+        blocks.append(row.reshape(-1, m))
+        spheres.append(frontier)
+        last = [last[-1], (fresh, vertex)]
+
+    def finish() -> np.ndarray:
+        row = find(codes(targets(frontier)), last)
+        row[row < 0] = count  # moves that leave the ball
+        return row.reshape(-1, m)
+
+    return np.concatenate(spheres), [len(s) for s in spheres], blocks, finish

@@ -28,8 +28,14 @@ as it goes; the rows of the last sphere, the only ones that can hold V,
 get their second look only when edges or pair queries first need them.
 When the action is the default point action and every move is a
 ``Permutation`` (every finite quandle), the BFS is ``perms.walk``, a
-numpy gather over the moves' image arrays; otherwise it applies and keys
-one move at a time.  Both walks discover vertices in the same order.
+numpy gather over the moves' image arrays.  When every move is a
+``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
+``lattice.offset_walk``, one int64 matrix product per sphere.  Both array
+walks tell points apart by value and build keys once per vertex at the
+end, so there the action's key must tell points apart too.  Otherwise
+the BFS applies and keys one move at a time.  All three walks take the
+same moves in the same order, so they discover vertices in the same
+order.
 An edge list (JSON input) is converted once into the same kind of table,
 padded with V.  The labeled, sorted edge list is rendered from the table
 on first use, so growth and distances from the basepoint never build it.
@@ -63,6 +69,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
+from .lattice import LatticeAffine, offset_moves, offset_walk
 from .perms import Permutation, _distinct, _named, walk
 
 DEFAULT_VERTEX_BOUND = 1_000_000
@@ -431,6 +438,39 @@ def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.n
     return moves, move_gen
 
 
+def _moves(action: SchreierAction) -> tuple[list, np.ndarray]:
+    """The moves of an action, each generator and then its inverse unless
+    it is an involution, with each move's generator index."""
+    moves, move_gen = [], []
+    for i, (_, aut) in enumerate(action.generators):
+        inverse = aut.inverse()
+        moves.append(aut)
+        move_gen.append(i)
+        if aut != inverse:
+            moves.append(inverse)
+            move_gen.append(i)
+    return moves, np.array(move_gen, dtype=np.int64)
+
+
+def _affine_moves(action: SchreierAction, basepoint, radius: int):
+    """The moves of a lattice action as ``(step, shifts, bound, move_gen)``
+    for ``lattice.offset_walk``; None unless the action is the default
+    point action, every generator is a ``LatticeAffine`` on one Z^n with
+    n >= 2, the basepoint is n Python ints and ``lattice.offset_moves``
+    finds that the walk fits in int64."""
+    auts = [aut for _, aut in action.generators]
+    if action.apply is not _act or not auts or any(type(a) is not LatticeAffine for a in auts):
+        return None
+    n = len(auts[0].shift)
+    if n < 2 or any(len(a.matrix) != n or len(a.shift) != n for a in auts):
+        return None
+    if not isinstance(basepoint, (tuple, list)) or len(basepoint) != n or any(type(v) is not int for v in basepoint):
+        return None
+    moves, move_gen = _moves(action)
+    offsets = offset_moves(moves, basepoint, radius)
+    return None if offsets is None else (*offsets, move_gen)
+
+
 def build_ball(
     action: SchreierAction,
     basepoint,
@@ -449,12 +489,20 @@ def build_ball(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     fast = _permutation_moves(action, basepoint)
+    lattice = _affine_moves(action, basepoint, radius)
     if fast is not None:
         moves, move_gen = fast
         points, sizes, blocks, finish = walk(moves, operator.index(basepoint), radius, max_vertices)
         elements = [basepoint, *points[1:].tolist()]
-        keys = list(map(action.key, elements))
-        index = None  # built on first use
+        keys, index = list(map(action.key, elements)), None  # index built on first use
+    elif lattice is not None:
+        step, shifts, bound, move_gen = lattice
+        offsets, sizes, blocks, finish = offset_walk(step, shifts, bound, radius, max_vertices)
+        # zipping the columns makes the tuples of Python ints without a
+        # list per row, which keeps the peak memory down
+        points = offsets[1:] + np.array(basepoint, dtype=np.int64)
+        elements = [basepoint, *zip(*points.T.tolist())]
+        keys, index = list(map(action.key, elements)), None
     else:
         keys, elements, index, sizes, blocks, finish, move_gen = _generic_bfs(
             action, basepoint, radius, max_vertices
@@ -476,14 +524,7 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
     """BFS applying and keying one move at a time; returns (keys,
     elements, key -> vertex index, sphere sizes, neighbor blocks, finish,
     move_gen)."""
-    moves, move_gen = [], []
-    for i, (_, aut) in enumerate(action.generators):
-        inverse = aut.inverse()
-        moves.append(aut)
-        move_gen.append(i)
-        if aut != inverse:
-            moves.append(inverse)
-            move_gen.append(i)
+    moves, move_gen = _moves(action)
     apply, key = action.apply, action.key
     keys, elements = [key(basepoint)], [basepoint]
     index = {keys[0]: 0}
@@ -516,7 +557,7 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
         row = [index.get(key(apply(aut, x)), len(keys)) for x in last for aut in moves]
         return np.array(row, dtype=np.int64).reshape(len(last), len(moves))
 
-    return keys, elements, index, sizes, blocks, finish, np.array(move_gen, dtype=np.int64)
+    return keys, elements, index, sizes, blocks, finish, move_gen
 
 
 def _component_labels(ball: LabeledBall, inside: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The integer-indexed ball core.
 
-``build_ball`` walks a permutation action with numpy gathers and every
-other action one move at a time.  Both walks must give the same ball:
-the same vertex order, elements, edges, serialized bytes, pair answers
-and cap behaviour.  A copy of the original two-pass BFS is the oracle
-for vertex order and edges.
+``build_ball`` walks a permutation action with numpy gathers, a lattice
+action with one int64 matrix product per sphere, and every other action
+one move at a time.  All three walks must give the same ball: the same
+vertex order, elements, edges, serialized bytes, pair answers and cap
+behaviour.  A copy of the original two-pass BFS is the oracle for vertex
+order and edges.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from quandles.groups import dihedral_group, symmetric_group
 from quandles.quandle import FiniteQuandle
 from quandles.schreier import (
     SchreierAction,
+    _affine_moves,
     _permutation_moves,
     ball_from_json_lines,
     ball_to_dot,
@@ -72,6 +74,27 @@ def _generic(action):
     return SchreierAction(action.backend_id, action.generators, action.key, apply=lambda a, x: a.act(x))
 
 
+def _path(action, base, radius):
+    """The walk ``build_ball`` takes for this ball."""
+    if _permutation_moves(action, base) is not None:
+        return "permutation"
+    if _affine_moves(action, base, radius) is not None:
+        return "lattice"
+    return "generic"
+
+
+def _is_point(x, path):
+    """An element as the walk of ``path`` hands it out: a Python int, or a
+    tuple of Python ints on a lattice."""
+    if path == "permutation":
+        return type(x) is int
+    return type(x) is tuple and all(type(v) is int for v in x)
+
+
+CAT = [[2, 1], [1, 1]]
+ROT90 = [[0, -1], [1, 0]]
+
+
 def _cases():
     r9 = dihedral_quandle(9)
     r12 = dihedral_quandle(12)
@@ -79,35 +102,56 @@ def _cases():
     d4 = dihedral_group(4)
     s4 = symmetric_group(4)
     custom = parse_generator_expressions(r9, ["s:1 s:0^-1", "s:3", "s:2 s:5"])
+    cat, rot90 = galex_lattice(CAT), galex_lattice(ROT90)
+    cycle3 = galex_lattice([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    shear3 = galex_lattice([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    # s:(1,0) s:(0,0)^-1 and s:(0,1) s:(0,0)^-1 are translations
+    translations = parse_generator_expressions(rot90, ["s:(1,0) s:(0,0)^-1", "s:(0,1) s:(0,0)^-1", "s:(2,3)"])
+    # its bound B is about 2^27, so codes reach about 2^55, near the guard
+    shear = galex_lattice([[1, 512], [0, 1]])
     return [
-        ("r12-inner", inner_action(r12), 0, 3),
-        ("r12-inner-r0", inner_action(r12), 5, 0),
+        ("r12-inner", "permutation", inner_action(r12), 0, 3),
+        ("r12-inner-r0", "permutation", inner_action(r12), 5, 0),
         # displacement moves are not involutions, so inverses are moves too
-        ("r12-displacement", displacement_action(r12), 0, 4),
-        ("r12-displacement-past-diameter", displacement_action(r12), 3, 40),
-        ("r9-inner", inner_action(r9), 4, 9),
-        ("conj-s4-inner", inner_action(conj), 5, 3),
-        ("conj-s4-displacement", displacement_action(conj), 7, 4),
-        ("galex-d4", inner_action(galex_finite(d4, conjugation_automorphism(d4, 1))), 2, 3),
-        ("galex-s4", inner_action(galex_finite(s4, conjugation_automorphism(s4, 7))), 3, 4),
-        ("r9-custom", SchreierAction("finite:custom", custom, r9.key), 0, 6),
+        ("r12-displacement", "permutation", displacement_action(r12), 0, 4),
+        ("r12-displacement-past-diameter", "permutation", displacement_action(r12), 3, 40),
+        ("r9-inner", "permutation", inner_action(r9), 4, 9),
+        ("conj-s4-inner", "permutation", inner_action(conj), 5, 3),
+        ("conj-s4-displacement", "permutation", displacement_action(conj), 7, 4),
+        ("galex-d4", "permutation", inner_action(galex_finite(d4, conjugation_automorphism(d4, 1))), 2, 3),
+        ("galex-s4", "permutation", inner_action(galex_finite(s4, conjugation_automorphism(s4, 7))), 3, 4),
+        ("r9-custom", "permutation", SchreierAction("finite:custom", custom, r9.key), 0, 6),
         # identity symmetries: self-loops only, no pair to certify
-        ("trivial", inner_action(FiniteQuandle([[0, 0, 0], [1, 1, 1], [2, 2, 2]])), 1, 3),
+        ("trivial", "permutation", inner_action(FiniteQuandle([[0, 0, 0], [1, 1, 1], [2, 2, 2]])), 1, 3),
+        ("cat-inner", "lattice", inner_action(cat), (0, 0), 5),
+        ("cat-displacement-off-origin", "lattice", displacement_action(cat), (7, -3), 6),
+        ("rot90-inner-off-origin", "lattice", inner_action(rot90), (40000, -25000), 7),
+        ("rot90-inner-r0", "lattice", inner_action(rot90), (2, 1), 0),
+        ("rot90-displacement", "lattice", displacement_action(rot90), (0, 0), 9),
+        ("cycle3-inner", "lattice", inner_action(cycle3), (1, 0, -2), 4),
+        ("shear3-displacement", "lattice", displacement_action(shear3), (0, 0, 0), 5),
+        ("rot90-translations", "lattice", SchreierAction("lattice:custom", translations, rot90.key), (0, 0), 6),
+        # every inner move of -I is an involution
+        ("minus-identity-inner", "lattice", inner_action(galex_lattice([[-1, 0], [0, -1]])), (3, 4), 5),
+        # identity matrix: every move fixes every point, self-loops only
+        ("trivial-lattice", "lattice", inner_action(galex_lattice([[1, 0], [0, 1]])), (0, 0), 3),
+        ("shear-near-the-guard", "lattice", inner_action(shear), (0, 0), 2),
     ]
 
 
-@pytest.mark.parametrize("name,action,base,radius", _cases(), ids=[c[0] for c in _cases()])
-def test_permutation_path_matches_generic_path(name, action, base, radius):
+@pytest.mark.parametrize("name,path,action,base,radius", _cases(), ids=[c[0] for c in _cases()])
+def test_permutation_path_matches_generic_path(name, path, action, base, radius):
     generic = _generic(action)
-    assert _permutation_moves(action, base) is not None
-    assert _permutation_moves(generic, base) is None
+    assert _path(action, base, radius) == path
+    assert _path(generic, base, radius) == "generic"
     fast = build_ball(action, base, radius)
     slow = build_ball(generic, base, radius)
     order, edges = _two_pass_ball(action, base, radius)
 
     assert list(depths(fast).items()) == list(depths(slow).items()) == order
     assert fast.elements == slow.elements
-    assert all(type(x) is int for x in fast.elements)
+    assert fast.elements[0] is base
+    assert all(_is_point(x, path) for x in fast.elements)
     assert fast.edges == slow.edges == edges
     assert ball_to_json_lines(fast) == ball_to_json_lines(slow)
     assert ball_to_dot(fast) == ball_to_dot(slow)
@@ -116,8 +160,8 @@ def test_permutation_path_matches_generic_path(name, action, base, radius):
         assert ends_estimate(fast, radius - 1) == ends_estimate(slow, radius - 1)
 
 
-@pytest.mark.parametrize("name,action,base,radius", _cases(), ids=[c[0] for c in _cases()])
-def test_both_paths_stop_at_the_same_cap(name, action, base, radius):
+@pytest.mark.parametrize("name,path,action,base,radius", _cases(), ids=[c[0] for c in _cases()])
+def test_both_paths_stop_at_the_same_cap(name, path, action, base, radius):
     sizes = build_ball(action, base, radius).sphere_sizes()
     total = sum(sizes)
     # the basepoint alone never trips the cap, so caps start at 1
@@ -137,25 +181,51 @@ def test_both_paths_stop_at_the_same_cap(name, action, base, radius):
             assert outcomes[0] == (cap, first - 1, sum(sizes[:first]))
 
 
-def _numbering_cases():
-    r9, dq, fq = dihedral_quandle(9), dihedral_quandle("inf"), free_quandle(["a", "b"])
-    lattice = galex_lattice([[0, -1], [1, 0]])
+def _past_the_guard():
+    rot90 = galex_lattice(ROT90)
     return [
-        # past the diameter, so the last spheres are empty
-        ("finite-permutation", inner_action(r9), 4, 12),
-        ("finite-generic", _generic(inner_action(r9)), 4, 12),
-        ("dihedral-inf", displacement_action(dq), 0, 6),
-        ("lattice", inner_action(lattice), (0, 0), 4),
-        ("free", inner_action(fq), fq.generator("a"), 3),
+        # the shear near the guard above, one radius further: B is about 2^36
+        ("shear-one-radius-on", inner_action(galex_lattice([[1, 512], [0, 1]])), (0, 0), 3),
+        ("huge-shear", inner_action(galex_lattice([[1, 2**40], [0, 1]])), (1, -1), 2),
+        ("basepoint-near-2^62", displacement_action(rot90), (2**62 - 3, 5), 4),
+        ("basepoint-past-int64", inner_action(rot90), (2**70, -(2**70)), 3),
     ]
 
 
-@pytest.mark.parametrize("name,action,base,radius", _numbering_cases(), ids=[c[0] for c in _numbering_cases()])
-def test_one_vertex_numbering(name, action, base, radius):
-    """keys, depth, elements and index describe the same vertices in BFS
-    order, on all four backends and on both BFS paths."""
-    assert (_permutation_moves(action, base) is not None) == (name == "finite-permutation")
+@pytest.mark.parametrize("name,action,base,radius", _past_the_guard(), ids=[c[0] for c in _past_the_guard()])
+def test_lattice_balls_past_the_int64_guard_stay_exact(name, action, base, radius):
+    """When the a priori bound of ``_affine_moves`` reaches 2^62 the ball
+    falls back to Python ints, and stays exact, also past int64."""
+    assert _path(action, base, radius) == "generic"
     ball = build_ball(action, base, radius)
+    order, edges = _two_pass_ball(action, base, radius)
+    assert list(depths(ball).items()) == order
+    assert ball.edges == edges
+    assert all(_is_point(x, "lattice") for x in ball.elements)
+
+
+def _numbering_cases():
+    r9, dq, fq = dihedral_quandle(9), dihedral_quandle("inf"), free_quandle(["a", "b"])
+    lattice = galex_lattice(ROT90)
+    return [
+        # past the diameter, so the last spheres are empty
+        ("finite-permutation", "permutation", inner_action(r9), 4, 12),
+        ("finite-generic", "generic", _generic(inner_action(r9)), 4, 12),
+        ("dihedral-inf", "generic", displacement_action(dq), 0, 6),
+        ("lattice", "lattice", inner_action(lattice), (0, 0), 4),
+        ("lattice-generic", "generic", _generic(inner_action(lattice)), (0, 0), 4),
+        ("free", "generic", inner_action(fq), fq.generator("a"), 3),
+    ]
+
+
+@pytest.mark.parametrize("name,path,action,base,radius", _numbering_cases(), ids=[c[0] for c in _numbering_cases()])
+def test_one_vertex_numbering(name, path, action, base, radius):
+    """keys, depth, elements and index describe the same vertices in BFS
+    order, on all four backends and on all three BFS paths."""
+    assert _path(action, base, radius) == path
+    ball = build_ball(action, base, radius)
+    if name.startswith("lattice"):
+        assert all(_is_point(x, "lattice") for x in ball.elements)
     assert len(ball.index) == ball.vertex_count
     assert all(ball.index[k] == i for i, k in enumerate(ball.keys))
     assert ball.depth[0] == 0 and (np.diff(ball.depth) >= 0).all()

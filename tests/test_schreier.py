@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import deque
 
@@ -166,6 +167,26 @@ def test_displacement_ends_follow_the_rank_of_dis(t, n):
     rank = q.displacement_lattice().rank
     ball = build_ball(displacement_action(q), q.zero(), 4 * n)
     assert ends_estimate(ball, n) == {0: 0, 1: 2}.get(rank, 1), (rank, ball.vertex_count)
+
+
+@pytest.mark.parametrize(
+    "t,radius",
+    [
+        ([[1, 1], [0, 1]], 10),  # rank 1: ratio 1.95
+        (ROT90, 10),  # rank 2: 3.81
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 6),  # rank 2 in Z^3: 3.69
+        ([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], 6),  # rank 3: 6.96
+    ],
+)
+def test_displacement_growth_degree_is_the_rank_of_dis(t, radius):
+    """The displacement graph of GAlex(Z^d, t) is quasi-isometric to the
+    lattice Dis of rank r, and growth degree is a quasi-isometry
+    invariant: Z^r grows like R^r, so |B(2R)| / |B(R)| tends to 2^r.  It
+    tells rank 2 from rank 3, which the ends above cannot."""
+    q = galex_lattice(t)
+    sizes = build_ball(displacement_action(q), q.zero(), 2 * radius).sphere_sizes()
+    ratio = sum(sizes) / sum(sizes[: radius + 1])
+    assert round(math.log2(ratio)) == q.displacement_lattice().rank
 
 
 def test_loopless_forest_check():

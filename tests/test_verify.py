@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from support import depths
+from support import depths, rewired
 
 from quandles import verify
 from quandles.families import (
@@ -531,3 +531,50 @@ def test_free_action_witnesses_match_the_keyed_loops(monkeypatch, variant, expec
                 assert report.witness == oracle
                 seen.update(k for k, v in oracle.items() if v)
     assert expected in seen
+
+
+def _first_pair_by_distance(q, basepoint, word_ball, orbit_ball):
+    """A per-pair loop over ``distance``: the first pair of word-ball
+    vertices, in word-ball order, certified in both balls whose two
+    distances differ, as the isometry check words it; None if none."""
+    keys = word_ball.keys
+    image = [q.key(g.act(basepoint)) for g in word_ball.elements]
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            dw, do = word_ball.distance(keys[i], keys[j]), orbit_ball.distance(image[i], image[j])
+            if dw is not None and do is not None and dw != do:
+                return {"pair": (keys[i], keys[j]), "word_distance": dw, "orbit_distance": do}
+    return None
+
+
+@pytest.mark.parametrize(
+    "q,basepoint,radius,generators",
+    [
+        (galex_lattice(ROT90), (0, 0), 4, None),
+        (dihedral_quandle("inf"), 0, 4, None),
+        # one translation of Z/15: the orbit ball is a path of 7 points
+        (dihedral_quandle(15), 3, 3, dihedral_quandle(15).displacement_generators()[:1]),
+    ],
+    ids=["lattice", "dihedral-inf", "finite"],
+)
+def test_free_action_reports_a_pair_whose_distances_differ(monkeypatch, q, basepoint, radius, generators):
+    """A chord between the first two orbit-ball vertices at depth 1 keeps
+    the orbit map a bijection and every basepoint distance, so only pair
+    distances differ: the check reports the first such pair."""
+    built = {}
+
+    def chorded(action, base, r, **kwargs):
+        ball = build_ball(action, base, r, **kwargs)
+        if action.backend_id.endswith(":displacement"):
+            u, v = [k for k, d in zip(ball.keys, ball.depth.tolist()) if d == 1][:2]
+            ball = rewired(ball, ball.edges + [(u, v, "chord")])
+        built[action.backend_id.rsplit(":", 1)[1]] = ball
+        return ball
+
+    monkeypatch.setattr(verify, "build_ball", chorded)
+    report = verify_free_action_isometry(q, basepoint, radius, generators)
+    oracle = _first_pair_by_distance(q, basepoint, built["cayley"], built["displacement"])
+    assert not report.passed
+    assert set(report.witness) == {"pair", "word_distance", "orbit_distance"}
+    assert report.witness == oracle
+    assert report.witness["orbit_distance"] < report.witness["word_distance"]

@@ -37,7 +37,7 @@ print()
 
 print("== rebuilding a quandle from a free transitive action ==")
 r3 = dihedral_quandle(3)
-rep = verify_free_transitive_reconstruction(r3, list(r3.displacement_group().elements))
+rep = verify_free_transitive_reconstruction(r3, r3.displacement_group().images)
 print("  R_3 from its displacement group:", "ok" if rep.passed else rep.witness)
 print("  recovered twist:", rep.details["sigma"], "on a group of order",
       rep.details["group_order"])

@@ -54,7 +54,7 @@ from .groups import (
     quaternion_group,
     symmetric_group,
 )
-from .quandle import FiniteQuandle, check_quandle_axioms
+from .quandle import FiniteQuandle, check_quandle_axioms, symmetry_word_automorphism
 from .schreier import (
     DEFAULT_VERTEX_BOUND,
     SchreierAction,
@@ -184,8 +184,7 @@ def parse_generator_expressions(backend, expressions) -> list[tuple[str, object]
         factors = expr.split()
         if not factors:
             raise SpecError("bad-generator", f"empty generator expression {expr!r}", "generators")
-        aut = None
-        names = []
+        word, names = [], []
         for factor in factors:
             invert = factor.endswith("^-1")
             body = factor[:-3] if invert else factor
@@ -196,15 +195,11 @@ def parse_generator_expressions(backend, expressions) -> list[tuple[str, object]
                     "generators",
                 )
             try:
-                element = backend.parse_key(body[2:])
+                word.append((backend.parse_key(body[2:]), -1 if invert else 1))
             except ValueError as e:
                 raise SpecError("bad-generator", f"bad element key in {factor!r}: {e}", "generators")
-            sym = backend.symmetry(element)
-            if invert:
-                sym = sym.inverse()
             names.append(f"s{body[2:]}" + ("^-1" if invert else ""))
-            aut = sym if aut is None else aut * sym
-        gens.append(("*".join(names), aut))
+        gens.append(("*".join(names), symmetry_word_automorphism(backend, word)))
     return gens
 
 
@@ -450,11 +445,7 @@ def cmd_verify(args) -> int:
         if not isinstance(backend, FiniteQuandle):
             raise SpecError("bad-spec", "reconstruction runs on finite quandles", "family")
         dis = backend.displacement_group()
-        reports = [
-            verify_free_transitive_reconstruction(
-                backend, list(dis.elements), instance=args.spec
-            )
-        ]
+        reports = [verify_free_transitive_reconstruction(backend, dis.images, instance=args.spec)]
     elif suite == "free-action-isometry":
         if isinstance(backend, FreeQuandle):
             raise SpecError("bad-spec", "suite not available for free quandles", "family")

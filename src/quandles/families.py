@@ -101,8 +101,8 @@ class DihedralInfinite:
     def symmetry(self, y: int) -> SignedAffine:
         return SignedAffine(-1, 2 * y)
 
-    def inner_generators(self, points: Sequence[int] = (0, 1)) -> list[tuple[str, SignedAffine]]:
-        return [(f"s{p}", self.symmetry(p)) for p in points]
+    def inner_generators(self) -> list[tuple[str, SignedAffine]]:
+        return [("s0", self.symmetry(0)), ("s1", self.symmetry(1))]
 
     def displacement_generators(self) -> list[tuple[str, SignedAffine]]:
         u = self.symmetry(1) * self.symmetry(0).inverse()

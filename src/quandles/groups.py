@@ -9,7 +9,7 @@ closure tests.  A table has one format, the int64 array
 ``quandle._operation_table``, and the algebra is array expressions on
 it.  A subgroup is closed by ``perms.walk`` from the identity under the
 right translations ``mul[:, g]``.  ``perms.cayley_table`` tabulates an
-enumerated ``PermGroup`` (index i is its i-th element) and the stock
+enumerated ``PermGroup`` (index i is row i of its images) and the stock
 symmetric and alternating groups (permutations in lexicographic order);
 the cyclic, dihedral and quaternion tables are formulas on the indices.
 """
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MalformedTableError
-from .perms import Permutation, _distinct, cayley_table, walk
+from .perms import _distinct, cayley_table, walk
 from .quandle import _automorphism_defect, _operation_table
 
 
@@ -90,10 +90,6 @@ class GroupTable:
         inside = _positions(subset, self.size) >= 0
         outside = np.argwhere(~inside[self.conj(subset[:, None], np.arange(self.size))])
         return None if not len(outside) else (int(subset[outside[0, 0]]), int(outside[0, 1]))
-
-    def right_translation(self, x: int) -> Permutation:
-        """The permutation y -> y*x of the regular representation."""
-        return Permutation(tuple(self.mul[:, x].tolist()))
 
     def subgroup_closure(self, subset: Sequence[int]) -> list[int]:
         """Elements of the subgroup generated by ``subset``, sorted: the

@@ -12,10 +12,11 @@ indices: an enumerated ``PermGroup`` hands it its Cayley table through
 ``PermGroup.table()``.  No stabilizer chains; everything is desk scale.
 
 An enumerated group is one int array: ``PermGroup.images`` has a row of
-images per element, and ``group_closure`` is what fills it.  Products are
-numpy gathers on those rows (the row of f * g is ``g[f]``), and
-``Permutation`` objects are built only where the API hands elements out
-(``elements``, ``index``, witnesses).  The rows come in breadth-first
+images per element, and ``group_closure`` is what fills it.  Those rows
+are the only element format: products are numpy gathers on them (the row
+of f * g is ``g[f]``), an element is named by its row number, and a
+``Permutation`` is built only for a generator or a witness key
+(``row_permutation``).  The rows come in breadth-first
 order over words in the generators: the identity first, then each
 frontier in turn, every frontier element times every generator, so
 shortest words come first and ties go by frontier position, then
@@ -204,7 +205,7 @@ class PermGroup:
 
     The element order is deterministic: breadth-first over words in the
     generators, shortest word first, with ties broken by generator order.
-    The identity is always elements[0].
+    The identity is always row 0 of ``images``.
     """
 
     def __init__(self, generators):
@@ -223,15 +224,6 @@ class PermGroup:
         return group_closure(self.generators)
 
     @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation.unchecked(row) for row in map(tuple, self.images.tolist()))
-
-    @cached_property
-    def index(self) -> dict[Permutation, int]:
-        """Position of each element in ``elements``."""
-        return {p: i for i, p in enumerate(self.elements)}
-
-    @cached_property
     def rows(self) -> RowIndex:
         """Lookup of elements by their images on a base."""
         return RowIndex(self.images)
@@ -241,7 +233,7 @@ class PermGroup:
         return len(self.images)
 
     def positions(self, images: np.ndarray) -> list[int]:
-        """The index in ``elements`` of each row of ``images``; KeyError
+        """The row in ``self.images`` of each row of ``images``; KeyError
         if one of them is not in the group."""
         found = self.rows.locate(images)
         if len(found) and found.min() < 0:
@@ -249,19 +241,13 @@ class PermGroup:
         return found.tolist()
 
     def table(self):
-        """The Cayley table as a ``groups.GroupTable``: index i is
-        ``elements[i]``, so the identity is 0."""
+        """The Cayley table as a ``groups.GroupTable``: index i is row i
+        of ``images``, so the identity is 0."""
         if self._table is None:
             from .groups import GroupTable
 
             self._table = GroupTable(cayley_table(self.images, self.rows))
         return self._table
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.index
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self):
         names = ",".join(name for name, _ in self.generators)
@@ -382,21 +368,15 @@ def _orbits(moves: np.ndarray, domain: Iterable[int]) -> list[list[int]]:
     return parts
 
 
-def first_fixed_point(
-    elements: Iterable[Permutation], orbit: Iterable[int]
-) -> Optional[tuple[Permutation, int]]:
-    """The first (element, point) of ``orbit`` that a non-identity element
-    fixes, element-major; None iff the elements act freely on ``orbit``."""
-    elements = list(elements)
-    if not elements:
-        return None
-    images = np.array([g.images for g in elements])
+def first_fixed_point(images: np.ndarray, orbit: Iterable[int]) -> Optional[tuple[int, int]]:
+    """The first (row, point) of ``orbit`` that a non-identity row of
+    ``images`` fixes, row-major; None iff the rows act freely on ``orbit``."""
     points = np.fromiter(orbit, dtype=np.intp)
     moving = (images != np.arange(images.shape[1])).any(axis=1)
     hits = np.argwhere((images[:, points] == points) & moving[:, None])
     if not len(hits):
         return None
-    return elements[hits[0, 0]], int(points[hits[0, 1]])
+    return int(hits[0, 0]), int(points[hits[0, 1]])
 
 
 def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:

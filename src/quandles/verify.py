@@ -6,18 +6,19 @@ claimed property fails, so a failing run shows exactly which element
 breaks which equality.  Nothing here is assumed; even textbook facts are
 re-established on the given instance.
 
-Permutation groups arrive as ``PermGroup`` image arrays (one row per
-element, owned by ``perms``), and the checks on them are numpy gathers
-and ``RowIndex`` lookups.  Each check still scans in a fixed order,
-stated in its docstring, so a witness is the first failure in that
-order; ``Permutation`` objects are built only for the witnesses.
+Permutation groups arrive as image rows, one per element: the
+``images`` array of a ``PermGroup`` (owned by ``perms``) or, for the
+reconstruction check, any (k x n) array of rows.  The checks on them are
+numpy gathers and ``RowIndex`` lookups.  Each check still scans in a
+fixed order, stated in its docstring, so a witness is the first failure
+in that order; a ``Permutation`` is built only to key a witness row.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .perms import (
     row_permutation,
     walk,
 )
-from .quandle import FiniteQuandle
+from .quandle import FiniteQuandle, _automorphism_defect, _integers
 from .schreier import (
     DEFAULT_VERTEX_BOUND,
     _identity_like,
@@ -99,12 +100,15 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     table = inn.table()
     dis_index = inn.positions(dis.images)
 
+    def key(x):
+        return row_permutation(inn.images[x]).key()
+
     in_dis = _positions(dis_index, table.size) >= 0
     outside = np.argwhere(~in_dis[table.conj(np.array(dis_index), np.arange(table.size)[:, None])])
     bad = None
     if len(outside):
         g, d = outside[0]
-        bad = {"conjugator": inn.elements[g].key(), "element": inn.elements[dis_index[d]].key()}
+        bad = {"conjugator": key(g), "element": key(dis_index[d])}
     details = {"inn_order": inn.order, "dis_order": dis.order}
     reports = [TheoremReport("dis-normal-in-inn", instance, bad is None, bad, details)]
 
@@ -120,7 +124,7 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     zero_sum = phi % k == 0
 
     def keys(mask):  # the first three keys, sorted, of the elements in mask
-        return sorted(inn.elements[x].key() for x in np.flatnonzero(mask))[:3]
+        return sorted(map(key, np.flatnonzero(mask)))[:3]
 
     bad = None
     if (zero_sum != in_dis).any():
@@ -139,13 +143,17 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
 
 def verify_free_transitive_reconstruction(
     q: FiniteQuandle,
-    subgroup: Sequence[Permutation],
+    subgroup,
     basepoint: int = 0,
     instance: str = "",
 ) -> TheoremReport:
     """A normal, free, transitive automorphism group G reconstructs the
     quandle: with sigma(g) = s_x0^-1 g s_x0 and f(g) = x0.g, the map f is
     an isomorphism from (G, x ◁ y = sigma(x y^-1) y) onto the quandle.
+
+    ``subgroup`` holds one image row per supplied element, as
+    ``PermGroup.images`` does.  Malformed rows, non-automorphisms and a
+    basepoint off 0..n-1 raise ValueError; no rows fail transitivity.
 
     Normality is checked inside the ambient group generated by the point
     symmetries together with G (the report records it), at its
@@ -160,34 +168,39 @@ def verify_free_transitive_reconstruction(
     named.  Normality under s_x0, which sigma needs, is part of the
     ambient check, since s_x0 is a point symmetry.
 
-    Everything runs on one row of images per element: conjugating and
-    multiplying are gathers, and membership is a ``RowIndex`` lookup
-    confirmed on the full row.  Witnesses are first failures in these
-    orders: conjugator-major (point symmetries, then the supplied
-    elements) and supplied-order minor for normality; the supplied order
-    for freeness; row-major over the distinct elements sorted by their
-    images for closure and the isomorphism.
+    Everything runs on the rows: conjugating and multiplying are
+    gathers, and membership is a ``RowIndex`` lookup confirmed on the
+    full row.  Witnesses are first failures in these orders:
+    conjugator-major (point symmetries, then the supplied rows) and
+    supplied-order minor for normality; the supplied order for freeness;
+    row-major over the distinct rows sorted by their images for closure
+    and the isomorphism.
     """
     instance = instance or repr(q)
     statement = "free-transitive-reconstruction"
-    subgroup = list(subgroup)
-    for p in subgroup:
-        bad = q.is_automorphism(p)
+    n = q.size
+    supplied = _integers(subgroup, 2, "subgroup", ValueError)
+    if supplied.shape[1] != n:
+        raise ValueError(f"subgroup rows must have {n} entries, got shape {supplied.shape}")
+    broken = np.flatnonzero((np.sort(supplied, axis=1) != np.arange(n)).any(axis=1))
+    if broken.size:
+        raise ValueError(f"subgroup row {broken[0]} is not a permutation of 0..{n - 1}: {supplied[broken[0]].tolist()}")
+    _check_basepoint(q, basepoint)
+    for row in supplied:
+        bad = _automorphism_defect(q.table, row)
         if bad is not None:
-            raise ValueError(f"subgroup element {p.key()} is not an automorphism at {bad}")
+            raise ValueError(f"subgroup element {row_permutation(row).key()} is not an automorphism at {bad}")
 
-    ambient_desc = f"<point symmetries + {len(subgroup)} supplied>"
+    ambient_desc = f"<point symmetries + {len(supplied)} supplied>"
 
     def failed(witness: dict) -> TheoremReport:
         return TheoremReport(statement, instance, False, witness, {"ambient": ambient_desc})
 
-    n = q.size
-    supplied = np.array([p.images for p in subgroup], dtype=np.intp).reshape(len(subgroup), n)
-    elements = np.array(sorted({p.images for p in subgroup}), dtype=np.intp).reshape(-1, n)
+    elements = np.array(sorted(set(map(tuple, supplied.tolist()))), dtype=np.int64).reshape(-1, n)
     rows = RowIndex(elements)
 
     # h^-1 g h is x -> h[g[h^-1[x]]]; the conjugators are the point
-    # symmetries s_y (column y of the table), then the supplied elements
+    # symmetries s_y (column y of the table), then the supplied rows
     for h in np.concatenate((q.table.T, supplied)):
         outside = rows.locate(h[supplied[:, np.argsort(h)]]) < 0
         if outside.any():
@@ -195,16 +208,18 @@ def verify_free_transitive_reconstruction(
                 {
                     "failed_hypothesis": "normal-in-ambient",
                     "conjugator": row_permutation(h).key(),
-                    "element": subgroup[int(outside.argmax())].key(),
+                    "element": row_permutation(supplied[outside.argmax()]).key(),
                 }
             )
 
     image = np.flatnonzero(np.bincount(supplied[:, basepoint], minlength=n))
     if len(image) != n:
         return failed({"failed_hypothesis": "transitive", "orbit_of_basepoint": image.tolist()})
-    fix = first_fixed_point(subgroup, range(n))
+    fix = first_fixed_point(supplied, range(n))
     if fix is not None:
-        return failed({"failed_hypothesis": "free", "element": fix[0].key(), "fixed_point": fix[1]})
+        return failed(
+            {"failed_hypothesis": "free", "element": row_permutation(supplied[fix[0]]).key(), "fixed_point": fix[1]}
+        )
 
     # mul[a, b] is the row of elements[a] * elements[b] = elements[b][elements[a]]
     mul = np.empty((len(elements), len(elements)), dtype=np.intp)
@@ -267,9 +282,12 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
         return failed({"not_closed": (p_elems[outside[0, 0]], p_elems[outside[0, 1]])})
     if not in_p[group.identity] or not in_p[group.inverse[p]].all():
         return failed({"not_subgroup": sorted(p_elems)})
-    # the right translations by P; a column that is no permutation means
-    # the table is no group, and right_translation raises ValueError
-    translations = np.array([group.right_translation(a).images for a in p_elems], dtype=np.int64)
+    # the right translations y -> y*a by P are the columns mul[:, a]; one
+    # that is no permutation, so no group's, raises Permutation's ValueError
+    translations = mul[:, p].T
+    broken = np.flatnonzero((np.sort(translations, axis=1) != points).any(axis=1))
+    if broken.size:
+        Permutation(tuple(translations[broken[0]].tolist()))
 
     # the translation y -> y*a followed by y -> y*b is y -> y*(ab)
     for a in p_elems:
@@ -287,7 +305,7 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
         covered[found[found >= 0]] = True
         witness = {
             "translation_not_in_dis": sorted(row_permutation(t).key() for t in translations[found < 0])[:3],
-            "dis_not_translation": sorted(dis.elements[d].key() for d in np.flatnonzero(~covered))[:3],
+            "dis_not_translation": sorted(row_permutation(dis.images[d]).key() for d in np.flatnonzero(~covered))[:3],
         }
         return failed(witness, sizes)
 
@@ -443,13 +461,13 @@ def verify_free_action_isometry(
         return TheoremReport(statement, instance, passed, witness, details)
 
     if isinstance(backend, FiniteQuandle):
+        _check_basepoint(backend, basepoint)
         dis = backend.displacement_group()
         component = next(part for part in backend.components() if basepoint in part)
-        culprit = first_fixed_point(dis.elements, component)
+        culprit = first_fixed_point(dis.images, component)
         if culprit is not None:
-            return report(
-                False, {"failed_hypothesis": "free", "element": culprit[0].key(), "fixed_point": culprit[1]}
-            )
+            key = row_permutation(dis.images[culprit[0]]).key()
+            return report(False, {"failed_hypothesis": "free", "element": key, "fixed_point": culprit[1]})
     else:
         not_translation = [name for name, aut in gens if not _is_pure_translation(aut)]
         if not_translation:
@@ -511,6 +529,12 @@ def verify_free_action_isometry(
         pair = (word_ball.keys[i], word_ball.keys[j])
         return report(False, {"pair": pair, "word_distance": dw, "orbit_distance": do})
     return report(True, None, {"vertices": orbit_ball.vertex_count, "pairs_checked": checked})
+
+
+def _check_basepoint(q: FiniteQuandle, basepoint) -> None:
+    """ValueError unless ``basepoint`` is a point 0..n-1 of q."""
+    if not 0 <= basepoint < q.size:
+        raise ValueError(f"basepoint {basepoint} is not a point of {q!r}: it must be in 0..{q.size - 1}")
 
 
 def _is_pure_translation(aut) -> bool:

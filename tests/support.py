@@ -4,12 +4,20 @@ import json
 import os
 from pathlib import Path
 
+from quandles.perms import Permutation
 from quandles.schreier import ball_from_json_lines, ball_to_json_lines
 
 
 def depths(ball):
     """Key -> basepoint distance, in vertex order."""
     return dict(zip(ball.keys, ball.depth.tolist()))
+
+
+def elements(group):
+    """The elements of an enumerated ``PermGroup`` as checked
+    ``Permutation``s, in row order, for the tests that compare with
+    frozen loops over ``Permutation`` products."""
+    return [Permutation(tuple(row)) for row in group.images.tolist()]
 
 
 def rewired(ball, edges):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import elements
 
 from quandles.errors import ConstructionError
 from quandles.families import conjugation_automorphism, conjugation_quandle, dihedral_quandle, galex_finite
@@ -219,9 +220,10 @@ def _dis_properties_before(q, instance=""):
     instance = instance or repr(q)
     inn = q.inner_group()
     dis = q.displacement_group()
-    table = _tuple_table(inn.elements, Permutation.__mul__)
-    index = {p: i for i, p in enumerate(inn.elements)}
-    dis_index = [index[p] for p in dis.elements]
+    inn_elements = elements(inn)
+    table = _tuple_table(inn_elements, Permutation.__mul__)
+    index = {p: i for i, p in enumerate(inn_elements)}
+    dis_index = [index[p] for p in elements(dis)]
     dis_set = set(dis_index)
     reports = []
 
@@ -229,7 +231,7 @@ def _dis_properties_before(q, instance=""):
     for g in range(table.size):
         for d in dis_index:
             if table.conj(d, g) not in dis_set:
-                bad = {"conjugator": inn.elements[g].key(), "element": inn.elements[d].key()}
+                bad = {"conjugator": inn_elements[g].key(), "element": inn_elements[d].key()}
                 break
         if bad:
             break
@@ -268,8 +270,8 @@ def _dis_properties_before(q, instance=""):
         bad = None
     else:
         bad = {
-            "zero_sum_not_in_dis": sorted(inn.elements[x].key() for x in zero_sum - dis_set)[:3],
-            "dis_not_zero_sum": sorted(inn.elements[x].key() for x in dis_set - zero_sum)[:3],
+            "zero_sum_not_in_dis": sorted(inn_elements[x].key() for x in zero_sum - dis_set)[:3],
+            "dis_not_zero_sum": sorted(inn_elements[x].key() for x in dis_set - zero_sum)[:3],
         }
     details = {"word_length_bound": max_len, "zero_sum_count": len(zero_sum)}
     reports.append(TheoremReport("dis-equals-zero-sum-words", instance, bad is None, bad, details))
@@ -299,7 +301,7 @@ def _p_equals_dis_before(q, group, instance=""):
         for b in p_elems:
             if translations[a] * translations[b] != translations[group.mul[a][b]]:
                 return TheoremReport(statement, instance, False, {"not_homomorphism": (a, b)}, None)
-    dis_set = set(q.displacement_group().elements)
+    dis_set = set(elements(q.displacement_group()))
     image = set(translations.values())
     if image != dis_set:
         witness = {
@@ -428,7 +430,7 @@ def test_stock_tables_and_algebra_match_the_tuple_code(name):
         else:
             assert find_element(group, order) == expected
     for x in points:
-        assert group.right_translation(x) == before.right_translation(x)
+        assert Permutation(tuple(group.mul[:, x].tolist())) == before.right_translation(x)
         assert group.subgroup_closure([x]) == before.subgroup_closure([x])
         closure = group.normal_closure_of(x)
         assert closure == before.normal_closure_of(x)

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import elements
 
 from quandles.errors import BoundExceededError
 from quandles.families import (
@@ -114,8 +116,8 @@ def test_generators_are_named_pairs_only():
 def test_perm_group_api():
     g = PermGroup([("t", Permutation((1, 0, 2, 3))), ("c", Permutation((1, 2, 3, 0)))])
     assert g.order == 24
-    assert Permutation((3, 2, 1, 0)) in g
-    assert Permutation((0, 1, 2)) not in g  # wrong degree
+    assert Permutation((3, 2, 1, 0)) in elements(g)
+    assert Permutation((0, 1, 2)) not in elements(g)  # wrong degree
 
 
 def test_orbits_partition():
@@ -187,16 +189,18 @@ def test_orbits_of_quandles_unchanged():
 
 def test_first_fixed_point():
     rot = PermGroup([("r", Permutation((1, 2, 3, 0)))])
-    assert first_fixed_point(rot.elements, range(4)) is None
+    assert first_fixed_point(rot.images, range(4)) is None
     refl = PermGroup([("s", Permutation((0, 2, 1)))])
     # fixes 0, so not free on the full set
-    assert first_fixed_point(refl.elements, range(3)) == (Permutation((0, 2, 1)), 0)
-    assert first_fixed_point(refl.elements, [1, 2]) is None
-    # element-major, point-minor: the first non-identity element with a
-    # fixed point wins, at its first fixed point in the given order
-    a, b = Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))
-    assert first_fixed_point([Permutation.identity(4), a, b], range(4)) == (a, 2)
-    assert first_fixed_point([b, a], [3, 2, 1, 0]) == (b, 1)
+    assert first_fixed_point(refl.images, range(3)) == (1, 0)
+    assert refl.images[1].tolist() == [0, 2, 1]
+    assert first_fixed_point(refl.images, [1, 2]) is None
+    # row-major, point-minor: the first non-identity row with a fixed
+    # point wins, at its first fixed point in the given order
+    a, b = [1, 0, 2, 3], [0, 1, 3, 2]
+    assert first_fixed_point(np.array([[0, 1, 2, 3], a, b]), range(4)) == (1, 2)
+    assert first_fixed_point(np.array([b, a]), [3, 2, 1, 0]) == (0, 1)
+    assert first_fixed_point(np.empty((0, 4), dtype=np.int64), range(4)) is None
 
 
 def test_normal_closure_a3():
@@ -204,9 +208,10 @@ def test_normal_closure_a3():
     c = Permutation((1, 2, 0))
     s3 = PermGroup([("a", a), ("c", c)])
     table = s3.table()
-    n = table.normal_closure_of(s3.index[c])
+    index_a, index_c = s3.positions(np.array([a.images, c.images]))
+    n = table.normal_closure_of(index_c)
     assert len(n) == 3
-    n2 = table.normal_closure_of(s3.index[a])  # transpositions generate everything
+    n2 = table.normal_closure_of(index_a)  # transpositions generate everything
     assert len(n2) == 6
 
 
@@ -247,10 +252,11 @@ def test_perm_group_table_indices():
     d4 = PermGroup([("r", Permutation((1, 2, 3, 0))), ("f", Permutation((0, 3, 2, 1)))])
     table = d4.table()
     assert table.identity == 0 and table.size == d4.order == 8
-    for a, p in enumerate(d4.elements):
-        assert d4.index[p] == a
-        for b, q in enumerate(d4.elements):
-            assert d4.elements[table.mul[a][b]] == p * q
+    els = elements(d4)
+    assert d4.positions(d4.images) == list(range(8))
+    for a, p in enumerate(els):
+        for b, q in enumerate(els):
+            assert els[table.mul[a][b]] == p * q
 
 
 def _prime_powers(n: int) -> list[int]:
@@ -287,7 +293,7 @@ def test_group_table_algebra_against_sympy(name):
     SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
 
     group = ORACLE_GROUPS[name]()
-    regular = [SymPerm(list(group.right_translation(x).images)) for x in range(group.size)]
+    regular = [SymPerm(group.mul[:, x].tolist()) for x in range(group.size)]
     whole = SymGroup(regular)
     assert whole.order() == group.size
     for x in range(group.size):
@@ -340,7 +346,7 @@ def test_orbits_and_subgroup_closure_against_sympy(images, make_group, data):
 
     group = make_group()
     subset = data.draw(st.lists(st.integers(0, group.size - 1), max_size=4))
-    regular = [SymPerm(list(group.right_translation(x).images)) for x in range(group.size)]
+    regular = [SymPerm(group.mul[:, x].tolist()) for x in range(group.size)]
     generated = SymGroup([regular[x] for x in subset] or [regular[group.identity]])
     assert {regular[x] for x in group.subgroup_closure(subset)} == set(generated.elements)
 
@@ -394,9 +400,9 @@ def _assert_matches_loop(generators, table_up_to=None):
     ``table_up_to``, if given) the same Cayley table as the tuple loops."""
     group = PermGroup(generators)
     expected = _closure_before_arrays(generators)
-    assert [p.images for p in group.elements] == expected
+    assert [p.images for p in elements(group)] == expected
     assert group.images.tolist() == [list(p) for p in expected]
-    assert all(group.index[p] == i for i, p in enumerate(group.elements))
+    assert group.positions(group.images) == list(range(group.order))
     if table_up_to is None or group.order <= table_up_to:
         assert group.table().mul.tolist() == [list(row) for row in _table_before_arrays(expected)]
     return group

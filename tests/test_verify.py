@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import re
 
+import numpy as np
 import pytest
-from support import depths, rewired
+from support import depths, elements, rewired
 
 from quandles import verify
 from quandles.families import (
@@ -72,9 +74,14 @@ def test_dis_properties_values():
     assert reports["inn-dis-orbits-equal"].details["component_count"] == 1
 
 
+def _rows(perms):
+    """The Permutations ``perms`` as a (k x n) array of image rows."""
+    return np.array([p.images for p in perms], dtype=np.int64)
+
+
 def test_reconstruction_r3():
     q = dihedral_quandle(3)
-    rep = verify_free_transitive_reconstruction(q, list(q.displacement_group().elements))
+    rep = verify_free_transitive_reconstruction(q, q.displacement_group().images)
     assert rep.passed
     assert rep.details["sigma"] == [0, 2, 1]
     assert rep.details["group_order"] == 3
@@ -82,19 +89,19 @@ def test_reconstruction_r3():
 
 def test_reconstruction_conjugation_quandle():
     q = conjugation_quandle(symmetric_group(3), [1, 2, 5])
-    rep = verify_free_transitive_reconstruction(q, list(q.displacement_group().elements))
+    rep = verify_free_transitive_reconstruction(q, q.displacement_group().images)
     assert rep.passed
 
 
 def test_reconstruction_hypothesis_failures():
     q4 = dihedral_quandle(4)
     # Dis(R_4) has two orbits, so transitivity fails
-    rep = verify_free_transitive_reconstruction(q4, list(q4.displacement_group().elements))
+    rep = verify_free_transitive_reconstruction(q4, q4.displacement_group().images)
     assert not rep.passed
     assert rep.witness["failed_hypothesis"] == "transitive"
     # the full inner group of R_3 is transitive but not free
     q3 = dihedral_quandle(3)
-    rep = verify_free_transitive_reconstruction(q3, list(q3.inner_group().elements))
+    rep = verify_free_transitive_reconstruction(q3, q3.inner_group().images)
     assert not rep.passed
     assert rep.witness["failed_hypothesis"] == "free"
 
@@ -105,7 +112,7 @@ def _first_non_normal_loop(q, subgroup):
     order; the first (h, g) with h^-1 g h outside the supplied set."""
     ambient = PermGroup(q.inner_generators() + [(f"g{i}", p) for i, p in enumerate(subgroup)])
     sub_set = frozenset(subgroup)
-    for h in ambient.elements:
+    for h in elements(ambient):
         for g in subgroup:
             if h.inverse() * g * h not in sub_set:
                 return {"failed_hypothesis": "normal-in-ambient", "conjugator": h.key(), "element": g.key()}
@@ -124,15 +131,15 @@ def test_reconstruction_normality_matches_element_scan():
             Permutation(tuple((a * x + b) % n for x in range(n)))
             for a in range(1, n) if math.gcd(a, n) == 1 for b in range(n)
         ]
-        cases.append((q, list(q.displacement_group().elements)))
+        cases.append((q, elements(q.displacement_group())))
         cases += [(q, rng.sample(affine, rng.randrange(1, 5))) for _ in range(12)]
     conj = conjugation_quandle(symmetric_group(3), [1, 2, 5])
-    inner = list(conj.inner_group().elements)
+    inner = elements(conj.inner_group())
     cases += [(conj, rng.sample(inner, rng.randrange(1, 4))) for _ in range(6)]
     non_normal = 0
     for q, subgroup in cases:
         expected = _first_non_normal_loop(q, subgroup)
-        rep = verify_free_transitive_reconstruction(q, subgroup)
+        rep = verify_free_transitive_reconstruction(q, _rows(subgroup))
         if expected is None:
             assert rep.passed or rep.witness["failed_hypothesis"] != "normal-in-ambient"
         else:
@@ -212,15 +219,15 @@ def test_reconstruction_reports_match_the_product_loops():
     cases = []
     for n in (3, 4, 5, 7, 9, 12, 15, 21):
         q = dihedral_quandle(n)
-        cases.append((q, list(q.displacement_group().elements)))
-        cases.append((q, list(q.inner_group().elements)))
+        cases.append((q, elements(q.displacement_group())))
+        cases.append((q, elements(q.inner_group())))
     s4 = symmetric_group(4)
     transpositions = sorted({s4.conj(1, h) for h in range(s4.size)})
     conj = conjugation_quandle(s4, transpositions)
-    cases.append((conj, list(conj.displacement_group().elements)))
-    cases.append((conj, list(conj.inner_group().elements)))
+    cases.append((conj, elements(conj.displacement_group())))
+    cases.append((conj, elements(conj.inner_group())))
     z5 = galex_finite(cyclic_group(5), [(2 * x) % 5 for x in range(5)])
-    cases.append((z5, list(z5.displacement_group().elements)))
+    cases.append((z5, elements(z5.displacement_group())))
     # the supplied order only matters to witnesses
     rng = random.Random(9)
     for q, subgroup in list(cases):
@@ -233,7 +240,7 @@ def test_reconstruction_reports_match_the_product_loops():
     outcomes = set()
     for q, subgroup in cases:
         expected = _reconstruction_before_arrays(q, subgroup)
-        rep = verify_free_transitive_reconstruction(q, subgroup)
+        rep = verify_free_transitive_reconstruction(q, _rows(subgroup))
         if expected == "KeyError":
             assert rep.witness["failed_hypothesis"] == "closed-under-products"
         else:
@@ -255,7 +262,7 @@ def _r8_not_closed():
 def test_reconstruction_fails_on_a_set_not_closed_under_products():
     q = dihedral_quandle(8)
     assert _reconstruction_before_arrays(q, _r8_not_closed()) == "KeyError"
-    rep = verify_free_transitive_reconstruction(q, _r8_not_closed(), instance="r8")
+    rep = verify_free_transitive_reconstruction(q, _rows(_r8_not_closed()), instance="r8")
     assert rep == TheoremReport(
         "free-transitive-reconstruction",
         "r8",
@@ -273,9 +280,60 @@ def test_reconstruction_rejects_non_automorphisms():
     # every permutation preserves R_3, so use R_4 where a bare swap does not
     q = dihedral_quandle(4)
     bad = Permutation((1, 0, 2, 3))
-    assert q.is_automorphism(bad) is not None
-    with pytest.raises(ValueError):
-        verify_free_transitive_reconstruction(q, [Permutation.identity(4), bad])
+    at = q.is_automorphism(bad)
+    assert at is not None
+    with pytest.raises(ValueError, match=re.escape(f"subgroup element [1,0,2,3] is not an automorphism at {at}")):
+        verify_free_transitive_reconstruction(q, [[0, 1, 2, 3], [1, 0, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[0, 1, 2], [1, 2, 0]], "rows must have 4 entries"),  # an IndexError once
+        ([[0, 1, 2, 3, 4]], "rows must have 4 entries"),
+        ([0, 1, 2, 3], "2-d array of integers"),
+        ([], "2-d array of integers"),
+        ([[0, 1, 2, 3], [0, 0, 2, 3]], r"row 1 is not a permutation of 0\.\.3: \[0, 0, 2, 3\]"),
+        ([[0, 1, 2, 4]], "row 0 is not a permutation"),
+        ([[0, -1, 2, 3]], "row 0 is not a permutation"),
+        ([[0.0, 1.0, 2.0, 3.0]], "2-d array of integers"),
+        ([[0, 1, 2, True]], "2-d array of integers"),
+        (np.array([["0", "1", "2", "3"]]), "2-d array of integers"),
+    ],
+    ids=["narrow", "wide", "1-d", "bare-empty", "repeat", "too-large", "negative", "float", "bool", "str"],
+)
+def test_reconstruction_rejects_malformed_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        verify_free_transitive_reconstruction(dihedral_quandle(4), rows)
+
+
+def test_reconstruction_of_no_rows_fails_transitivity():
+    q = dihedral_quandle(4)
+    rep = verify_free_transitive_reconstruction(q, np.empty((0, 4), dtype=np.int64), instance="r4")
+    assert rep == TheoremReport(
+        "free-transitive-reconstruction",
+        "r4",
+        False,
+        {"failed_hypothesis": "transitive", "orbit_of_basepoint": []},
+        {"ambient": "<point symmetries + 0 supplied>"},
+    )
+
+
+@pytest.mark.parametrize("basepoint", [-1, 5, 6])
+def test_reconstruction_rejects_a_basepoint_off_the_quandle(basepoint):
+    """A basepoint of 5 or more was an IndexError, and -1 was read as 4."""
+    q = dihedral_quandle(5)
+    dis = q.displacement_group().images
+    assert verify_free_transitive_reconstruction(q, dis, basepoint=4).details["basepoint_map"] == [4, 0, 1, 2, 3]
+    with pytest.raises(ValueError, match=f"basepoint {basepoint} is not a point"):
+        verify_free_transitive_reconstruction(q, dis, basepoint=basepoint)
+
+
+@pytest.mark.parametrize("basepoint", [-1, 5])
+def test_free_action_isometry_rejects_a_basepoint_off_the_quandle(basepoint):
+    """This was a bare StopIteration from the search for its component."""
+    with pytest.raises(ValueError, match=f"basepoint {basepoint} is not a point"):
+        verify_free_action_isometry(dihedral_quandle(5), basepoint, 3)
 
 
 P_INSTANCES = [
@@ -301,6 +359,16 @@ def test_p_equals_dis_component_sizes():
     rep = verify_p_equals_dis(q)
     assert rep.details["component_size"] == 2
     assert rep.details["dis_order"] == 2
+
+
+def test_p_equals_dis_rejects_a_translation_that_is_no_permutation(monkeypatch):
+    """Column 1 of this table, which has an identity and inverses, repeats
+    1, so no group has it: the check names that column."""
+    q = galex_finite(cyclic_group(3), [0, 2, 1])
+    monkeypatch.setattr(q, "group", GroupTable([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    monkeypatch.setattr(q, "identity_component", lambda: [0, 1])
+    with pytest.raises(ValueError, match=re.escape("not a permutation of 0..2: (1, 0, 1)")):
+        verify_p_equals_dis(q)
 
 
 def test_inner_commutator_passing_cases():
@@ -394,7 +462,7 @@ def test_inner_identity_component_against_sympy():
         (a4, find_element(a4, 2), 4, 1),
     ]
     for group, g, order_ng, order_nn in cases:
-        regular = [SymPerm(list(group.right_translation(x).images)) for x in range(group.size)]
+        regular = [SymPerm(group.mul[:, x].tolist()) for x in range(group.size)]
         whole = PermutationGroup(regular)
         closure = whole.normal_closure(regular[g])
         with_group = whole.commutator(closure, whole)

@@ -295,7 +295,7 @@ class GAlexLattice:
         return self.displacement_lattice().reduce(x)
 
     def key(self, x: Sequence[int]) -> str:
-        return "(" + ",".join(str(int(v)) for v in x) + ")"
+        return "(" + ",".join(map(str, x)) + ")"
 
     def parse_key(self, s: str) -> tuple[int, ...]:
         s = s.strip()

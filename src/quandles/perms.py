@@ -11,12 +11,14 @@ invariants, element orders) lives in ``quandles.groups`` and runs on
 indices: an enumerated ``PermGroup`` hands it its Cayley table through
 ``PermGroup.table()``.  No stabilizer chains; everything is desk scale.
 
-An enumerated group is one int array: ``PermGroup.images`` has a row of
-images per element, and ``group_closure`` is what fills it.  Those rows
-are the only element format: products are numpy gathers on them (the row
-of f * g is ``g[f]``), an element is named by its row number, and a
-``Permutation`` is built only for a generator or a witness key
-(``row_permutation``).  The rows come in breadth-first
+A permutation has one format, a row of images: a ``Permutation`` holds
+one read-only int64 row (for a finite quandle's point symmetry, a view
+of a table column), and an enumerated group is one int array,
+``PermGroup.images``, with a row per element, which ``group_closure``
+fills.  Products are numpy gathers on rows (the row of f * g is
+``g[f]``), an element of a group is named by its row number, and
+``Permutation.unchecked(row)`` wraps a row (copying it only to make it
+int64) for a generator or a witness key.  The rows come in breadth-first
 order over words in the generators: the identity first, then each
 frontier in turn, every frontier element times every generator, so
 shortest words come first and ties go by frontier position, then
@@ -44,7 +46,6 @@ g(f(x))``.  Inverses and conjugation follow the same reading, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -56,58 +57,62 @@ DEFAULT_GROUP_BOUND = 200_000
 CLOSURE_CELLS = 1 << 16  # cells per gather block of the closure
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of {0, .., n-1}, stored as its tuple of images."""
+    """A permutation of {0, .., n-1}, stored as one read-only int64 row
+    of images, the format of a row of ``PermGroup.images``."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
+    def __init__(self, images):
+        row = np.array(images)
+        n = row.size
+        if row.ndim != 1 or not np.array_equal(np.sort(row), np.arange(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(row.tolist())}")
+        self.images = row.astype(np.int64)
+        self.images.flags.writeable = False
 
     @classmethod
-    def unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+    def unchecked(cls, images: np.ndarray) -> "Permutation":
         """The permutation with these images, without the check: only for
-        a tuple of ints already known to be a permutation, such as a row
-        of an enumerated group or a column of a validated quandle table."""
+        a row already known to be a permutation, such as a row of an
+        enumerated group or a column of a validated quandle table.  The
+        row is shared, not copied, unless it must become int64."""
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        p.images = np.asarray(images, dtype=np.int64).view()
+        p.images.flags.writeable = False
         return p
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
+        return Permutation.unchecked(np.arange(degree))
 
     @staticmethod
     def from_mapping(mapping: dict, degree: int) -> "Permutation":
         images = list(range(degree))
         for k, v in mapping.items():
             images[k] = v
-        return Permutation(tuple(images))
+        return Permutation(images)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return self.images.size
 
     def act(self, point: int) -> int:
-        return self.images[point]
+        return int(self.images[point])
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
-        if len(self.images) != len(other.images):
-            raise ValueError(f"degrees differ: {len(self.images)} and {len(other.images)}")
-        return Permutation.unchecked(tuple(map(other.images.__getitem__, self.images)))
+        if self.degree != other.degree:
+            raise ValueError(f"degrees differ: {self.degree} and {other.degree}")
+        return Permutation.unchecked(other.images[self.images])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation.unchecked(tuple(inv))
+        inv = np.empty(self.degree, dtype=np.int64)
+        inv[self.images] = np.arange(self.degree)
+        return Permutation.unchecked(inv)
 
     def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
+        return bool((self.images == np.arange(self.degree)).all())
 
     def order(self) -> int:
         k = 1
@@ -118,15 +123,18 @@ class Permutation:
         return k
 
     def key(self) -> str:
-        return "[" + ",".join(str(i) for i in self.images) + "]"
+        return "[" + ",".join(map(str, self.images.tolist())) + "]"
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images.tobytes() == other.images.tobytes()
+
+    def __hash__(self):
+        return hash(self.images.tobytes())
 
     def __repr__(self):
-        return f"Permutation({self.images})"
-
-
-def row_permutation(row: np.ndarray) -> Permutation:
-    """The Permutation whose images are one row of an images array."""
-    return Permutation.unchecked(tuple(row.tolist()))
+        return f"Permutation({tuple(self.images.tolist())})"
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -194,7 +202,10 @@ class RowIndex:
 
     def locate(self, images: np.ndarray) -> np.ndarray:
         """The row equal to each permutation in ``images`` (shape (k, n)),
-        or -1 where there is none: ``find``, then a full-row comparison."""
+        or -1 where there is none: ``find``, then a full-row comparison.
+        ValueError if the rows are not as wide as the indexed ones."""
+        if images.shape[-1] != self._degree:
+            raise ValueError(f"rows of width {images.shape[-1]} cannot match rows of width {self._degree}")
         rows = self.find(images)
         return np.where((rows >= 0) & (self.images[rows] == images).all(axis=-1), rows, -1)
 
@@ -237,7 +248,7 @@ class PermGroup:
         if one of them is not in the group."""
         found = self.rows.locate(images)
         if len(found) and found.min() < 0:
-            raise KeyError(f"{row_permutation(images[found.argmin()]).key()} is not in the group")
+            raise KeyError(f"{Permutation.unchecked(images[found.argmin()]).key()} is not in the group")
         return found.tolist()
 
     def table(self):
@@ -351,14 +362,8 @@ def orbits(generators, domain: Iterable[int]) -> list[list[int]]:
     sorted internally and listed in ``domain`` order of those points."""
     domain = list(domain)
     images = [g.images for _, g in _named(generators)]
-    size = len(images[0]) if images else max(domain, default=-1) + 1
-    return _orbits(np.array(images, dtype=np.int64).reshape(len(images), size).T, domain)
-
-
-def _orbits(moves: np.ndarray, domain: Iterable[int]) -> list[list[int]]:
-    """``orbits`` under the (point x move) array ``moves``, such as a
-    quandle table, whose column m is the m-th generator."""
-    size = moves.shape[0]
+    size = images[0].size if images else max(domain, default=-1) + 1
+    moves = np.array(images, dtype=np.int64).reshape(len(images), size).T
     seen, parts = np.zeros(size, dtype=bool), []
     for start in domain:
         if not seen[start]:

@@ -11,19 +11,21 @@ Axiom (3) says exactly that each s_y is an endomorphism, so together with
 group they generate is the inner automorphism group; the subgroup
 generated by the differences s_x s_y^-1 is the displacement group.
 
-Tables are stored row-major: table[x][y] = x ◁ y.
+Tables are stored row-major: table[x][y] = x ◁ y.  Column y is then the
+point symmetry s_y, and ``FiniteQuandle.symmetry(y)`` is a
+``Permutation`` over a read-only view of that column, so the n symmetries
+share the table's memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, MalformedTableError
-from .perms import PermGroup, Permutation, _distinct, _orbits
+from .perms import PermGroup, Permutation, _distinct, orbits
 
 AXIOM3_CELLS = 1 << 21  # cells per numpy pass of a full distributivity scan
 
@@ -214,18 +216,11 @@ class FiniteQuandle:
     def elements(self) -> range:
         return range(self.size)
 
-    @cached_property
-    def _points(self) -> list[int]:
-        return list(range(self.size))
-
     def symmetry(self, y: int) -> Permutation:
-        """The point symmetry s_y as a Permutation (x -> x ◁ y).
-
-        Column y of a valid table is a permutation (axiom 2), so no check
-        is repeated.  Its images are the shared ints of ``_points``: n
-        symmetries of degree n hold n^2 pointers to n ints, not n^2 ints.
-        """
-        return Permutation.unchecked(tuple(map(self._points.__getitem__, self.table[:, y].tolist())))
+        """The point symmetry s_y (x -> x ◁ y) as a Permutation whose
+        images are a read-only view of column y of the table.  A valid
+        table's columns are permutations (axiom 2), so no check is repeated."""
+        return Permutation.unchecked(self.table[:, y])
 
     def inner_generators(self) -> list[tuple[str, Permutation]]:
         return [(f"s{y}", self.symmetry(y)) for y in range(self.size)]
@@ -251,9 +246,9 @@ class FiniteQuandle:
 
     def components(self) -> list[list[int]]:
         """Connected components = orbits of the inner group (equivalently,
-        of the displacement group), walked on the table: x -> x ◁ y."""
+        of the displacement group), walked under x -> x ◁ y."""
         if self._components is None:
-            self._components = _orbits(self.table, range(self.size))
+            self._components = orbits(self.inner_generators(), range(self.size))
         return self._components
 
     def component_key(self, x: int) -> int:
@@ -265,7 +260,7 @@ class FiniteQuandle:
     def is_automorphism(self, p: Permutation) -> Optional[tuple[int, int]]:
         """None if p preserves ◁, else the first (x, y) in row-major order
         where p(x ◁ y) != p(x) ◁ p(y)."""
-        return _automorphism_defect(self.table, np.asarray(p.images, dtype=np.int64))
+        return _automorphism_defect(self.table, p.images)
 
     def key(self, x: int) -> str:
         return str(int(x))

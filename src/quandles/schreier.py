@@ -28,13 +28,13 @@ as it goes; the rows of the last sphere, the only ones that can hold V,
 get their second look only when edges or pair queries first need them.
 When the action is the default point action and every move is a
 ``Permutation`` (every finite quandle), the BFS is ``perms.walk``, a
-numpy gather over the moves' image arrays.  When every move is a
+numpy gather over the moves' image rows, stacked once.  When every move is a
 ``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
 ``lattice.offset_walk``, one int64 matrix product per sphere.  Both array
 walks tell points apart by value and build keys once per vertex at the
 end, so there the action's key must tell points apart too.  Otherwise
-the BFS applies and keys one move at a time.  All three walks take the
-same moves in the same order, so they discover vertices in the same
+the BFS applies and keys one move at a time.  All three walks take
+their moves from ``_moves``, so they discover vertices in the same
 order.
 An edge list (JSON input) is converted once into the same kind of table,
 padded with V.  The labeled, sorted edge list is rendered from the table
@@ -409,8 +409,8 @@ class _NeighborTable:
 
 
 def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The moves of a permutation action as a (point x move) image array,
-    with each move's generator index; None unless the action is the
+    """The moves of ``_moves`` as a (point x move) array of their image
+    rows, with each move's generator index; None unless the action is the
     default point action, every generator is a ``Permutation`` of one
     degree and the basepoint is one of its points."""
     auts = [aut for _, aut in action.generators]
@@ -423,19 +423,8 @@ def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.n
         return None
     if any(a.degree != degree for a in auts) or not 0 <= base < degree:
         return None
-    img = np.array([a.images for a in auts], dtype=np.int64)  # generator x point
-    involution = (np.take_along_axis(img, img, axis=1) == np.arange(degree)).all(axis=1)
-    # a generator, then its inverse unless it is an involution
-    move_gen = np.repeat(np.arange(len(auts)), np.where(involution, 1, 2))
-    first = np.concatenate(([True], move_gen[1:] != move_gen[:-1]))
-    moves = np.empty((degree, move_gen.size), dtype=np.int64)
-    moves[:, first] = img.T
-    if not involution.all():
-        img = img[~involution]
-        inv = np.empty_like(img)
-        inv[np.arange(len(img))[:, None], img] = np.arange(degree)
-        moves[:, ~first] = inv.T
-    return moves, move_gen
+    moves, move_gen = _moves(action)
+    return np.stack([m.images for m in moves], axis=1), move_gen
 
 
 def _moves(action: SchreierAction) -> tuple[list, np.ndarray]:

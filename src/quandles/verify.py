@@ -11,7 +11,8 @@ Permutation groups arrive as image rows, one per element: the
 reconstruction check, any (k x n) array of rows.  The checks on them are
 numpy gathers and ``RowIndex`` lookups.  Each check still scans in a
 fixed order, stated in its docstring, so a witness is the first failure
-in that order; a ``Permutation`` is built only to key a witness row.
+in that order; ``Permutation.unchecked`` wraps a row only to key a
+witness.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .perms import (
     first_fixed_point,
     orbits,
     quotient_is_cyclic,
-    row_permutation,
     walk,
 )
 from .quandle import FiniteQuandle, _automorphism_defect, _integers
@@ -101,7 +101,7 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     dis_index = inn.positions(dis.images)
 
     def key(x):
-        return row_permutation(inn.images[x]).key()
+        return Permutation.unchecked(inn.images[x]).key()
 
     in_dis = _positions(dis_index, table.size) >= 0
     outside = np.argwhere(~in_dis[table.conj(np.array(dis_index), np.arange(table.size)[:, None])])
@@ -189,7 +189,7 @@ def verify_free_transitive_reconstruction(
     for row in supplied:
         bad = _automorphism_defect(q.table, row)
         if bad is not None:
-            raise ValueError(f"subgroup element {row_permutation(row).key()} is not an automorphism at {bad}")
+            raise ValueError(f"subgroup element {Permutation.unchecked(row).key()} is not an automorphism at {bad}")
 
     ambient_desc = f"<point symmetries + {len(supplied)} supplied>"
 
@@ -207,8 +207,8 @@ def verify_free_transitive_reconstruction(
             return failed(
                 {
                     "failed_hypothesis": "normal-in-ambient",
-                    "conjugator": row_permutation(h).key(),
-                    "element": row_permutation(supplied[outside.argmax()]).key(),
+                    "conjugator": Permutation.unchecked(h).key(),
+                    "element": Permutation.unchecked(supplied[outside.argmax()]).key(),
                 }
             )
 
@@ -218,7 +218,7 @@ def verify_free_transitive_reconstruction(
     fix = first_fixed_point(supplied, range(n))
     if fix is not None:
         return failed(
-            {"failed_hypothesis": "free", "element": row_permutation(supplied[fix[0]]).key(), "fixed_point": fix[1]}
+            {"failed_hypothesis": "free", "element": Permutation.unchecked(supplied[fix[0]]).key(), "fixed_point": fix[1]}
         )
 
     # mul[a, b] is the row of elements[a] * elements[b] = elements[b][elements[a]]
@@ -230,8 +230,8 @@ def verify_free_transitive_reconstruction(
             return failed(
                 {
                     "failed_hypothesis": "closed-under-products",
-                    "left": row_permutation(row).key(),
-                    "right": row_permutation(elements[b]).key(),
+                    "left": Permutation.unchecked(row).key(),
+                    "right": Permutation.unchecked(elements[b]).key(),
                 }
             )
 
@@ -287,7 +287,7 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
     translations = mul[:, p].T
     broken = np.flatnonzero((np.sort(translations, axis=1) != points).any(axis=1))
     if broken.size:
-        Permutation(tuple(translations[broken[0]].tolist()))
+        Permutation(translations[broken[0]])
 
     # the translation y -> y*a followed by y -> y*b is y -> y*(ab)
     for a in p_elems:
@@ -304,8 +304,8 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
         covered = np.zeros(dis.order, dtype=bool)
         covered[found[found >= 0]] = True
         witness = {
-            "translation_not_in_dis": sorted(row_permutation(t).key() for t in translations[found < 0])[:3],
-            "dis_not_translation": sorted(row_permutation(dis.images[d]).key() for d in np.flatnonzero(~covered))[:3],
+            "translation_not_in_dis": sorted(Permutation.unchecked(t).key() for t in translations[found < 0])[:3],
+            "dis_not_translation": sorted(Permutation.unchecked(dis.images[d]).key() for d in np.flatnonzero(~covered))[:3],
         }
         return failed(witness, sizes)
 
@@ -466,7 +466,7 @@ def verify_free_action_isometry(
         component = next(part for part in backend.components() if basepoint in part)
         culprit = first_fixed_point(dis.images, component)
         if culprit is not None:
-            key = row_permutation(dis.images[culprit[0]]).key()
+            key = Permutation.unchecked(dis.images[culprit[0]]).key()
             return report(False, {"failed_hypothesis": "free", "element": key, "fixed_point": culprit[1]})
     else:
         not_translation = [name for name, aut in gens if not _is_pure_translation(aut)]

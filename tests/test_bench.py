@@ -4,6 +4,7 @@ deleting one of them breaks it, and `bench/jobs.py` copies the element
 order of the named groups."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,23 @@ def test_trace_child_install_finds_every_wrapped_function():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_finite_components_record_an_orbits_span():
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'bench')!r}]\n"
+        "from trace_child import Tracer, install\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "from quandles.families import dihedral_quandle\n"
+        "print(json.dumps([dihedral_quandle(5).components(), [s[0] for s in tracer.spans]]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    components, spans = json.loads(result.stdout)
+    assert components == [[0, 1, 2, 3, 4]]
+    assert "perms.orbits" in spans
 
 
 def _bench_jobs(monkeypatch):

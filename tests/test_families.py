@@ -39,14 +39,17 @@ def test_dihedral_finite_table():
             assert q.op(x, y) == (2 * y - x) % 5
 
 
-def test_dihedral_table_and_symmetries_are_plain_ints():
+def test_dihedral_table_and_symmetries_are_table_column_views():
     for n in (2, 3, 8, 101):
         q = dihedral_quandle(n)
         assert q.table.tolist() == [[(2 * y - x) % n for y in range(n)] for x in range(n)]
         assert q.table.dtype == np.int64
         s = q.symmetry(n - 1)
-        assert s.images == tuple((2 * (n - 1) - x) % n for x in range(n))
-        assert all(type(v) is int for v in s.images)
+        assert s.images.tolist() == [(2 * (n - 1) - x) % n for x in range(n)]
+        assert s.images.dtype == np.int64
+        assert not s.images.flags.writeable
+        assert np.shares_memory(s.images, q.table)
+        assert type(s.act(0)) is int
 
 
 def test_dihedral_infinite_ops():

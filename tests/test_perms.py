@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ def test_composition_order():
     b = Permutation((0, 2, 1))
     ab = a * b
     assert ab.act(0) == b.act(a.act(0)) == 2
-    assert ab.images == (2, 0, 1)
+    assert ab.images.tolist() == [2, 0, 1]
     ba = b * a
-    assert ba.images == (1, 2, 0)
+    assert ba.images.tolist() == [1, 2, 0]
     assert ab != ba
 
 
@@ -64,7 +65,7 @@ def test_inverse_and_identity():
         p = _random_perm(rng, rng.randrange(1, 10))
         assert (p * p.inverse()).is_identity()
         assert (p.inverse() * p).is_identity()
-    assert Permutation.identity(4).images == (0, 1, 2, 3)
+    assert Permutation.identity(4).images.tolist() == [0, 1, 2, 3]
 
 
 def test_order():
@@ -82,7 +83,7 @@ def test_key_roundtrippable():
 
 def test_from_mapping():
     p = Permutation.from_mapping({0: 2, 2: 0}, 3)
-    assert p.images == (2, 1, 0)
+    assert p.images.tolist() == [2, 1, 0]
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
 
@@ -355,7 +356,7 @@ def _closure_before_arrays(generators, bound=200_000):
     """The breadth-first closure as a loop over image tuples, as it was
     before the array enumeration: each frontier element times each
     generator, new products appended in that order."""
-    gens = [g.images for _, g in generators]
+    gens = [tuple(g.images.tolist()) for _, g in generators]
     identity = tuple(range(len(gens[0])))
     seen, order, frontier = {identity}, [identity], [identity]
     while frontier:
@@ -400,7 +401,7 @@ def _assert_matches_loop(generators, table_up_to=None):
     ``table_up_to``, if given) the same Cayley table as the tuple loops."""
     group = PermGroup(generators)
     expected = _closure_before_arrays(generators)
-    assert [p.images for p in elements(group)] == expected
+    assert [tuple(p.images.tolist()) for p in elements(group)] == expected
     assert group.images.tolist() == [list(p) for p in expected]
     assert group.positions(group.images) == list(range(group.order))
     if table_up_to is None or group.order <= table_up_to:
@@ -443,3 +444,90 @@ def test_enumeration_matches_the_tuple_loop_on_random_pairs(pair):
     generators = [("a", Permutation(tuple(pair[0]))), ("b", Permutation(tuple(pair[1])))]
     # tables of the largest groups (S8, A8) would be |G|^2 tuple products
     _assert_matches_loop(generators, table_up_to=720)
+
+
+@dataclass(frozen=True)
+class _TuplePermutation:
+    """``Permutation`` as it was when it stored a tuple of images."""
+
+    images: tuple
+
+    def act(self, point):
+        return self.images[point]
+
+    def __mul__(self, other):
+        return _TuplePermutation(tuple(map(other.images.__getitem__, self.images)))
+
+    def inverse(self):
+        inv = [0] * len(self.images)
+        for i, img in enumerate(self.images):
+            inv[img] = i
+        return _TuplePermutation(tuple(inv))
+
+    def is_identity(self):
+        return all(i == img for i, img in enumerate(self.images))
+
+    def order(self):
+        k, p = 1, self
+        while not p.is_identity():
+            p, k = p * self, k + 1
+        return k
+
+    def key(self):
+        return "[" + ",".join(str(i) for i in self.images) + "]"
+
+    def __repr__(self):
+        return f"Permutation({self.images})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)), st.integers(0, n - 1))
+    )
+)
+def test_row_permutation_matches_the_tuple_permutation(case):
+    a_images, b_images, x = case
+    a, b = Permutation(tuple(a_images)), Permutation(tuple(b_images))
+    ta, tb = _TuplePermutation(tuple(a_images)), _TuplePermutation(tuple(b_images))
+    for p, t in ((a, ta), (b, tb), (a * b, ta * tb), (b * a, tb * ta), (a.inverse(), ta.inverse())):
+        assert tuple(p.images.tolist()) == t.images
+        assert p.act(x) == t.act(x) and type(p.act(x)) is int
+        assert p.order() == t.order()
+        assert p.is_identity() == t.is_identity()
+        assert p.key() == t.key()
+        assert repr(p) == repr(t)
+        assert not p.images.flags.writeable and p.images.dtype == np.int64
+    assert (a == b) == (ta == tb)
+    assert (a * b == b * a) == (ta * tb == tb * ta)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_permutations_of_int32_and_int64_rows_are_equal():
+    group = PermGroup([("t", Permutation((1, 0, 2, 3))), ("c", Permutation((1, 2, 3, 0)))])
+    assert group.images.dtype == np.int32
+    for row in group.images:
+        narrow, wide = Permutation.unchecked(row), Permutation.unchecked(row.astype(np.int64))
+        assert narrow == wide and hash(narrow) == hash(wide)
+        assert narrow == Permutation(row) and hash(narrow) == hash(Permutation(row))
+        assert {narrow: 1}[wide] == 1
+    wide = np.arange(4, dtype=np.int64)
+    assert np.shares_memory(Permutation.unchecked(wide).images, wide)
+    assert wide.flags.writeable  # the caller's array keeps its flags
+
+
+def test_a_bad_permutation_names_its_images_as_a_tuple():
+    for images in ((0, 0, 1), [0, 0, 1], np.array([0, 0, 1])):
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 0, 1\)$"):
+            Permutation(images)
+
+
+def test_rows_of_the_wrong_width_are_a_value_error():
+    inn = dihedral_quandle(5).inner_group()
+    with pytest.raises(ValueError, match="width 3 .* width 5"):
+        inn.positions(np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="width 7 .* width 5"):
+        inn.rows.locate(np.zeros((2, 7), dtype=np.int64))
+    with pytest.raises(KeyError):
+        inn.positions(np.array([[1, 0, 2, 3, 4]]))  # the right width, but not in D5

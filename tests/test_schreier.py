@@ -3,6 +3,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from quandles.groups import symmetric_group
 from quandles.perms import Permutation
 from quandles.schreier import (
     SchreierAction,
+    _permutation_moves,
     ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
@@ -520,3 +522,34 @@ def test_dot_output():
     assert dot.rstrip().endswith("}")
     assert '"0" -- "2" [label="s1"];' in dot
     assert '"-2" [label="-2 d=2"];' in dot
+
+
+def _permutation_moves_before(action):
+    """The (point x move) array and move generators as the finite walk
+    built them before it took its moves from ``_moves``: numpy inverses,
+    and an involution test of its own."""
+    img = np.array([aut.images for _, aut in action.generators], dtype=np.int64)
+    degree = img.shape[1]
+    involution = (np.take_along_axis(img, img, axis=1) == np.arange(degree)).all(axis=1)
+    move_gen = np.repeat(np.arange(len(img)), np.where(involution, 1, 2))
+    first = np.concatenate(([True], move_gen[1:] != move_gen[:-1]))
+    moves = np.empty((degree, move_gen.size), dtype=np.int64)
+    moves[:, first] = img.T
+    if not involution.all():
+        inv = np.empty_like(img[~involution])
+        inv[np.arange(len(inv))[:, None], img[~involution]] = np.arange(degree)
+        moves[:, ~first] = inv.T
+    return moves, move_gen
+
+
+def test_finite_moves_match_the_array_moves_before():
+    r7, conj_s4 = dihedral_quandle(7), conjugation_quandle(symmetric_group(4))
+    actions = [inner_action(r7), inner_action(conj_s4), displacement_action(r7), displacement_action(conj_s4)]
+    for action in actions:
+        moves, move_gen = _permutation_moves(action, 0)
+        expected, expected_gen = _permutation_moves_before(action)
+        assert moves.flags.c_contiguous and moves.dtype == np.int64
+        assert moves.tolist() == expected.tolist()
+        assert move_gen.tolist() == expected_gen.tolist()
+    # the displacement generators are no involutions, so each gives two moves
+    assert len(_permutation_moves(displacement_action(r7), 0)[1]) == 2 * 6

@@ -180,7 +180,7 @@ def _reconstruction_before_arrays(q, subgroup, basepoint=0, instance=""):
         if fixed:
             witness = {"failed_hypothesis": "free", "element": g.key(), "fixed_point": fixed[0]}
             return TheoremReport(statement, instance, False, witness, ambient)
-    elements = sorted(subgroup, key=lambda p: p.images)
+    elements = sorted(subgroup, key=lambda p: p.images.tolist())
     index = {p: i for i, p in enumerate(elements)}
     try:
         mul = [[index[a * b] for b in elements] for a in elements]

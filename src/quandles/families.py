@@ -36,7 +36,8 @@ from .lattice import (
     mat_vec,
     one_minus_inverse,
 )
-from .quandle import AxiomReport, FiniteQuandle, _integers
+from .perms import _integers
+from .quandle import AxiomReport, FiniteQuandle
 from .schreier import build_ball, inner_action
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BoundExceededError
-from .quandle import _integers
+from .perms import _integers
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # row-major

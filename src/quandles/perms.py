@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, MalformedTableError
 
 DEFAULT_GROUP_BOUND = 200_000
 CLOSURE_CELLS = 1 << 16  # cells per gather block of the closure
@@ -64,11 +64,11 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        row = np.array(images)
+        row = _integers(images, 1, "permutation images", ValueError).copy()
         n = row.size
-        if row.ndim != 1 or not np.array_equal(np.sort(row), np.arange(n)):
+        if not np.array_equal(np.sort(row), np.arange(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(row.tolist())}")
-        self.images = row.astype(np.int64)
+        self.images = row
         self.images.flags.writeable = False
 
     @classmethod
@@ -135,6 +135,22 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({tuple(self.images.tolist())})"
+
+
+def _integers(values, ndim: int, what: str, error: type = MalformedTableError) -> np.ndarray:
+    """``values`` as an int64 array with ``ndim`` axes, else ``error``:
+    the package's one check that input is integers.  Beside ints numpy
+    reads a bool as 0 or 1, so lists are searched too."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged
+        array = np.empty(())
+    if array.ndim != ndim or array.size and not (
+        np.issubdtype(array.dtype, np.integer)
+        and (isinstance(values, np.ndarray) or bool not in set(map(type, np.asarray(values, dtype=object).flat)))
+    ):
+        raise error(f"{what} must be a {ndim}-d array of integers")
+    return array.astype(np.int64, copy=False)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, MalformedTableError
-from .perms import PermGroup, Permutation, _distinct, orbits
+from .perms import PermGroup, Permutation, _distinct, _integers, orbits
 
 AXIOM3_CELLS = 1 << 21  # cells per numpy pass of a full distributivity scan
 
@@ -45,21 +45,6 @@ class AxiomReport:
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "axiom": self.axiom, "witness": self.witness}
-
-
-def _integers(values, ndim: int, what: str, error: type = MalformedTableError) -> np.ndarray:
-    """``values`` as an int64 array with ``ndim`` axes, else ``error``.
-    Beside ints numpy reads a bool as 0 or 1, so lists are searched too."""
-    try:
-        array = np.asarray(values)
-    except ValueError:  # ragged
-        array = np.empty(())
-    if array.ndim != ndim or array.size and not (
-        np.issubdtype(array.dtype, np.integer)
-        and (isinstance(values, np.ndarray) or bool not in set(map(type, np.asarray(values, dtype=object).flat)))
-    ):
-        raise error(f"{what} must be a {ndim}-d array of integers")
-    return array.astype(np.int64, copy=False)
 
 
 def _operation_table(table) -> np.ndarray:

@@ -26,16 +26,18 @@ involution, its inverse, and the vertex count V stands for a move that
 leaves the ball.  The BFS fills the rows of every vertex inside radius R
 as it goes; the rows of the last sphere, the only ones that can hold V,
 get their second look only when edges or pair queries first need them.
+Every walk numbers points by value, under one rule: a point is a
+hashable value, and two points are equal exactly when their keys are
+equal.  ``build_ball`` makes the keys once per vertex, after the walk.
 When the action is the default point action and every move is a
-``Permutation`` (every finite quandle), the BFS is ``perms.walk``, a
-numpy gather over the moves' image rows, stacked once.  When every move is a
-``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
-``lattice.offset_walk``, one int64 matrix product per sphere.  Both array
-walks tell points apart by value and build keys once per vertex at the
-end, so there the action's key must tell points apart too.  Otherwise
-the BFS applies and keys one move at a time.  All three walks take
-their moves from ``_moves``, so they discover vertices in the same
-order.
+``Permutation`` (every finite quandle), the walk is ``perms.walk``, a
+numpy gather over the moves' image rows, stacked once.  When every move
+is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
+``lattice.offset_walk``, one int64 matrix product per sphere.  Otherwise
+``_generic_bfs`` applies one move at a time and finds each target in a
+dict from point to vertex.  Lattice points are tuples on both lattice
+paths.  All three walks take their moves from ``_moves``, so they
+discover vertices in the same order.
 An edge list (JSON input) is converted once into the same kind of table,
 padded with V.  The labeled, sorted edge list is rendered from the table
 on first use, so growth and distances from the basepoint never build it.
@@ -150,9 +152,9 @@ class LabeledBall:
     per-vertex fact is stored once, in that order: ``keys`` (the string
     keys), ``depth`` (an int array of basepoint distances) and
     ``elements`` (the acted-on objects, empty for a ball read back from
-    JSON).  ``index`` maps a key to its vertex number; string keys are
-    met only there and at output.  The ball's one graph is a
-    ``_NeighborTable`` over the vertex numbers: ``build_ball`` records it,
+    JSON).  ``index`` maps a key to its vertex number, built from
+    ``keys`` on first use; string keys are met only there and at output.
+    The ball's one graph is a ``_NeighborTable`` over the vertex numbers: ``build_ball`` records it,
     and ``ball_from_json_lines`` converts an edge list into it.  ``edges``
     renders it as the sorted, distinct ``(key_u, key_v, name)`` with
     key_u <= key_v, self-loops included, on first use; pair queries, ends
@@ -168,7 +170,6 @@ class LabeledBall:
         depth: np.ndarray,
         neighbors: "_NeighborTable",
         elements: Optional[list] = None,
-        index: Optional[dict[str, int]] = None,
     ):
         self.backend_id = backend_id
         self.radius = radius
@@ -176,7 +177,7 @@ class LabeledBall:
         self.keys = keys
         self.depth = depth
         self.elements = [] if elements is None else elements
-        self._index = index
+        self._index: Optional[dict[str, int]] = None
         self._neighbors = neighbors
         self._edges: Optional[list[Edge]] = None  # rendered from the table on first use
 
@@ -445,15 +446,15 @@ def _affine_moves(action: SchreierAction, basepoint, radius: int):
     """The moves of a lattice action as ``(step, shifts, bound, move_gen)``
     for ``lattice.offset_walk``; None unless the action is the default
     point action, every generator is a ``LatticeAffine`` on one Z^n with
-    n >= 2, the basepoint is n Python ints and ``lattice.offset_moves``
-    finds that the walk fits in int64."""
+    n >= 2, the basepoint is a tuple of n Python ints and
+    ``lattice.offset_moves`` finds that the walk fits in int64."""
     auts = [aut for _, aut in action.generators]
     if action.apply is not _act or not auts or any(type(a) is not LatticeAffine for a in auts):
         return None
     n = len(auts[0].shift)
     if n < 2 or any(len(a.matrix) != n or len(a.shift) != n for a in auts):
         return None
-    if not isinstance(basepoint, (tuple, list)) or len(basepoint) != n or any(type(v) is not int for v in basepoint):
+    if not isinstance(basepoint, tuple) or len(basepoint) != n or any(type(v) is not int for v in basepoint):
         return None
     moves, move_gen = _moves(action)
     offsets = offset_moves(moves, basepoint, radius)
@@ -470,10 +471,11 @@ def build_ball(
 
     Vertices appear in BFS order with generator name breaking ties; the
     ball's edges cover every generator move between its vertices,
-    including those between two radius-R vertices.  Raises
-    BoundExceededError, carrying the last completed radius and its vertex
-    count, iff a vertex beyond the basepoint takes the count past
-    ``max_vertices``.
+    including those between two radius-R vertices.  The walk tells
+    points apart by value, and each vertex is keyed once, after it (see
+    the module docstring).  Raises BoundExceededError, carrying the last
+    completed radius and its vertex count, iff a vertex beyond the
+    basepoint takes the count past ``max_vertices``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -483,7 +485,6 @@ def build_ball(
         moves, move_gen = fast
         points, sizes, blocks, finish = walk(moves, operator.index(basepoint), radius, max_vertices)
         elements = [basepoint, *points[1:].tolist()]
-        keys, index = list(map(action.key, elements)), None  # index built on first use
     elif lattice is not None:
         step, shifts, bound, move_gen = lattice
         offsets, sizes, blocks, finish = offset_walk(step, shifts, bound, radius, max_vertices)
@@ -491,62 +492,53 @@ def build_ball(
         # list per row, which keeps the peak memory down
         points = offsets[1:] + np.array(basepoint, dtype=np.int64)
         elements = [basepoint, *zip(*points.T.tolist())]
-        keys, index = list(map(action.key, elements)), None
     else:
-        keys, elements, index, sizes, blocks, finish, move_gen = _generic_bfs(
-            action, basepoint, radius, max_vertices
-        )
+        elements, sizes, blocks, finish, move_gen = _generic_bfs(action, basepoint, radius, max_vertices)
     names = [name for name, _ in action.generators]
     return LabeledBall(
         backend_id=action.backend_id,
         radius=radius,
         generator_names=names,
-        keys=keys,
+        keys=list(map(action.key, elements)),
         depth=np.repeat(np.arange(len(sizes)), sizes),
         neighbors=_NeighborTable(blocks, finish, move_gen, names),
         elements=elements,
-        index=index,
     )
 
 
 def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: int):
-    """BFS applying and keying one move at a time; returns (keys,
-    elements, key -> vertex index, sphere sizes, neighbor blocks, finish,
-    move_gen)."""
+    """BFS applying one move at a time, numbering points by a dict from
+    point to vertex; returns (elements, sphere sizes, neighbor blocks,
+    finish, move_gen)."""
     moves, move_gen = _moves(action)
-    apply, key = action.apply, action.key
-    keys, elements = [key(basepoint)], [basepoint]
-    index = {keys[0]: 0}
+    apply = action.apply
+    elements, vertex = [basepoint], {basepoint: 0}
     sizes, blocks = [1], []
     done = 0  # vertices whose rows are in blocks
     for d in range(1, radius + 1):
-        end = len(keys)
+        end = len(elements)
         if done == end:
             break
         row = []
         for x in elements[done:end]:
             for aut in moves:
                 y = apply(aut, x)
-                ky = key(y)
-                j = index.get(ky)
-                if j is None:
-                    j = len(keys)
+                j = vertex.setdefault(y, len(elements))
+                if j == len(elements):
                     if j >= max_vertices:
                         raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=end)
-                    index[ky] = j
-                    keys.append(ky)
                     elements.append(y)
                 row.append(j)
         blocks.append(np.array(row, dtype=np.int64).reshape(end - done, len(moves)))
-        sizes.append(len(keys) - end)
+        sizes.append(len(elements) - end)
         done = end
 
     def finish() -> np.ndarray:
         last = elements[done:]
-        row = [index.get(key(apply(aut, x)), len(keys)) for x in last for aut in moves]
+        row = [vertex.get(apply(aut, x), len(elements)) for x in last for aut in moves]
         return np.array(row, dtype=np.int64).reshape(len(last), len(moves))
 
-    return keys, elements, index, sizes, blocks, finish, move_gen
+    return elements, sizes, blocks, finish, move_gen
 
 
 def _component_labels(ball: LabeledBall, inside: np.ndarray) -> np.ndarray:
@@ -759,7 +751,6 @@ def ball_from_json_lines(text: str) -> LabeledBall:
         keys=keys,
         depth=depth,
         neighbors=_NeighborTable.from_edges(index, edges),
-        index=index,
     )
 
 

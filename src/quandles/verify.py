@@ -28,12 +28,13 @@ from .groups import GroupTable, _positions
 from .perms import (
     Permutation,
     RowIndex,
+    _integers,
     first_fixed_point,
     orbits,
     quotient_is_cyclic,
     walk,
 )
-from .quandle import FiniteQuandle, _automorphism_defect, _integers
+from .quandle import FiniteQuandle, _automorphism_defect
 from .schreier import (
     DEFAULT_VERTEX_BOUND,
     _identity_like,
@@ -532,9 +533,11 @@ def verify_free_action_isometry(
 
 
 def _check_basepoint(q: FiniteQuandle, basepoint) -> None:
-    """ValueError unless ``basepoint`` is a point 0..n-1 of q."""
-    if not 0 <= basepoint < q.size:
-        raise ValueError(f"basepoint {basepoint} is not a point of {q!r}: it must be in 0..{q.size - 1}")
+    """ValueError unless ``basepoint`` is a point 0..n-1 of q: an int or
+    numpy integer, and not a bool."""
+    integer = isinstance(basepoint, (int, np.integer)) and not isinstance(basepoint, bool)
+    if not (integer and 0 <= basepoint < q.size):
+        raise ValueError(f"basepoint {basepoint!r} is not a point of {q!r}: it must be in 0..{q.size - 1}")
 
 
 def _is_pure_translation(aut) -> bool:

@@ -4,9 +4,12 @@
 action with one int64 matrix product per sphere, and every other action
 one move at a time.  All three walks must give the same ball: the same
 vertex order, elements, edges, serialized bytes, pair answers and cap
-behaviour.  A copy of the original two-pass BFS is the oracle for vertex
-order and edges.
+behaviour.  A copy of the original two-pass BFS, keyed by strings, is
+the oracle for vertex order, elements and edges; Cayley balls, which
+only the one-move walk builds, are compared with it directly.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -27,11 +30,13 @@ from quandles.quandle import FiniteQuandle
 from quandles.schreier import (
     SchreierAction,
     _affine_moves,
+    _identity_like,
     _permutation_moves,
     ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
     build_ball,
+    cayley_action,
     displacement_action,
     ends_estimate,
     inner_action,
@@ -40,7 +45,9 @@ from quandles.schreier import (
 
 def _two_pass_ball(action, basepoint, radius):
     """The original build_ball: BFS keyed by strings, then every move
-    applied a second time to collect the edge set."""
+    applied a second time to collect the edge set.  Returns the (key,
+    depth) pairs in BFS order, the sorted edges and the elements in BFS
+    order."""
     moves = []
     for name, aut in action.generators:
         moves.append((name, aut))
@@ -66,7 +73,7 @@ def _two_pass_ball(action, basepoint, radius):
             ky = action.key(action.apply(aut, x))
             if ky in dist:
                 edges.add((min(kx, ky), max(kx, ky), name))
-    return list(dist.items()), sorted(edges)
+    return list(dist.items()), sorted(edges), list(element.values())
 
 
 def _generic(action):
@@ -146,7 +153,7 @@ def test_permutation_path_matches_generic_path(name, path, action, base, radius)
     assert _path(generic, base, radius) == "generic"
     fast = build_ball(action, base, radius)
     slow = build_ball(generic, base, radius)
-    order, edges = _two_pass_ball(action, base, radius)
+    order, edges, _ = _two_pass_ball(action, base, radius)
 
     assert list(depths(fast).items()) == list(depths(slow).items()) == order
     assert fast.elements == slow.elements
@@ -198,15 +205,82 @@ def test_lattice_balls_past_the_int64_guard_stay_exact(name, action, base, radiu
     falls back to Python ints, and stays exact, also past int64."""
     assert _path(action, base, radius) == "generic"
     ball = build_ball(action, base, radius)
-    order, edges = _two_pass_ball(action, base, radius)
+    order, edges, _ = _two_pass_ball(action, base, radius)
     assert list(depths(ball).items()) == order
     assert ball.edges == edges
     assert all(_is_point(x, "lattice") for x in ball.elements)
 
 
+def test_a_list_basepoint_is_a_type_error_on_both_lattice_paths():
+    """Lattice points are tuples: a list is unhashable, so no walk can
+    number it."""
+    action = inner_action(galex_lattice(ROT90))
+    for base, radius, path in (((0, 0), 3, "lattice"), ((2**70, 0), 3, "generic")):
+        assert _path(action, base, radius) == path
+        with pytest.raises(TypeError, match="unhashable"):
+            build_ball(action, list(base), radius)
+
+
+def _oracle_json_lines(ball, order, edges):
+    """The JSON lines of the oracle's vertices and edges under the
+    header of ``ball``, written out here rather than by the serializer."""
+    header = {
+        "type": "header",
+        "backend": ball.backend_id,
+        "basepoint": order[0][0],
+        "radius": ball.radius,
+        "generators": ball.generator_names,
+    }
+    records = [header, *({"type": "vertex", "key": k, "distance": d} for k, d in order)]
+    records += [{"type": "edge", "u": u, "v": v, "label": name} for u, v, name in edges]
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+
+
+def _cayley_cases():
+    conj, r12 = conjugation_quandle(symmetric_group(4)), dihedral_quandle(12)
+    fq, dq, rot90 = free_quandle(["a", "b"]), dihedral_quandle("inf"), galex_lattice(ROT90)
+    return [
+        # Inn of conj(S4) is S4, which is not abelian
+        ("inn-conj-s4", conj.inner_generators(), 3),
+        ("dis-r12-past-diameter", r12.displacement_generators(), 8),
+        ("free-words", fq.inner_generators(), 4),
+        ("dihedral-inf-signed-affine", dq.inner_generators(), 6),
+        ("lattice-translations", rot90.displacement_generators(), 5),
+    ]
+
+
+@pytest.mark.parametrize("name,gens,radius", _cayley_cases(), ids=[c[0] for c in _cayley_cases()])
+def test_cayley_balls_match_the_string_keyed_oracle(name, gens, radius):
+    """Cayley balls number group elements by value; the oracle tells
+    them apart by their keys."""
+    action, identity = cayley_action(name, gens), _identity_like(gens)
+    assert _path(action, identity, radius) == "generic"
+    ball = build_ball(action, identity, radius)
+    order, edges, elements = _two_pass_ball(action, identity, radius)
+
+    assert list(depths(ball).items()) == order
+    assert ball.elements == elements
+    assert ball.elements[0] is identity
+    assert ball.edges == edges
+    text = _oracle_json_lines(ball, order, edges)
+    assert ball_to_json_lines(ball) == text
+    assert ball_to_dot(ball) == ball_to_dot(ball_from_json_lines(text))
+
+    sizes = np.bincount([d for _, d in order], minlength=radius + 1).tolist()
+    total = len(order)
+    for cap in sorted({1, 2, sizes[0] + sizes[1], max(1, total - 1), total}):
+        if cap >= total:
+            assert build_ball(action, identity, radius, max_vertices=cap).vertex_count == total
+            continue
+        first = next(d for d in range(len(sizes)) if sum(sizes[: d + 1]) > cap)
+        with pytest.raises(BoundExceededError) as info:
+            build_ball(action, identity, radius, max_vertices=cap)
+        assert (info.value.bound, info.value.radius, info.value.vertices) == (cap, first - 1, sum(sizes[:first]))
+
+
 def _numbering_cases():
     r9, dq, fq = dihedral_quandle(9), dihedral_quandle("inf"), free_quandle(["a", "b"])
-    lattice = galex_lattice(ROT90)
+    lattice, dis9 = galex_lattice(ROT90), r9.displacement_generators()
     return [
         # past the diameter, so the last spheres are empty
         ("finite-permutation", "permutation", inner_action(r9), 4, 12),
@@ -215,6 +289,7 @@ def _numbering_cases():
         ("lattice", "lattice", inner_action(lattice), (0, 0), 4),
         ("lattice-generic", "generic", _generic(inner_action(lattice)), (0, 0), 4),
         ("free", "generic", inner_action(fq), fq.generator("a"), 3),
+        ("cayley", "generic", cayley_action("finite", dis9), _identity_like(dis9), 5),
     ]
 
 
@@ -237,6 +312,25 @@ def test_one_vertex_numbering(name, path, action, base, radius):
     assert again.depth.tolist() == ball.depth.tolist()
     assert again.edges == ball.edges
     assert again.index == ball.index and again.elements == []
+
+
+@pytest.mark.parametrize("name,path,action,base,radius", _numbering_cases(), ids=[c[0] for c in _numbering_cases()])
+def test_build_ball_keys_each_vertex_once(name, path, action, base, radius):
+    """On every path the walk tells points apart by value, and
+    ``build_ball`` keys each vertex once, after it; edges and pair
+    queries key nothing."""
+    keyed = []
+
+    def key(x):
+        keyed.append(x)
+        return action.key(x)
+
+    counted = SchreierAction(action.backend_id, action.generators, key, apply=action.apply)
+    assert _path(counted, base, radius) == path
+    ball = build_ball(counted, base, radius)
+    assert ball.edges == _two_pass_ball(action, base, radius)[1]
+    assert ball.distance(ball.basepoint, ball.keys[-1]) == ball.depth[-1]
+    assert keyed == ball.elements
 
 
 def _ends_oracle(ball, inner_radius):

@@ -523,6 +523,15 @@ def test_a_bad_permutation_names_its_images_as_a_tuple():
             Permutation(images)
 
 
+@pytest.mark.parametrize(
+    "images", [[1.0, 0.0], [True, False], [1, False, 2], np.array([True, False]), np.array([1.0, 0.0])], ids=repr
+)
+def test_a_permutation_of_floats_or_bools_is_a_value_error(images):
+    """These were all read as the permutations (1, 0) and (1, 0, 2)."""
+    with pytest.raises(ValueError, match="^permutation images must be a 1-d array of integers$"):
+        Permutation(images)
+
+
 def test_rows_of_the_wrong_width_are_a_value_error():
     inn = dihedral_quandle(5).inner_group()
     with pytest.raises(ValueError, match="width 3 .* width 5"):

@@ -319,20 +319,22 @@ def test_reconstruction_of_no_rows_fails_transitivity():
     )
 
 
-@pytest.mark.parametrize("basepoint", [-1, 5, 6])
+@pytest.mark.parametrize("basepoint", [-1, 5, 6, 1.5, 2.0, True, "1"])
 def test_reconstruction_rejects_a_basepoint_off_the_quandle(basepoint):
-    """A basepoint of 5 or more was an IndexError, and -1 was read as 4."""
+    """A basepoint of 5 or more was an IndexError, and -1 was read as 4;
+    2.0 was an IndexError and True a ValueError from numpy."""
     q = dihedral_quandle(5)
     dis = q.displacement_group().images
     assert verify_free_transitive_reconstruction(q, dis, basepoint=4).details["basepoint_map"] == [4, 0, 1, 2, 3]
-    with pytest.raises(ValueError, match=f"basepoint {basepoint} is not a point"):
+    with pytest.raises(ValueError, match=re.escape(f"basepoint {basepoint!r} is not a point")):
         verify_free_transitive_reconstruction(q, dis, basepoint=basepoint)
 
 
-@pytest.mark.parametrize("basepoint", [-1, 5])
+@pytest.mark.parametrize("basepoint", [-1, 5, 1.5, 2.0, True, "1"])
 def test_free_action_isometry_rejects_a_basepoint_off_the_quandle(basepoint):
-    """This was a bare StopIteration from the search for its component."""
-    with pytest.raises(ValueError, match=f"basepoint {basepoint} is not a point"):
+    """This was a bare StopIteration from the search for its component,
+    and 2.0 and True failed inside numpy."""
+    with pytest.raises(ValueError, match=re.escape(f"basepoint {basepoint!r} is not a point")):
         verify_free_action_isometry(dihedral_quandle(5), basepoint, 3)
 
 

@@ -132,7 +132,8 @@ def dihedral_quandle(n) -> "FiniteQuandle | DihedralInfinite":
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise ConstructionError(f"dihedral quandle needs an integer n >= 2 or \"inf\", got {n!r}")
     x = np.arange(n)
-    return FiniteQuandle((2 * x[None, :] - x[:, None]) % n, validate=False)
+    table = 2 * x[None, :] - x[:, None]
+    return FiniteQuandle(np.remainder(table, n, out=table), validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ does the lookup; with it the Cayley table costs |G|^2 L gathers.
 Generators come in one form everywhere in the package: a sequence of
 (name, automorphism) pairs, as ``inner_generators()`` returns them.
 ``PermGroup``, ``group_closure`` and ``orbits`` take
-that and only that; ``_named`` is the one check, and anything else is a
-TypeError.
+that and only that (``orbits`` also walks a (point x move) array, such
+as a finite quandle's table, as it is); ``_named`` is the one check, and
+anything else is a TypeError.
 
 Composition convention, used consistently across the package: the product
 ``f * g`` means "apply f, then g".  Acting on the right, ``x . (f g) =
@@ -55,6 +56,7 @@ from .errors import BoundExceededError, MalformedTableError
 
 DEFAULT_GROUP_BOUND = 200_000
 CLOSURE_CELLS = 1 << 16  # cells per gather block of the closure
+WALK_CELLS = 1 << 13  # cells per gather chunk of a walk sphere
 
 
 class Permutation:
@@ -343,8 +345,17 @@ def walk(moves: np.ndarray, start: int, radius: int, bound: int):
     Returns (points, sphere sizes, one block of vertex numbers per sphere
     inside ``radius``, ``finish`` for the last sphere's block, with the
     count for points off the walk); raises BoundExceededError, with the
-    last completed radius and its count, iff the count passes ``bound``."""
-    vertex = np.full(moves.shape[0], -1, dtype=np.int64)  # point -> vertex index
+    last completed radius and its count, iff the count passes ``bound``.
+
+    ``vertex`` maps a point to its vertex number once the walk reaches it
+    and an unreached point p to -1 - p, so a gathered block alone names
+    the points it reaches first.  A sphere of f points under k moves
+    costs one (f x k) int64 array, its block, which the walk keeps; the
+    block is gathered from chunks of about ``WALK_CELLS`` cells of the
+    frontier, and each chunk's fresh points are numbered before the next
+    chunk is gathered, which is still first occurrence over the sphere.
+    """
+    vertex = -1 - np.arange(moves.shape[0], dtype=np.int64)
     vertex[start] = 0
     frontier = np.array([start])
     spheres, blocks = [frontier], []
@@ -352,34 +363,63 @@ def walk(moves: np.ndarray, start: int, radius: int, bound: int):
     for d in range(1, radius + 1):
         if not frontier.size:
             break
-        targets = moves[frontier]  # frontier-major, move-minor
-        row = vertex[targets]
-        new = row < 0
-        unseen = targets[new]
-        _, first = np.unique(unseen, return_index=True)
-        fresh = unseen[np.sort(first)]  # first-occurrence order
-        if count + fresh.size > bound:
-            raise BoundExceededError("schreier ball", bound, radius=d - 1, vertices=count)
-        vertex[fresh] = np.arange(count, count + fresh.size)
-        row[new] = vertex[unseen]
-        count += fresh.size
+        row = np.empty((frontier.size, moves.shape[1]), dtype=np.int64)
+        sphere, reached = [], count
+        for part in _gathered(vertex, moves, frontier, row):
+            new = part < 0
+            unseen = -1 - part[new]
+            if not unseen.size:
+                continue
+            _, first = np.unique(unseen, return_index=True)
+            fresh = unseen[np.sort(first)]  # first-occurrence order
+            if count + fresh.size > bound:
+                raise BoundExceededError("schreier ball", bound, radius=d - 1, vertices=reached)
+            vertex[fresh] = np.arange(count, count + fresh.size)
+            part[new] = vertex[unseen]
+            count += fresh.size
+            sphere.append(fresh)
         blocks.append(row)
-        spheres.append(fresh)
-        frontier = fresh
+        frontier = np.concatenate(sphere) if sphere else frontier[:0]
+        spheres.append(frontier)
     vertex[vertex < 0] = count  # points off the walk map to the sentinel V
-    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[frontier]]
+
+    def finish() -> np.ndarray:
+        row = np.empty((frontier.size, moves.shape[1]), dtype=np.int64)
+        for _ in _gathered(vertex, moves, frontier, row):
+            pass
+        return row
+
+    return np.concatenate(spheres), [s.size for s in spheres], blocks, finish
+
+
+def _gathered(vertex: np.ndarray, moves: np.ndarray, points: np.ndarray, out: np.ndarray):
+    """Fill ``out`` with vertex[moves[points]] a chunk of about
+    ``WALK_CELLS`` cells at a time, yielding each chunk (a view of
+    ``out``) once it is filled, so a caller may update ``vertex`` before
+    the next one is gathered."""
+    step = max(1, WALK_CELLS // max(1, moves.shape[1]))
+    for c0 in range(0, len(points), step):
+        part = out[c0 : c0 + step]
+        part[...] = vertex[moves[points[c0 : c0 + step]]]
+        yield part
 
 
 def orbits(generators, domain: Iterable[int]) -> list[list[int]]:
-    """Partition ``domain`` into orbits under the group generated by the
-    (name, permutation) pairs ``generators`` (``PermGroup.generators``):
-    each orbit is a ``walk`` under the generators alone (on a finite set an
-    inverse is a power) from its first point in ``domain``.  Orbits are
-    sorted internally and listed in ``domain`` order of those points."""
+    """Partition ``domain`` into orbits under the group generated by
+    ``generators``: (name, permutation) pairs (``PermGroup.generators``),
+    or a (point x move) int array whose columns are permutations, such as
+    a finite quandle's table, which is walked as it is.  Each orbit is a
+    ``walk`` under the generators alone (on a finite set an inverse is a
+    power) from its first point in ``domain``.  Orbits are sorted
+    internally and listed in ``domain`` order of those points."""
     domain = list(domain)
-    images = [g.images for _, g in _named(generators)]
-    size = images[0].size if images else max(domain, default=-1) + 1
-    moves = np.array(images, dtype=np.int64).reshape(len(images), size).T
+    if isinstance(generators, np.ndarray):
+        moves = generators
+    else:
+        images = [g.images for _, g in _named(generators)]
+        size = images[0].size if images else max(domain, default=-1) + 1
+        moves = np.array(images, dtype=np.int64).reshape(len(images), size).T
+    size = moves.shape[0]
     seen, parts = np.zeros(size, dtype=bool), []
     for start in domain:
         if not seen[start]:

@@ -14,12 +14,16 @@ generated by the differences s_x s_y^-1 is the displacement group.
 Tables are stored row-major: table[x][y] = x ◁ y.  Column y is then the
 point symmetry s_y, and ``FiniteQuandle.symmetry(y)`` is a
 ``Permutation`` over a read-only view of that column, so the n symmetries
-share the table's memory.
+share the table's memory.  A ``FiniteQuandle`` holds that one n x n
+int64 table; the inverse table of ◁^-1 (``inv_table``, read by
+``op_inv``) is built on first use, and ``components`` walks the table
+itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -188,9 +192,13 @@ class FiniteQuandle:
                     witness=report.as_dict(),
                 )
         self.size = int(self.table.shape[0])
-        # inverse operation: inv_table[x][y] = z  <=>  z ◁ y = x
-        self.inv_table = _inverse_table(self.table)
         self._components: Optional[list[list[int]]] = None
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """The inverse operation, inv_table[x, y] = z with z ◁ y = x:
+        a second n x n table, built on first use."""
+        return _inverse_table(self.table)
 
     def op(self, x: int, y: int) -> int:
         return int(self.table[x, y])
@@ -231,9 +239,10 @@ class FiniteQuandle:
 
     def components(self) -> list[list[int]]:
         """Connected components = orbits of the inner group (equivalently,
-        of the displacement group), walked under x -> x ◁ y."""
+        of the displacement group), walked under x -> x ◁ y on the
+        table itself, whose column y is s_y."""
         if self._components is None:
-            self._components = orbits(self.inner_generators(), range(self.size))
+            self._components = orbits(self.table, range(self.size))
         return self._components
 
     def component_key(self, x: int) -> int:

@@ -35,6 +35,7 @@ from quandles.groups import (
 )
 from quandles.lattice import UnimodularMatrix, mat_mul
 from quandles.quandle import AxiomReport, FiniteQuandle, check_quandle_axioms
+from quandles.schreier import build_ball, inner_action
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -205,6 +206,28 @@ def test_fallback_scan_memory_is_bounded_by_cells(monkeypatch):
     assert report == expected
     # one 32-row pass of the old scan held 32 n^2 int64 cells per array
     assert peak < 16 * n * n * 8
+
+
+def _traced_peak(build):
+    """``build()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dihedral_quandle_and_inner_ball_memory_is_bounded_by_tables():
+    n = 301
+    table = n * n * 8
+    q, peak = _traced_peak(lambda: dihedral_quandle(n))
+    # the table, and no second n x n array for its inverse or its remainder
+    assert peak < 1.5 * table
+    ball, peak = _traced_peak(lambda: build_ball(inner_action(q), 0, 2))
+    # the stacked moves and the block of sphere 2 (300 x 301 vertex numbers)
+    assert peak < 2.5 * table
+    assert len(ball.keys) == n
 
 
 def test_inverse_table_matches_column_loop():

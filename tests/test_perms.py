@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import elements
 
+from quandles import perms
 from quandles.errors import BoundExceededError
 from quandles.families import (
     conjugation_automorphism,
@@ -28,6 +29,7 @@ from quandles.perms import (
     group_closure,
     orbits,
     quotient_is_cyclic,
+    walk,
 )
 from quandles.quandle import FiniteQuandle
 
@@ -186,6 +188,21 @@ def test_orbits_of_quandles_unchanged():
     for gens in (two, two[3:] * 2, []):
         for domain in ([3, 1], [2], range(3, -1, -1)):
             assert orbits(gens, domain) == _orbits_loop([g for _, g in gens], list(domain))
+    # components walk the table itself: the same orbits, in the same order,
+    # as the inner generators give on every finite family
+    s4, d4 = symmetric_group(4), dihedral_group(4)
+    involutions = [x for x in range(s4.size) if s4.element_order(x) == 2]
+    for q in (
+        galex_finite(s4, conjugation_automorphism(s4, 1)),
+        galex_finite(d4, conjugation_automorphism(d4, 1)),
+        conjugation_quandle(s4, involutions),
+        conjugation_quandle(quaternion_group()),
+        dihedral_quandle(2),
+        dihedral_quandle(40),
+    ):
+        gens = q.inner_generators()
+        assert q.components() == orbits(gens, range(q.size)) == _orbits_loop([g for _, g in gens], list(range(q.size)))
+        assert orbits(q.table, [5 % q.size, 0]) == orbits(gens, [5 % q.size, 0])
 
 
 def test_first_fixed_point():
@@ -350,6 +367,90 @@ def test_orbits_and_subgroup_closure_against_sympy(images, make_group, data):
     regular = [SymPerm(group.mul[:, x].tolist()) for x in range(group.size)]
     generated = SymGroup([regular[x] for x in subset] or [regular[group.identity]])
     assert {regular[x] for x in group.subgroup_closure(subset)} == set(generated.elements)
+
+
+def _walk_before_chunks(moves, start, radius, bound):
+    """``perms.walk`` as it was before it gathered spheres in chunks: one
+    (f x k) array of target points and one of vertex numbers per sphere,
+    with -1 for an unreached point."""
+    vertex = np.full(moves.shape[0], -1, dtype=np.int64)
+    vertex[start] = 0
+    frontier = np.array([start])
+    spheres, blocks = [frontier], []
+    count = 1
+    for d in range(1, radius + 1):
+        if not frontier.size:
+            break
+        targets = moves[frontier]
+        row = vertex[targets]
+        new = row < 0
+        unseen = targets[new]
+        _, first = np.unique(unseen, return_index=True)
+        fresh = unseen[np.sort(first)]
+        if count + fresh.size > bound:
+            raise BoundExceededError("schreier ball", bound, radius=d - 1, vertices=count)
+        vertex[fresh] = np.arange(count, count + fresh.size)
+        row[new] = vertex[unseen]
+        count += fresh.size
+        blocks.append(row)
+        spheres.append(fresh)
+        frontier = fresh
+    vertex[vertex < 0] = count
+    return np.concatenate(spheres), [s.size for s in spheres], blocks, lambda: vertex[moves[frontier]]
+
+
+@st.composite
+def _move_arrays(draw):
+    """A (point x move) array of permutations that keep each of a few
+    orbit blocks of the points, each move an involution or not."""
+    n = draw(st.integers(1, 14))
+    points = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    parts = [points[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        images = np.arange(n)
+        involution = draw(st.booleans())
+        for part in parts:
+            if involution:  # swaps of disjoint pairs of the part
+                image = list(part)
+                for i in range(0, len(image) - 1, 2):
+                    if draw(st.booleans()):
+                        image[i], image[i + 1] = image[i + 1], image[i]
+            else:
+                image = draw(st.permutations(part))
+            images[list(part)] = image
+        columns.append(images)
+    return np.array(columns, dtype=np.int64).reshape(len(columns), n).T.copy()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_move_arrays(), st.data())
+def test_walk_matches_the_walk_before_chunks(moves, data):
+    """Same points, sphere sizes, blocks and last-sphere rows as the
+    unchunked walk, and the same cap outcome: a chunk never reports a
+    partial sphere."""
+    n, k = moves.shape
+    start = data.draw(st.integers(0, n - 1))
+    radius = data.draw(st.integers(0, n))
+    bound = data.draw(st.integers(1, n + 1))
+    cells = data.draw(st.integers(1, 3 * max(1, k)))  # a few rows per chunk
+    try:
+        expected = _walk_before_chunks(moves, start, radius, bound)
+    except BoundExceededError as e:
+        expected = e
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perms, "WALK_CELLS", cells)
+        if isinstance(expected, BoundExceededError):
+            with pytest.raises(BoundExceededError) as caught:
+                walk(moves, start, radius, bound)
+            assert (caught.value.radius, caught.value.vertices) == (expected.radius, expected.vertices)
+            return
+        points, sizes, blocks, finish = walk(moves, start, radius, bound)
+        assert points.tolist() == expected[0].tolist()
+        assert sizes == expected[1]
+        assert [b.tolist() for b in blocks] == [b.tolist() for b in expected[2]]
+        assert finish().tolist() == expected[3]().tolist()
 
 
 def _closure_before_arrays(generators, bound=200_000):

@@ -4,8 +4,8 @@ This module owns what acts on points: ``Permutation``, the enumeration
 of a ``PermGroup``, orbits and free actions, and the one
 point walk, closure and Cayley table of the package.  ``walk`` is the
 orbit algorithm (Holt, Eick and O'Brien, cited below, section 4.1) that
-Schreier balls, ``orbits``, ``GroupTable.subgroup_closure`` and the
-zero-sum check of ``verify_dis_properties`` run on.
+Schreier balls, ``orbits``, ``group_closure``, ``subgroup_closure``
+and the zero-sum check of ``verify_dis_properties`` run on.
 Group algebra (normal closures, commutators, quotients, abelian
 invariants, element orders) lives in ``quandles.groups`` and runs on
 indices: an enumerated ``PermGroup`` hands it its Cayley table through
@@ -18,9 +18,11 @@ of a table column), and an enumerated group is one int array,
 fills.  Products are numpy gathers on rows (the row of f * g is
 ``g[f]``), an element of a group is named by its row number, and
 ``Permutation.unchecked(row)`` wraps a row (copying it only to make it
-int64) for a generator or a witness key.  The rows come in breadth-first
-order over words in the generators: the identity first, then each
-frontier in turn, every frontier element times every generator, so
+int64) for a generator or a witness key.  ``group_closure`` finds the
+elements by Dimino's algorithm (G. Butler, Fundamental Algorithms for
+Permutation Groups, LNCS 559, 1991) and orders them with ``walk``:
+breadth-first over words in the generators, the identity first, then
+each frontier in turn, every frontier element times every generator, so
 shortest words come first and ties go by frontier position, then
 generator order.  That is the order a loop over ``Permutation`` products
 would give, and table indices and witnesses depend on it.
@@ -55,7 +57,6 @@ import numpy as np
 from .errors import BoundExceededError, MalformedTableError
 
 DEFAULT_GROUP_BOUND = 200_000
-CLOSURE_CELLS = 1 << 16  # cells per gather block of the closure
 WALK_CELLS = 1 << 13  # cells per gather chunk of a walk sphere
 
 
@@ -296,47 +297,50 @@ def group_closure(
     generators: Sequence[tuple[str, Permutation]], bound: int = DEFAULT_GROUP_BOUND
 ) -> np.ndarray:
     """Enumerate the group generated by the (name, permutation) pairs
-    ``generators`` as an int array with one row of images per element.
-
-    Breadth-first multiplication on the right; for a finite group this
-    closes up (inverses are powers).  Each frontier is multiplied by all
-    generators in blocks of one gather, ``gens[:, block]``, and the new
-    rows are kept in first-occurrence order, frontier-major and
-    generator-minor.  Raises BoundExceededError once more than ``bound``
-    elements have been found.
+    ``generators`` as an int32 array with one row of images per element,
+    in the order of the module docstring: ``_dimino`` finds the elements,
+    then ``walk`` numbers them from the identity over the moves
+    a -> a * g_j, found by ``RowIndex`` from the base images g_j[a[:L]].
+    Raises BoundExceededError once a coset would pass ``bound`` elements.
     """
     named = _named(generators)
     if not named:
         raise ValueError("need at least one generator")
-    gens = np.array([g.images for _, g in named], dtype=np.int32)
-    k, n = gens.shape
-    width = gens.itemsize * n
-    identity = np.arange(n, dtype=np.int32)
-    seen = {identity.tobytes()}
-    found = [identity[None, :]]
-    frontier = found[0]
-    block = max(1, CLOSURE_CELLS // max(1, k * n))
-    while len(frontier):
-        new = []
-        for f0 in range(0, len(frontier), block):
-            chunk = frontier[f0 : f0 + block]
-            products = np.take(gens, chunk, axis=1)  # [g, f] = chunk[f] * gens[g]
-            buf = products.tobytes()
-            c = len(chunk)
-            fresh = []
-            for f in range(c):
-                for at in range(f, k * c, c):  # row g * c + f of the block
-                    row = buf[at * width : (at + 1) * width]
-                    if row not in seen:
-                        seen.add(row)
-                        fresh.append(at)
-                        if len(seen) > bound:
-                            raise BoundExceededError("group closure", bound)
-            if fresh:
-                new.append(products.reshape(-1, n)[fresh])
-        frontier = np.concatenate(new) if new else frontier[:0]
-        found.append(frontier)
-    return np.concatenate(found)
+    rows = RowIndex(_dimino(np.array([g.images for _, g in named], dtype=np.int32), bound))
+    base = rows.images[:, : rows.base_length]
+    moves = np.empty((len(base), len(named)), dtype=np.int32)
+    for j, (_, g) in enumerate(named):
+        moves[:, j] = rows.find(g.images[base])
+    return rows.images[walk(moves, 0, len(moves), len(moves))[0]]
+
+
+def _dimino(gens: np.ndarray, bound: int) -> np.ndarray:
+    """The elements of the group the rows ``gens`` generate, identity
+    first, by Dimino's algorithm.  A generator the kept ones generate is
+    skipped; else the new group is the union of right cosets H r of the
+    old group H closed under every kept generator s, as H r s = H (r s).
+    The byte set ``seen`` and the int32 ``gens`` die before ``walk``."""
+    group = np.arange(gens.shape[1], dtype=gens.dtype)[None, :]
+    seen = {group.tobytes()}
+    kept: list[np.ndarray] = []
+    for g in gens:
+        if g.tobytes() in seen:
+            continue
+        kept.append(g)
+        cosets, reps = [group], [group[0]]
+        for r in reps:  # reps grows as cosets are found
+            for s in kept:
+                rs = s[r]  # the row of r * s
+                if rs.tobytes() in seen:
+                    continue
+                if len(seen) + len(group) > bound:
+                    raise BoundExceededError("group closure", bound)
+                coset = rs[group]  # the rows of h * rs, h in H
+                seen.update(map(bytes, coset))
+                cosets.append(coset)
+                reps.append(rs)
+        group = np.concatenate(cosets)
+    return group
 
 
 def walk(moves: np.ndarray, start: int, radius: int, bound: int):

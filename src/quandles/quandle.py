@@ -98,14 +98,13 @@ def check_quandle_axioms(table: Sequence[Sequence[int]]) -> AxiomReport:
     if bad.size:
         return AxiomReport(False, 1, (int(bad[0]),))
 
-    # counts[v, y] = number of x with x ◁ y = v
-    counts = np.bincount((t * n + cols).ravel(), minlength=n * n).reshape(n, n)
-    bad = np.nonzero((counts != 1).any(axis=0))[0]
+    # a column is a permutation iff it sorts to 0..n-1
+    bad = np.nonzero((np.sort(t, axis=0) != cols[:, None]).any(axis=0))[0]
     if bad.size:
         y = int(bad[0])
-        return AxiomReport(False, 2, (int(np.nonzero(counts[:, y] == 0)[0][0]), y))
+        return AxiomReport(False, 2, (int(np.flatnonzero(np.bincount(t[:, y], minlength=n) == 0)[0]), y))
 
-    if all(_automorphism_defect(t, t[:, z]) is None for z in _generating_set(t, _inverse_table(t))):
+    if all(_automorphism_defect(t, t[:, z]) is None for z in _generating_set(t)):
         return AxiomReport(True)
     return _distributivity_scan(t)
 
@@ -128,21 +127,13 @@ def _distributivity_scan(t: np.ndarray) -> AxiomReport:
     return AxiomReport(True)
 
 
-def _inverse_table(t: np.ndarray) -> np.ndarray:
-    """inv[x, y] = z with z ◁ y = x, for a table whose columns are permutations."""
-    n = t.shape[0]
-    inv = np.empty_like(t)
-    inv[t, np.arange(n)] = np.arange(n)[:, None]
-    return inv
-
-
-def _generating_set(t: np.ndarray, inv: np.ndarray) -> list[int]:
+def _generating_set(t: np.ndarray) -> list[int]:
     """A set S whose closure under x -> x ◁^{+-1} s (s in S) is everything.
 
     Greedy: S gets the smallest element not yet covered, then the covered
-    set is closed again.  Only new work is done: the new generator acts
-    on what was covered, and every generator acts on each newly covered
-    element, so the whole closure costs O(n |S|) lookups.
+    set is closed again under x -> x ◁ s alone, which is enough: s_z is
+    injective, so a finite C with s_z(C) ⊆ C has s_z(C) = C = s_z^-1(C).
+    Only new work is done, O(n |S|) lookups in all.
     """
     n = t.shape[0]
     covered = np.zeros(n, dtype=bool)
@@ -152,12 +143,11 @@ def _generating_set(t: np.ndarray, inv: np.ndarray) -> list[int]:
         old = np.nonzero(covered)[0]
         gens.append(s)
         covered[s] = True
-        frontier = np.concatenate((t[old, s], inv[old, s], t[s, gens], inv[s, gens]))
+        frontier = np.concatenate((t[old, s], t[s, gens]))
         while frontier.size:
             frontier = _distinct(frontier[~covered[frontier]])
             covered[frontier] = True
-            block = np.ix_(frontier, gens)
-            frontier = np.concatenate((t[block].ravel(), inv[block].ravel()))
+            frontier = t[np.ix_(frontier, gens)].ravel()
     return gens
 
 
@@ -198,7 +188,10 @@ class FiniteQuandle:
     def inv_table(self) -> np.ndarray:
         """The inverse operation, inv_table[x, y] = z with z ◁ y = x:
         a second n x n table, built on first use."""
-        return _inverse_table(self.table)
+        n = self.size
+        inv = np.empty_like(self.table)
+        inv[self.table, np.arange(n)] = np.arange(n)[:, None]
+        return inv
 
     def op(self, x: int, y: int) -> int:
         return int(self.table[x, y])

@@ -237,7 +237,8 @@ def verify_free_transitive_reconstruction(
             )
 
     # s_x0 is one of the conjugators above, so sigma maps G onto G
-    s0, s0_inv = q.table[:, basepoint], q.inv_table[:, basepoint]
+    s0 = q.table[:, basepoint]
+    s0_inv = np.argsort(s0)  # the inverse permutation: s0[s0_inv[x]] = x
     sigma = rows.locate(s0[elements[:, s0_inv]])
     group = GroupTable(mul)
     rebuilt = galex_finite(group, sigma)

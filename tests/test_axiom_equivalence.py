@@ -88,6 +88,29 @@ def loop_window_axioms(backend, elements) -> AxiomReport:
     return AxiomReport(True)
 
 
+def generating_set_before(t) -> list[int]:
+    """``quandle._generating_set`` as it was when it closed the covered
+    set under x -> x ◁ s and x -> x ◁^-1 s, with the inverse table built
+    for it."""
+    n = t.shape[0]
+    inv = np.empty_like(t)
+    inv[t, np.arange(n)] = np.arange(n)[:, None]
+    covered = np.zeros(n, dtype=bool)
+    gens: list[int] = []
+    while not covered.all():
+        s = int(np.argmin(covered))
+        old = np.nonzero(covered)[0]
+        gens.append(s)
+        covered[s] = True
+        frontier = np.concatenate((t[old, s], inv[old, s], t[s, gens], inv[s, gens]))
+        while frontier.size:
+            frontier = np.unique(frontier[~covered[frontier]])
+            covered[frontier] = True
+            block = np.ix_(frontier, gens)
+            frontier = np.concatenate((t[block].ravel(), inv[block].ravel()))
+    return gens
+
+
 def assert_same_table_report(table):
     expected = full_scan_axioms(table)
     assert check_quandle_axioms(table) == expected
@@ -145,7 +168,7 @@ def test_trivial_quandles_need_every_generator(n):
     table = [[x] * n for x in range(n)]
     assert assert_same_table_report(table).ok
     t = np.asarray(table)
-    assert quandle._generating_set(t, quandle._inverse_table(t)) == list(range(n))
+    assert quandle._generating_set(t) == list(range(n))
 
 
 def test_multi_component_tables():
@@ -157,7 +180,7 @@ def test_multi_component_tables():
         ("conj(S4)", conjugation_quandle(symmetric_group(4))),
     ):
         assert assert_same_table_report(q.table).ok
-        gens = quandle._generating_set(q.table, q.inv_table)
+        gens = quandle._generating_set(q.table)
         sizes[name] = len(gens)
         # S meets every component, and its closure is the whole quandle
         assert {q.component_key(s) for s in gens} == {part[0] for part in q.components()}
@@ -166,7 +189,31 @@ def test_multi_component_tables():
 
 def test_connected_dihedral_needs_two_generators():
     q = dihedral_quandle(501)
-    assert quandle._generating_set(q.table, q.inv_table) == [0, 1]
+    assert quandle._generating_set(q.table) == [0, 1]
+
+
+def test_stock_generating_sets_match_the_two_sided_closure():
+    tables = _criterion_10_tables() + [
+        conjugation_quandle(g).table for g in (symmetric_group(4), alternating_group(4), quaternion_group())
+    ]
+    tables.append(dihedral_quandle(501).table)
+    for t in tables:
+        assert quandle._generating_set(t) == generating_set_before(t)
+
+
+@st.composite
+def permutation_column_tables(draw):
+    """Tables whose columns are random permutations: axiom 2 holds, and
+    axioms 1 and 3 mostly fail."""
+    n = draw(st.integers(1, 9))
+    columns = [draw(st.permutations(range(n))) for _ in range(n)]
+    return np.array(columns, dtype=np.int64).T
+
+
+@SETTINGS
+@given(permutation_column_tables())
+def test_generating_sets_match_the_two_sided_closure(t):
+    assert quandle._generating_set(t) == generating_set_before(t)
 
 
 @st.composite
@@ -228,6 +275,16 @@ def test_dihedral_quandle_and_inner_ball_memory_is_bounded_by_tables():
     # the stacked moves and the block of sphere 2 (300 x 301 vertex numbers)
     assert peak < 2.5 * table
     assert len(ball.keys) == n
+
+
+def test_axiom_check_memory_is_bounded_by_tables():
+    n = 301
+    t = dihedral_quandle(n).table
+    report, peak = _traced_peak(lambda: check_quandle_axioms(t))
+    assert report.ok
+    # the sorted columns, then the two sides of one automorphism test;
+    # no inverse table and no n^2-long bincount
+    assert peak < 2.5 * n * n * 8
 
 
 def test_inverse_table_matches_column_loop():

@@ -547,6 +547,104 @@ def test_enumeration_matches_the_tuple_loop_on_random_pairs(pair):
     _assert_matches_loop(generators, table_up_to=720)
 
 
+def _closure_before_dimino(generators, bound=200_000):
+    """``group_closure`` as it was before Dimino's algorithm: a
+    breadth-first loop that multiplies each frontier by every generator
+    in gather blocks of 2^16 cells and keeps new rows, by their bytes, in
+    first-occurrence order."""
+    gens = np.array([g.images for _, g in generators], dtype=np.int32)
+    k, n = gens.shape
+    width = gens.itemsize * n
+    identity = np.arange(n, dtype=np.int32)
+    seen = {identity.tobytes()}
+    found = [identity[None, :]]
+    frontier = found[0]
+    block = max(1, (1 << 16) // max(1, k * n))
+    while len(frontier):
+        new = []
+        for f0 in range(0, len(frontier), block):
+            chunk = frontier[f0 : f0 + block]
+            products = np.take(gens, chunk, axis=1)  # [g, f] = chunk[f] * gens[g]
+            buf = products.tobytes()
+            c = len(chunk)
+            fresh = []
+            for f in range(c):
+                for at in range(f, k * c, c):  # row g * c + f of the block
+                    row = buf[at * width : (at + 1) * width]
+                    if row not in seen:
+                        seen.add(row)
+                        fresh.append(at)
+                        if len(seen) > bound:
+                            raise BoundExceededError("group closure", bound)
+            if fresh:
+                new.append(products.reshape(-1, n)[fresh])
+        frontier = np.concatenate(new) if new else frontier[:0]
+        found.append(frontier)
+    return np.concatenate(found)
+
+
+@st.composite
+def _generator_lists(draw):
+    """Named generators of degree 1..9 that preserve a partition of the
+    points into blocks of at most 6, so the group may have several orbits
+    and has order at most 6! * 3!; each generator is new, the identity,
+    a repeat or a product of earlier ones."""
+    n = draw(st.integers(1, 9))
+    blocks, start = [], 0
+    while start < n:
+        size = draw(st.integers(1, min(6, n - start)))
+        blocks.append(list(range(start, start + size)))
+        start += size
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["new", "identity", "repeat", "product"])) if gens else "new"
+        if kind == "new":
+            p = Permutation([x for block in blocks for x in draw(st.permutations(block))])
+        elif kind == "identity":
+            p = Permutation.identity(n)
+        elif kind == "repeat":
+            p = draw(st.sampled_from(gens))
+        else:
+            p = draw(st.sampled_from(gens)) * draw(st.sampled_from(gens))
+        gens.append(p)
+    return [(f"g{i}", p) for i, p in enumerate(gens)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_lists())
+def test_closure_matches_the_block_loop_and_raises_at_the_same_bounds(generators):
+    expected = _closure_before_dimino(generators)
+    found = group_closure(generators)
+    assert found.dtype == expected.dtype
+    assert found.tolist() == expected.tolist()
+    assert found[0].tolist() == list(range(found.shape[1]))
+    for bound in range(len(expected) - 2, len(expected) + 3):
+        try:
+            _closure_before_dimino(generators, bound)
+        except BoundExceededError:
+            with pytest.raises(BoundExceededError) as caught:
+                group_closure(generators, bound)
+            assert (caught.value.what, caught.value.bound) == ("group closure", bound)
+        else:
+            assert group_closure(generators, bound).tolist() == expected.tolist()
+
+
+def test_closure_elements_and_order_against_sympy_dimino():
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
+    s4, d4 = symmetric_group(4), dihedral_group(4)
+    quandles = {f"r{n}": dihedral_quandle(n) for n in range(5, 41)}
+    quandles["conj-s4"] = conjugation_quandle(s4)
+    quandles["conj-q8"] = conjugation_quandle(quaternion_group())
+    quandles["galex-s4"] = galex_finite(s4, conjugation_automorphism(s4, 1))
+    quandles["galex-d4"] = galex_finite(d4, conjugation_automorphism(d4, 1))
+    for name, q in quandles.items():
+        for group in (q.inner_group(), q.displacement_group()):
+            sym = SymGroup([SymPerm(g.images.tolist()) for _, g in group.generators])
+            assert group.order == sym.order(), name
+            assert set(map(tuple, group.images.tolist())) == {tuple(p.array_form) for p in sym.generate_dimino()}, name
+
+
 @dataclass(frozen=True)
 class _TuplePermutation:
     """``Permutation`` as it was when it stored a tuple of images."""

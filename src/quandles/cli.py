@@ -280,12 +280,13 @@ def cmd_dist(args) -> int:
     src = backend.parse_key(args.src)
     dst = backend.parse_key(args.dst)
     ball = build_ball(action, src, args.radius, max_vertices=args.max_vertices)
-    key_src, key_dst = backend.key(src), backend.key(dst)
-    d = ball.distance(key_src, key_dst)
+    # found by value, so only the two endpoints are keyed; a distance from the basepoint is certified
+    j = ball.find(dst)
+    d = None if j is None else int(ball.depth[j])
     _emit(
         {
-            "from": key_src,
-            "to": key_dst,
+            "from": ball.basepoint,
+            "to": action.key(dst),
             "radius": args.radius,
             "distance": d,
             "status": "certified" if d is not None else "out-of-ball",

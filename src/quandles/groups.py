@@ -93,9 +93,10 @@ class GroupTable:
 
     def subgroup_closure(self, subset: Sequence[int]) -> list[int]:
         """Elements of the subgroup generated by ``subset``, sorted: the
-        ``walk`` from the identity under the right translations ``mul[:, g]``."""
+        ``walk`` from the identity under the right translations ``mul[:, g]``,
+        read from ``mul`` in place."""
         gens = _distinct(np.asarray(subset, dtype=np.int64))
-        return np.sort(walk(self.mul[:, gens], self.identity, self.size, self.size)[0]).tolist()
+        return np.sort(walk(self.mul, self.identity, self.size, self.size, gens)[0]).tolist()
 
     def normal_closure_of(self, x: int) -> list[int]:
         return self.subgroup_closure(self.conj(x, np.arange(self.size)))

@@ -349,8 +349,9 @@ def offset_moves(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int)
 
 def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, max_vertices: int):
     """``perms.walk`` for the moves of ``offset_moves``, over int64
-    offsets from the basepoint: returns (offsets, sphere sizes, blocks,
-    finish) as ``perms.walk`` does, with the same numbering and cap.
+    offsets from the basepoint, with its numbering and cap: returns
+    (offsets, sphere sizes, one block of vertex numbers per sphere inside
+    ``radius``, ``finish`` for the last sphere's block, V off the ball).
 
     Every move has its inverse among the moves, so a neighbour of a
     vertex at depth d lies at depth d - 1, d or d + 1: targets are looked

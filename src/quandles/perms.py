@@ -57,7 +57,8 @@ import numpy as np
 from .errors import BoundExceededError, MalformedTableError
 
 DEFAULT_GROUP_BOUND = 200_000
-WALK_CELLS = 1 << 13  # cells per gather chunk of a walk sphere
+WALK_CELLS = 1 << 12  # cells per gather chunk of a walk sphere
+CAYLEY_CELLS = 1 << 16  # products per block of rows of a Cayley table
 
 
 class Permutation:
@@ -287,10 +288,17 @@ class PermGroup:
 def cayley_table(images: np.ndarray, rows: Optional[RowIndex] = None) -> np.ndarray:
     """The Cayley table of the distinct rows ``images``, closed under
     products: [a, b] is the row of images[a] * images[b], which its base
-    images images[b, images[a, :L]] pick out (through ``rows``)."""
+    images images[b, images[a, :L]] pick out (through ``rows``).  It is
+    found a block of about ``CAYLEY_CELLS`` products at a time, so it
+    holds the table and one block's base images and codes."""
     rows = rows or RowIndex(images)
-    on_base = images[:, images[:, : rows.base_length]]  # [b, a, j]
-    return rows.find(on_base.transpose(1, 0, 2))
+    m, base = len(images), rows.base_length
+    table = np.empty((m, m), dtype=np.intp)
+    step = max(1, CAYLEY_CELLS // max(1, m * base))
+    for a0 in range(0, m, step):
+        on_base = images[:, images[a0 : a0 + step, :base]]  # [b, a, j]
+        table[a0 : a0 + step] = rows.find(on_base.transpose(1, 0, 2))
+    return table
 
 
 def group_closure(
@@ -343,35 +351,30 @@ def _dimino(gens: np.ndarray, bound: int) -> np.ndarray:
     return group
 
 
-def walk(moves: np.ndarray, start: int, radius: int, bound: int):
+def walk(moves: np.ndarray, start: int, radius: int, bound: int, columns: Optional[np.ndarray] = None):
     """Breadth-first walk from ``start`` under the moves x -> ``moves[x, m]``,
-    numbering points by first occurrence, frontier-major and move-minor.
-    Returns (points, sphere sizes, one block of vertex numbers per sphere
-    inside ``radius``, ``finish`` for the last sphere's block, with the
-    count for points off the walk); raises BoundExceededError, with the
-    last completed radius and its count, iff the count passes ``bound``.
+    for m in ``columns`` (every column by default), numbering points by
+    first occurrence, frontier-major and move-minor.  Returns (points,
+    sphere sizes); raises BoundExceededError, with the last completed
+    radius and its count, iff the count passes ``bound``.
 
-    ``vertex`` maps a point to its vertex number once the walk reaches it
-    and an unreached point p to -1 - p, so a gathered block alone names
-    the points it reaches first.  A sphere of f points under k moves
-    costs one (f x k) int64 array, its block, which the walk keeps; the
-    block is gathered from chunks of about ``WALK_CELLS`` cells of the
-    frontier, and each chunk's fresh points are numbered before the next
-    chunk is gathered, which is still first occurrence over the sphere.
+    ``vertex`` maps a reached point to its vertex number and an unreached
+    point p to -1 - p, so a gathered chunk alone names the points it
+    reaches first.  A sphere is gathered in chunks of about ``WALK_CELLS``
+    cells, each chunk's fresh points numbered before the next is
+    gathered, which is still first occurrence.  No vertex numbers of
+    moves are kept: ``walk_table`` gathers them when a ball needs them.
     """
     vertex = -1 - np.arange(moves.shape[0], dtype=np.int64)
     vertex[start] = 0
     frontier = np.array([start])
-    spheres, blocks = [frontier], []
-    count = 1
+    spheres, count = [frontier], 1
     for d in range(1, radius + 1):
         if not frontier.size:
             break
-        row = np.empty((frontier.size, moves.shape[1]), dtype=np.int64)
         sphere, reached = [], count
-        for part in _gathered(vertex, moves, frontier, row):
-            new = part < 0
-            unseen = -1 - part[new]
+        for _, part in _gathered(vertex, moves, frontier, columns):
+            unseen = -1 - part[part < 0]
             if not unseen.size:
                 continue
             _, first = np.unique(unseen, return_index=True)
@@ -379,33 +382,33 @@ def walk(moves: np.ndarray, start: int, radius: int, bound: int):
             if count + fresh.size > bound:
                 raise BoundExceededError("schreier ball", bound, radius=d - 1, vertices=reached)
             vertex[fresh] = np.arange(count, count + fresh.size)
-            part[new] = vertex[unseen]
             count += fresh.size
             sphere.append(fresh)
-        blocks.append(row)
         frontier = np.concatenate(sphere) if sphere else frontier[:0]
         spheres.append(frontier)
-    vertex[vertex < 0] = count  # points off the walk map to the sentinel V
-
-    def finish() -> np.ndarray:
-        row = np.empty((frontier.size, moves.shape[1]), dtype=np.int64)
-        for _ in _gathered(vertex, moves, frontier, row):
-            pass
-        return row
-
-    return np.concatenate(spheres), [s.size for s in spheres], blocks, finish
+    return np.concatenate(spheres), [s.size for s in spheres]
 
 
-def _gathered(vertex: np.ndarray, moves: np.ndarray, points: np.ndarray, out: np.ndarray):
-    """Fill ``out`` with vertex[moves[points]] a chunk of about
-    ``WALK_CELLS`` cells at a time, yielding each chunk (a view of
-    ``out``) once it is filled, so a caller may update ``vertex`` before
-    the next one is gathered."""
-    step = max(1, WALK_CELLS // max(1, moves.shape[1]))
+def walk_table(moves: np.ndarray, points: np.ndarray, columns: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (point x move) int64 table vertex[moves[points]] of a walk's
+    vertex numbers, over ``columns`` as in ``walk``, len(points) off the
+    walk; gathered a chunk at a time, so it holds the table and a chunk."""
+    vertex = np.full(moves.shape[0], len(points), dtype=np.int64)
+    vertex[points] = np.arange(len(points))
+    table = np.empty((len(points), moves.shape[1] if columns is None else len(columns)), dtype=np.int64)
+    for c0, part in _gathered(vertex, moves, points, columns):
+        table[c0 : c0 + len(part)] = part
+    return table
+
+
+def _gathered(vertex: np.ndarray, moves: np.ndarray, points: np.ndarray, columns: Optional[np.ndarray]):
+    """Yield (first row, vertex[moves[rows]]) over ``columns`` for chunks
+    of ``points`` of about ``WALK_CELLS`` cells, one at a time, so a
+    caller may update ``vertex`` before the next one is gathered."""
+    step = max(1, WALK_CELLS // max(1, moves.shape[1] if columns is None else len(columns)))
     for c0 in range(0, len(points), step):
-        part = out[c0 : c0 + step]
-        part[...] = vertex[moves[points[c0 : c0 + step]]]
-        yield part
+        rows = points[c0 : c0 + step]
+        yield c0, vertex[moves[rows] if columns is None else moves[rows[:, None], columns]]
 
 
 def orbits(generators, domain: Iterable[int]) -> list[list[int]]:

@@ -17,30 +17,31 @@ also lie strictly inside the ball (d < R), which keeps certificates
 monotone under radius growth.
 
 A ball numbers its vertices in BFS order, and that numbering is the only
-vertex identity inside it: keys, basepoint depths, elements and the
-graph are all stored by vertex number, and string keys appear only in
-the key -> vertex ``index`` and at output.  The graph is kept in one
-place, a (vertex x slot) neighbor table of vertex indices.  For a built
-ball the slots are the moves, a generator and, unless it is an
-involution, its inverse, and the vertex count V stands for a move that
-leaves the ball.  The BFS fills the rows of every vertex inside radius R
-as it goes; the rows of the last sphere, the only ones that can hold V,
-get their second look only when edges or pair queries first need them.
-Every walk numbers points by value, under one rule: a point is a
-hashable value, and two points are equal exactly when their keys are
-equal.  ``build_ball`` makes the keys once per vertex, after the walk.
-When the action is the default point action and every move is a
-``Permutation`` (every finite quandle), the walk is ``perms.walk``, a
-numpy gather over the moves' image rows, stacked once.  When every move
-is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
+vertex identity inside it: depths, elements and the graph are stored by
+vertex number, and string keys appear only in the key -> vertex
+``index`` and at output.  The graph is one (vertex x slot) neighbor
+table of vertex indices.  A built ball's slots are its moves, a
+generator and, unless it is an involution, its inverse, and the vertex
+count V stands for a move that leaves the ball.  Every walk numbers
+points by value, under one rule: a point is a hashable value, and two
+points are equal exactly when their keys are equal.  A built ball keeps
+the depths and the points in the walk's own form (``_WalkPoints``) and
+keys its basepoint alone; the other keys, the elements and ``index`` are
+made on first use, which growth and ends never make.  When the action is
+the default point action and every move is a ``Permutation`` (every
+finite quandle), the walk is ``perms.walk``, a numpy gather over the
+moves' image rows, read in place when they are the columns of one table
+(a finite quandle's inner symmetries) and stacked once otherwise; the
+ball's table is one more gather, on first use.  When every move is a
+``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
 ``lattice.offset_walk``, one int64 matrix product per sphere.  Otherwise
 ``_generic_bfs`` applies one move at a time and finds each target in a
-dict from point to vertex.  Lattice points are tuples on both lattice
-paths.  All three walks take their moves from ``_moves``, so they
-discover vertices in the same order.
-An edge list (JSON input) is converted once into the same kind of table,
-padded with V.  The labeled, sorted edge list is rendered from the table
-on first use, so growth and distances from the basepoint never build it.
+dict from point to vertex.  These two fill the rows inside radius R as
+they go; the rows of the last sphere, the only ones that can hold V, are
+made when edges or pair queries first need them.  Lattice points are
+tuples on both lattice paths.  All three walks take their moves from
+``_moves``, so they discover vertices in the same order.  An edge list
+(JSON input) is converted once into the same kind of table, padded with V.
 
 Pair queries walk that table directly, with the ``depth`` array of
 basepoint distances beside it; self-loops, parallel moves and V need no
@@ -58,21 +59,24 @@ pair, searched to depth R, that keeps no row.
 Ends are estimated from an annulus: the number of connected components of
 {v : n < d(v) <= N} that touch the outer frontier d(v) = N.  For graphs
 where the annulus structure has stabilized (paths, lattices, trees) this
-equals the number of ends.
+equals the number of ends.  Components are found by numpy hook and
+compress over the neighbor table (``_component_labels``).
 """
 
 from __future__ import annotations
 
+import array
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import BoundExceededError
 from .lattice import LatticeAffine, offset_moves, offset_walk
-from .perms import Permutation, _distinct, _named, walk
+from .perms import Permutation, _distinct, _named, walk, walk_table
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
@@ -149,57 +153,55 @@ class LabeledBall:
     """A radius-R ball in a Schreier graph.
 
     Vertices are numbered 0..V-1 in BFS discovery order, and every
-    per-vertex fact is stored once, in that order: ``keys`` (the string
-    keys), ``depth`` (an int array of basepoint distances) and
-    ``elements`` (the acted-on objects, empty for a ball read back from
-    JSON).  ``index`` maps a key to its vertex number, built from
-    ``keys`` on first use; string keys are met only there and at output.
-    The ball's one graph is a ``_NeighborTable`` over the vertex numbers: ``build_ball`` records it,
-    and ``ball_from_json_lines`` converts an edge list into it.  ``edges``
-    renders it as the sorted, distinct ``(key_u, key_v, name)`` with
-    key_u <= key_v, self-loops included, on first use; pair queries, ends
-    and the forest check walk the table itself.
+    per-vertex fact is stored once, in that order: ``depth`` (basepoint
+    distances), ``keys`` and ``elements`` (the acted-on objects, none for
+    a ball read back from JSON).  A built ball is given a ``_WalkPoints``
+    for its keys, and makes ``keys``, ``elements`` and ``index`` (key ->
+    vertex) from it on first use; ``basepoint`` (its key), ``vertex_count``
+    and ``sphere_sizes`` never do.  The one graph is a ``_NeighborTable``
+    over the vertex numbers, recorded by ``build_ball`` or converted from
+    an edge list by ``ball_from_json_lines``; ``edges`` renders it, on
+    first use, as the sorted, distinct ``(key_u, key_v, name)`` with
+    key_u <= key_v, self-loops included, and pair queries, ends and the
+    forest check walk the table itself.
     """
 
-    def __init__(
-        self,
-        backend_id: str,
-        radius: int,
-        generator_names: list[str],
-        keys: list[str],
-        depth: np.ndarray,
-        neighbors: "_NeighborTable",
-        elements: Optional[list] = None,
-    ):
+    def __init__(self, backend_id: str, radius: int, generator_names: list[str], keys: "list[str] | _WalkPoints",
+                 depth: np.ndarray, neighbors: "_NeighborTable"):
         self.backend_id = backend_id
         self.radius = radius
         self.generator_names = generator_names
-        self.keys = keys
         self.depth = depth
-        self.elements = [] if elements is None else elements
-        self._index: Optional[dict[str, int]] = None
         self._neighbors = neighbors
-        self._edges: Optional[list[Edge]] = None  # rendered from the table on first use
+        self._walked = keys if isinstance(keys, _WalkPoints) else None
+        if self._walked is None:
+            self.keys = keys  # fills the cached property
+        self.basepoint: str = self._walked.basepoint if self._walked else keys[0]
 
-    @property
-    def basepoint(self) -> str:
-        return self.keys[0]
+    @cached_property
+    def keys(self) -> list[str]:
+        return self._walked.keys()
 
-    @property
+    @cached_property
+    def elements(self) -> list:
+        return self._walked.elements() if self._walked else []
+
+    @cached_property
     def index(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = {k: i for i, k in enumerate(self.keys)}
-        return self._index
+        return {k: i for i, k in enumerate(self.keys)}
 
-    @property
+    @cached_property
     def edges(self) -> list[Edge]:
-        if self._edges is None:
-            self._edges = self._neighbors.edges(self.keys)
-        return self._edges
+        return self._neighbors.edges(self.keys)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.keys)
+        return len(self.depth)
+
+    def find(self, point) -> Optional[int]:
+        """The vertex number of the acted-on ``point``, found by value among
+        the walk's points, or None; a ball read from JSON finds nothing."""
+        return self._walked.find(point) if self._walked else None
 
     def sphere_sizes(self) -> list[int]:
         return np.bincount(self.depth, minlength=self.radius + 1).tolist()
@@ -247,6 +249,46 @@ class LabeledBall:
             d = self._certified(order[i0:i1], order[i0 + 1 :])
             for r, c in zip(*np.nonzero(upper & (d >= 0))):
                 yield keys[i0 + r], keys[i0 + 1 + c], int(d[r, c])
+
+
+class _WalkPoints:
+    """A built ball's points as its walk made them: the int array of
+    ``perms.walk``, the int64 (vertex x coordinate) offsets from the
+    basepoint of ``lattice.offset_walk``, or the element list of
+    ``_generic_bfs``.  Only the basepoint is keyed up front."""
+
+    def __init__(self, points, base, key: Callable[[object], str]):
+        self.points, self.base, self.key = points, base, key
+        self.basepoint = key(base)
+
+    def _rest(self) -> Iterable:  # the elements after the basepoint
+        points = self.points
+        if isinstance(points, list):
+            return points[1:]
+        if points.ndim == 1:
+            return points[1:].tolist()
+        # zipping the columns makes the tuples of Python ints without a
+        # list per row, which keeps the peak memory down
+        return zip(*(points[1:] + np.array(self.base, dtype=np.int64)).T.tolist())
+
+    def elements(self) -> list:
+        return self.points if isinstance(self.points, list) else [self.base, *self._rest()]
+
+    def keys(self) -> list[str]:
+        return [self.basepoint, *map(self.key, self._rest())]
+
+    def find(self, point) -> Optional[int]:
+        points, hits = self.points, []
+        if isinstance(points, list):
+            return points.index(point) if point in points else None
+        if points.ndim == 1 and isinstance(point, (int, np.integer)):
+            hits = np.flatnonzero(points == point)
+        elif points.ndim == 2 and isinstance(point, tuple) and len(point) == points.shape[1]:
+            offset = [v - b for v, b in zip(point, self.base) if type(v) is int]
+            # every offset of the walk lies below 2^62 (``lattice.offset_moves``)
+            if len(offset) == len(point) and max(map(abs, offset)) < 1 << 62:
+                hits = np.flatnonzero((points == offset).all(axis=1))
+        return int(hits[0]) if len(hits) else None
 
 
 def _certify(d, dx, dy, radius: int):
@@ -328,13 +370,12 @@ class _NeighborTable:
     the vertex count V where a move leaves the ball, and a label per cell
     that indexes ``names``, which is sorted.
 
-    A built ball's slots are its moves, a generator and, unless it is an
-    involution, its inverse; its labels are the moves' generator indices,
-    broadcast over the rows.  ``blocks`` hold the rows the BFS filled, in
-    vertex order, and ``finish`` returns the rows of the remaining
-    vertices (the last sphere, the only rows that can hold V) and is
-    called once, on first use.  An edge list is converted once, by
-    ``from_edges``, into a full table padded with V.
+    A built ball's labels are its moves' generator indices, broadcast
+    over the rows.  ``blocks`` hold the rows the walk filled, in vertex
+    order (none for ``perms.walk``), and ``finish``, called once on first
+    use, returns the other rows (the last sphere, the only rows that can
+    hold V, or all).  An edge list is converted once, by ``from_edges``,
+    into a full table padded with V.
     """
 
     def __init__(
@@ -370,7 +411,8 @@ class _NeighborTable:
 
     def array(self) -> np.ndarray:
         if self._finish is not None:
-            self._blocks = [np.concatenate([*self._blocks, self._finish()])]
+            parts = [*self._blocks, self._finish()]
+            self._blocks = [np.concatenate(parts) if len(parts) > 1 else parts[0]]
             self._finish = None
         return self._blocks[0]
 
@@ -409,11 +451,13 @@ class _NeighborTable:
         return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
 
 
-def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The moves of ``_moves`` as a (point x move) array of their image
-    rows, with each move's generator index; None unless the action is the
-    default point action, every generator is a ``Permutation`` of one
-    degree and the basepoint is one of its points."""
+def _permutation_moves(action: SchreierAction, basepoint):
+    """The moves of ``_moves`` for ``perms.walk`` as ``(array, columns,
+    move_gen)``: move m is column ``columns[m]`` (m if None) of ``array``,
+    the table that all the image rows are columns of (``_table_columns``),
+    else the rows stacked once.  None unless the action is the default
+    point action, every generator is a ``Permutation`` of one degree and
+    the basepoint is one of its points."""
     auts = [aut for _, aut in action.generators]
     if action.apply is not _act or not auts or any(type(a) is not Permutation for a in auts):
         return None
@@ -425,7 +469,25 @@ def _permutation_moves(action: SchreierAction, basepoint) -> Optional[tuple[np.n
     if any(a.degree != degree for a in auts) or not 0 <= base < degree:
         return None
     moves, move_gen = _moves(action)
-    return np.stack([m.images for m in moves], axis=1), move_gen
+    images = [m.images for m in moves]
+    found = _table_columns(images)
+    return (np.stack(images, axis=1), None, move_gen) if found is None else (*found, move_gen)
+
+
+def _table_columns(images: list[np.ndarray]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``(table, columns)`` with images[m] exactly column columns[m] of
+    ``table``, an (n x w) view of the C-contiguous array that all the rows
+    view with a stride of w entries; None for any other layout."""
+    owner, (n,), (stride,) = images[0].base, images[0].shape, images[0].strides
+    same = isinstance(owner, np.ndarray) and all(
+        r.base is owner and r.dtype == owner.dtype and r.strides == (stride,) and r.shape == (n,) for r in images
+    )
+    if not (same and owner.flags.c_contiguous and stride % owner.itemsize == 0 and owner.nbytes == n * stride):
+        return None
+    table = owner.reshape(n, -1)
+    start = table.__array_interface__["data"][0]
+    columns, rest = np.divmod([r.__array_interface__["data"][0] - start for r in images], owner.itemsize)
+    return (table, columns) if not rest.any() and 0 <= columns.min() <= columns.max() < table.shape[1] else None
 
 
 def _moves(action: SchreierAction) -> tuple[list, np.ndarray]:
@@ -461,65 +523,51 @@ def _affine_moves(action: SchreierAction, basepoint, radius: int):
     return None if offsets is None else (*offsets, move_gen)
 
 
-def build_ball(
-    action: SchreierAction,
-    basepoint,
-    radius: int,
-    max_vertices: int = DEFAULT_VERTEX_BOUND,
-) -> LabeledBall:
+def build_ball(action: SchreierAction, basepoint, radius: int, max_vertices: int = DEFAULT_VERTEX_BOUND) -> LabeledBall:
     """Breadth-first ball of the action at ``basepoint``.
 
     Vertices appear in BFS order with generator name breaking ties; the
     ball's edges cover every generator move between its vertices,
     including those between two radius-R vertices.  The walk tells
-    points apart by value, and each vertex is keyed once, after it (see
-    the module docstring).  Raises BoundExceededError, carrying the last
-    completed radius and its vertex count, iff a vertex beyond the
-    basepoint takes the count past ``max_vertices``.
+    points apart by value; the ball keys its basepoint and makes the
+    other keys, each once, on first use (see the module docstring).
+    Raises BoundExceededError, carrying the last completed radius and its
+    vertex count, iff a vertex beyond the basepoint takes the count past
+    ``max_vertices``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     fast = _permutation_moves(action, basepoint)
     lattice = _affine_moves(action, basepoint, radius)
     if fast is not None:
-        moves, move_gen = fast
-        points, sizes, blocks, finish = walk(moves, operator.index(basepoint), radius, max_vertices)
-        elements = [basepoint, *points[1:].tolist()]
+        moves, columns, move_gen = fast
+        points, sizes = walk(moves, operator.index(basepoint), radius, max_vertices, columns)
+        blocks, finish = [], lambda: walk_table(moves, points, columns)
     elif lattice is not None:
         step, shifts, bound, move_gen = lattice
-        offsets, sizes, blocks, finish = offset_walk(step, shifts, bound, radius, max_vertices)
-        # zipping the columns makes the tuples of Python ints without a
-        # list per row, which keeps the peak memory down
-        points = offsets[1:] + np.array(basepoint, dtype=np.int64)
-        elements = [basepoint, *zip(*points.T.tolist())]
+        points, sizes, blocks, finish = offset_walk(step, shifts, bound, radius, max_vertices)
     else:
-        elements, sizes, blocks, finish, move_gen = _generic_bfs(action, basepoint, radius, max_vertices)
+        points, sizes, blocks, finish, move_gen = _generic_bfs(action, basepoint, radius, max_vertices)
     names = [name for name, _ in action.generators]
-    return LabeledBall(
-        backend_id=action.backend_id,
-        radius=radius,
-        generator_names=names,
-        keys=list(map(action.key, elements)),
-        depth=np.repeat(np.arange(len(sizes)), sizes),
-        neighbors=_NeighborTable(blocks, finish, move_gen, names),
-        elements=elements,
-    )
+    depth = np.repeat(np.arange(len(sizes)), sizes)
+    neighbors = _NeighborTable(blocks, finish, move_gen, names)
+    return LabeledBall(action.backend_id, radius, names, _WalkPoints(points, basepoint, action.key), depth, neighbors)
 
 
 def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: int):
     """BFS applying one move at a time, numbering points by a dict from
     point to vertex; returns (elements, sphere sizes, neighbor blocks,
-    finish, move_gen)."""
+    finish, move_gen).  The rows of every sphere go to one int64 buffer,
+    made one block at the end."""
     moves, move_gen = _moves(action)
     apply = action.apply
     elements, vertex = [basepoint], {basepoint: 0}
-    sizes, blocks = [1], []
-    done = 0  # vertices whose rows are in blocks
+    sizes, rows = [1], array.array("q")
+    done = 0  # vertices whose rows are in the buffer
     for d in range(1, radius + 1):
         end = len(elements)
         if done == end:
             break
-        row = []
         for x in elements[done:end]:
             for aut in moves:
                 y = apply(aut, x)
@@ -528,38 +576,41 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
                     if j >= max_vertices:
                         raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=end)
                     elements.append(y)
-                row.append(j)
-        blocks.append(np.array(row, dtype=np.int64).reshape(end - done, len(moves)))
+                rows.append(j)
         sizes.append(len(elements) - end)
         done = end
 
     def finish() -> np.ndarray:
         last = elements[done:]
-        row = [vertex.get(apply(aut, x), len(elements)) for x in last for aut in moves]
-        return np.array(row, dtype=np.int64).reshape(len(last), len(moves))
+        row = (vertex.get(apply(aut, x), len(elements)) for x in last for aut in moves)
+        return np.fromiter(row, dtype=np.int64, count=len(last) * len(moves)).reshape(len(last), len(moves))
 
-    return elements, sizes, blocks, finish, move_gen
+    return elements, sizes, [np.frombuffer(rows, dtype=np.int64).reshape(done, len(moves))], finish, move_gen
 
 
-def _component_labels(ball: LabeledBall, inside: np.ndarray) -> np.ndarray:
-    """Connected components of the subgraph on the vertices marked
-    ``inside``: a label per vertex (its component's first vertex), -1
-    outside."""
+def _component_labels(table: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Each vertex marked ``inside`` labeled by the first vertex of its
+    component in the subgraph of a neighbor ``table`` on them; -1 outside.
+
+    Hook and compress (Y. Shiloach and U. Vishkin, J. Algorithms 3, 1982)
+    over each undirected edge once, u < v, in int32 while V < 2^31: a
+    round hooks the larger root of each edge between two trees onto the
+    smallest root across one (``np.minimum.at``), jumps pointers to the
+    roots and drops the edges inside a tree.  A component's root is thus
+    its first vertex.
+    """
     n = inside.size
-    label = np.where(inside, n, -1).tolist()  # n: inside, not yet labeled
-    neighbors = ball._neighbors.array().tolist()
-    for start in range(n):
-        if label[start] != n:
-            continue
-        label[start] = start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in neighbors[u]:
-                if v < n and label[v] == n:
-                    label[v] = start
-                    stack.append(v)
-    return np.array(label, dtype=np.int64)
+    parent = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    keep = (table > parent[:, None]) & inside[:, None] & np.append(inside, False)[table]
+    u, v = np.broadcast_to(parent[:, None], table.shape)[keep], table[keep].astype(parent.dtype)
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        cross = parent[u] != parent[v]
+        u, v = u[cross], v[cross]
+    return np.where(inside, parent, -1).astype(np.int64)
 
 
 def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
@@ -572,7 +623,7 @@ def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
     """
     if not 0 <= inner_radius < ball.radius:
         raise ValueError("need 0 <= inner_radius < ball radius")
-    label = _component_labels(ball, ball.depth > inner_radius)
+    label = _component_labels(ball._neighbors.array(), ball.depth > inner_radius)
     return int(np.count_nonzero(np.bincount(label[ball.depth == ball.radius])))
 
 
@@ -586,7 +637,7 @@ def loopless_forest_check(ball: LabeledBall) -> bool:
     n = ball.vertex_count
     pair = ball._neighbors.codes() // max(1, len(ball._neighbors.names))
     simple = np.count_nonzero(pair // n != pair % n)
-    components = np.count_nonzero(_component_labels(ball, np.ones(n, dtype=bool)) == np.arange(n))
+    components = np.count_nonzero(_component_labels(ball._neighbors.array(), np.ones(n, dtype=bool)) == np.arange(n))
     return simple == n - components
 
 
@@ -744,14 +795,7 @@ def ball_from_json_lines(text: str) -> LabeledBall:
     stray = [k for edge in edges for k in edge[:2] if k not in index]
     if stray:
         raise ValueError(f"edge endpoint {stray[0]!r} has no vertex record")
-    return LabeledBall(
-        backend_id=backend,
-        radius=radius,
-        generator_names=list(generators),
-        keys=keys,
-        depth=depth,
-        neighbors=_NeighborTable.from_edges(index, edges),
-    )
+    return LabeledBall(backend, radius, list(generators), keys, depth, _NeighborTable.from_edges(index, edges))
 
 
 def _dot_quote(s: str) -> str:

@@ -118,7 +118,7 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     reports.append(TheoremReport("inn-mod-dis-cyclic", instance, cyclic, witness, {"quotient_order": qorder}))
 
     moves = table.mul[:, inn.positions(np.array([sym.images for _, sym in inn.generators]))]
-    points, sizes = walk(moves, table.identity, table.size, table.size)[:2]
+    points, sizes = walk(moves, table.identity, table.size, table.size)
     phi = np.empty(table.size, dtype=np.int64)
     phi[points] = np.repeat(np.arange(len(sizes)), sizes)
     k = np.gcd.reduce((phi[:, None] + 1 - phi[moves]).ravel())

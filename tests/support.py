@@ -2,10 +2,11 @@
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 from quandles.perms import Permutation
-from quandles.schreier import ball_from_json_lines, ball_to_json_lines
+from quandles.schreier import SchreierAction, ball_from_json_lines, ball_to_json_lines
 
 
 def depths(ball):
@@ -36,3 +37,25 @@ def src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def traced_peak(build):
+    """``build()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def key_counting(action):
+    """``action`` with a key function that records every point it keys:
+    returns the new action and the list of keyed points."""
+    keyed = []
+
+    def key(x):
+        keyed.append(x)
+        return action.key(x)
+
+    return SchreierAction(action.backend_id, action.generators, key, apply=action.apply), keyed

@@ -7,12 +7,12 @@ is the one the plain scans below give.
 """
 
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import traced_peak
 
 from quandles import families, quandle
 from quandles.families import (
@@ -244,43 +244,29 @@ def test_fallback_scan_memory_is_bounded_by_cells(monkeypatch):
     expected = full_scan_axioms(t)
     assert expected.axiom == 3
     monkeypatch.setattr(quandle, "AXIOM3_CELLS", 2 * n * n)
-    tracemalloc.start()
-    try:
-        report = check_quandle_axioms(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: check_quandle_axioms(t))
     assert report == expected
     # one 32-row pass of the old scan held 32 n^2 int64 cells per array
     assert peak < 16 * n * n * 8
 
 
-def _traced_peak(build):
-    """``build()`` and the peak of the memory it allocated."""
-    tracemalloc.start()
-    try:
-        result = build()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_dihedral_quandle_and_inner_ball_memory_is_bounded_by_tables():
     n = 301
     table = n * n * 8
-    q, peak = _traced_peak(lambda: dihedral_quandle(n))
+    q, peak = traced_peak(lambda: dihedral_quandle(n))
     # the table, and no second n x n array for its inverse or its remainder
     assert peak < 1.5 * table
-    ball, peak = _traced_peak(lambda: build_ball(inner_action(q), 0, 2))
-    # the stacked moves and the block of sphere 2 (300 x 301 vertex numbers)
-    assert peak < 2.5 * table
+    ball, peak = traced_peak(lambda: build_ball(inner_action(q), 0, 2))
+    # the walk reads the table in place and keeps no block of vertex
+    # numbers; the ball's own table is gathered on first use
+    assert peak < 0.5 * table
     assert len(ball.keys) == n
 
 
 def test_axiom_check_memory_is_bounded_by_tables():
     n = 301
     t = dihedral_quandle(n).table
-    report, peak = _traced_peak(lambda: check_quandle_axioms(t))
+    report, peak = traced_peak(lambda: check_quandle_axioms(t))
     assert report.ok
     # the sorted columns, then the two sides of one automorphism test;
     # no inverse table and no n^2-long bincount

@@ -13,7 +13,9 @@ import json
 
 import numpy as np
 import pytest
-from support import depths, rewired
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import depths, key_counting, rewired
 
 from quandles.cli import parse_generator_expressions
 from quandles.errors import BoundExceededError
@@ -29,7 +31,9 @@ from quandles.groups import dihedral_group, symmetric_group
 from quandles.quandle import FiniteQuandle
 from quandles.schreier import (
     SchreierAction,
+    _NeighborTable,
     _affine_moves,
+    _component_labels,
     _identity_like,
     _permutation_moves,
     ball_from_json_lines,
@@ -40,6 +44,7 @@ from quandles.schreier import (
     displacement_action,
     ends_estimate,
     inner_action,
+    loopless_forest_check,
 )
 
 
@@ -317,20 +322,36 @@ def test_one_vertex_numbering(name, path, action, base, radius):
 @pytest.mark.parametrize("name,path,action,base,radius", _numbering_cases(), ids=[c[0] for c in _numbering_cases()])
 def test_build_ball_keys_each_vertex_once(name, path, action, base, radius):
     """On every path the walk tells points apart by value, and
-    ``build_ball`` keys each vertex once, after it; edges and pair
-    queries key nothing."""
-    keyed = []
-
-    def key(x):
-        keyed.append(x)
-        return action.key(x)
-
-    counted = SchreierAction(action.backend_id, action.generators, key, apply=action.apply)
+    ``build_ball`` keys the basepoint alone; the other vertices are keyed
+    once, on first use, and edges and pair queries key nothing more."""
+    counted, keyed = key_counting(action)
     assert _path(counted, base, radius) == path
     ball = build_ball(counted, base, radius)
+    # growth and ends read nothing but the basepoint's key
+    assert sum(ball.sphere_sizes()) == ball.vertex_count
+    ends_estimate(ball, radius - 1)
+    assert keyed == [base] and ball.basepoint == action.key(base)
     assert ball.edges == _two_pass_ball(action, base, radius)[1]
     assert ball.distance(ball.basepoint, ball.keys[-1]) == ball.depth[-1]
     assert keyed == ball.elements
+
+
+@pytest.mark.parametrize("name,path,action,base,radius", _numbering_cases(), ids=[c[0] for c in _numbering_cases()])
+def test_find_looks_points_up_by_value(name, path, action, base, radius):
+    """``find`` gives each element's vertex number from the walk's own
+    points, keying nothing, and None for a point outside the ball or of
+    another form; a ball read back from JSON finds nothing."""
+    counted, keyed = key_counting(action)
+    ball = build_ball(counted, base, radius)
+    elements = ball.elements
+    assert [ball.find(x) for x in elements] == list(range(ball.vertex_count))
+    assert keyed == [base]
+    strangers = {
+        "permutation": [-1, 9, 2**70, "4", (4,), None],
+        "lattice": [(0, 10**6), (2**70, 0), (0, 0, 0), [0, 0], (0.0, 0), "(0,0)"],
+    }.get(path, ["nowhere", None])
+    assert all(ball.find(x) is None for x in strangers)
+    assert ball_from_json_lines(ball_to_json_lines(ball)).find(base) is None
 
 
 def _ends_oracle(ball, inner_radius):
@@ -364,6 +385,110 @@ def test_ends_estimate_matches_networkx():
     assert ends_estimate(build_ball(cases[1][0], 1, 6), 2) == 0
 
 
+def _component_labels_before(table, inside):
+    """``_component_labels`` as it was before it ran in numpy: a DFS over
+    the table's rows as Python lists, from each unlabeled inside vertex
+    in turn."""
+    n = inside.size
+    label = np.where(inside, n, -1).tolist()  # n: inside, not yet labeled
+    neighbors = table.tolist()
+    for start in range(n):
+        if label[start] != n:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in neighbors[u]:
+                if v < n and label[v] == n:
+                    label[v] = start
+                    stack.append(v)
+    return label
+
+
+def _networkx_labels(table, inside):
+    """Each inside vertex labeled by the first vertex of its networkx
+    connected component, -1 outside."""
+    nx = pytest.importorskip("networkx")
+    n = inside.size
+    graph = nx.Graph()
+    graph.add_nodes_from(np.flatnonzero(inside).tolist())
+    u, slot = np.nonzero(table < n)
+    graph.add_edges_from((a, b) for a, b in zip(u.tolist(), table[u, slot].tolist()) if inside[a] and inside[b])
+    label = [-1] * n
+    for component in nx.connected_components(graph):
+        first = min(component)
+        for v in component:
+            label[v] = first
+    return label
+
+
+def _table_of(n, edges):
+    """The neighbor table of an undirected edge list on vertices 0..n-1,
+    as a ball read back from JSON holds it: each edge in the rows of both
+    ends (a self-loop once), rows padded with the sentinel n."""
+    index = {str(i): i for i in range(n)}
+    return _NeighborTable.from_edges(index, [(str(u), str(v), name) for u, v, name in edges]).array()
+
+
+@st.composite
+def _graphs(draw):
+    """A few vertices, an edge list with self-loops and parallel moves
+    (the same pair under two names), and a set of inside vertices that
+    may be empty."""
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.sampled_from("abc")), max_size=3 * n))
+    inside = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return n, edges, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_component_labels_match_the_dfs_before_and_networkx(graph):
+    n, edges, inside = graph
+    table = _table_of(n, edges)
+    labels = _component_labels(table, inside)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == _component_labels_before(table, inside) == _networkx_labels(table, inside)
+    # a table with no moves at all: every inside vertex is its own component
+    empty = np.empty((n, 0), dtype=np.int64)
+    assert _component_labels(empty, inside).tolist() == np.where(inside, np.arange(n), -1).tolist()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(15_001, 20_000), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_component_labels_on_long_paths(n, seed, cuts):
+    """Paths longer than 15,000 vertices, numbered at random and cut
+    into a few pieces, with every vertex inside or a random half."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    cut = set(rng.choice(n - 1, size=cuts, replace=False).tolist())
+    edges = [(int(order[i]), int(order[i + 1]), "s") for i in range(n - 1) if i not in cut]
+    table = _table_of(n, edges)
+    for inside in (np.ones(n, dtype=bool), rng.random(n) < 0.9):
+        labels = _component_labels(table, inside).tolist()
+        assert labels == _component_labels_before(table, inside) == _networkx_labels(table, inside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_loopless_forest_check_matches_networkx(graph):
+    """A ball read back from JSON with a drawn edge list is a forest, once
+    self-loops are dropped, exactly when networkx calls the multigraph of
+    its distinct (u, v, name) edges one."""
+    nx = pytest.importorskip("networkx")
+    n, edges, _ = graph
+    records = [{"type": "header", "backend": "drawn", "basepoint": "0", "radius": 1, "generators": list("abc")}]
+    records += [{"type": "vertex", "key": str(i), "distance": int(i > 0)} for i in range(n)]
+    records += [{"type": "edge", "u": str(u), "v": str(v), "label": name} for u, v, name in edges]
+    ball = ball_from_json_lines("\n".join(map(json.dumps, records)))
+    multigraph = nx.MultiGraph()
+    multigraph.add_nodes_from(range(n))
+    multigraph.add_edges_from((min(u, v), max(u, v)) for u, v, _ in {(min(u, v), max(u, v), c) for u, v, c in edges} if u != v)
+    assert loopless_forest_check(ball) == nx.is_forest(multigraph)
+
+
 def test_ball_without_generators():
     q = dihedral_quandle(5)
     ball = build_ball(SchreierAction("none", [], q.key), 2, 3)
@@ -395,7 +520,7 @@ def test_growth_and_basepoint_distances_build_no_edges(finite):
     far = ball.keys[-1]
     assert ball.distance(ball.basepoint, far) == ball.depth[-1] == 3
     # neither the edge list nor the last sphere's rows were needed
-    assert ball._edges is None
+    assert "edges" not in vars(ball)
     assert ball._neighbors._finish is not None
     assert ball.edges == _two_pass_ball(action, base, 3)[1]
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import src_env
+from support import key_counting, src_env
 
 from quandles import cli, schreier
 
@@ -595,3 +595,58 @@ def test_named_group_specs(tmp_path):
 def test_usage_error():
     out = run_cli("frobnicate")
     assert out.returncode == 2
+
+
+def _key_cases(tmp_path):
+    """Specs on every walk: a finite table read in place, finite moves
+    stacked, a lattice, the dihedral quandle on Z and free words."""
+    specs = {
+        "r9": {"family": "dihedral", "n": 9},
+        "r9-displacement": {"family": "dihedral", "n": 9, "action": "displacement"},
+        "cat": {"family": "galex-lattice", "t": [[2, 1], [1, 1]]},
+        "dinf-displacement": {"family": "dihedral", "n": "inf", "action": "displacement"},
+        "free": {"family": "free", "alphabet": ["a", "b"]},
+    }
+    return [write_spec(tmp_path, f"{name}.json", spec) for name, spec in specs.items()]
+
+
+def _main(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_growth_and_ends_key_the_basepoint_and_dist_its_two_endpoints(tmp_path, monkeypatch, capsys):
+    """Through a key-counting action: ``growth`` and ``ends`` key the
+    basepoint alone and ``dist`` its two endpoints, with the output they
+    give uncounted; ``dist`` answers as ``LabeledBall.distance`` between
+    the two keys does, in the ball and out of it."""
+    keyed = []
+    resolve = cli.resolve_action
+
+    def counted(backend, data, args):
+        action, seen = key_counting(resolve(backend, data, args))
+        keyed.append(seen)
+        return action
+
+    for spec in _key_cases(tmp_path):
+        backend, data = cli.load_spec(spec)
+        base = cli.default_basepoint(backend)
+        action = resolve(backend, data, cli.build_parser().parse_args(["growth", spec, "--radius", "1"]))
+        near, far = schreier.build_ball(action, base, 2), schreier.build_ball(action, base, 5)
+        runs = [
+            (["growth", spec, "--radius", "4"], 1),
+            (["ends", spec, "--inner-radius", "1", "--outer-radius", "4"], 1),
+        ]
+        for dst in (near.basepoint, near.keys[-1], far.keys[-1]):
+            argv = ["dist", spec, "--from", near.basepoint, "--to", dst, "--radius", "2"]
+            runs.append((argv, 2))
+            d = near.distance(near.basepoint, dst)
+            expected = {"distance": d, "from": near.basepoint, "radius": 2, "to": dst}
+            expected["status"] = "certified" if d is not None else "out-of-ball"
+            assert json.loads(_main(argv, capsys)) == expected
+        for argv, keys in runs:
+            plain = _main(argv, capsys)
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "resolve_action", counted)
+                assert _main(argv, capsys) == plain
+            assert len(keyed.pop()) == keys, argv

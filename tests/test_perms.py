@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import elements
+from support import elements, traced_peak
 
 from quandles import perms
 from quandles.errors import BoundExceededError
@@ -25,11 +25,13 @@ from quandles.groups import (
 from quandles.perms import (
     PermGroup,
     Permutation,
+    cayley_table,
     first_fixed_point,
     group_closure,
     orbits,
     quotient_is_cyclic,
     walk,
+    walk_table,
 )
 from quandles.quandle import FiniteQuandle
 
@@ -427,30 +429,36 @@ def _move_arrays(draw):
 @settings(max_examples=300, deadline=None)
 @given(_move_arrays(), st.data())
 def test_walk_matches_the_walk_before_chunks(moves, data):
-    """Same points, sphere sizes, blocks and last-sphere rows as the
-    unchunked walk, and the same cap outcome: a chunk never reports a
-    partial sphere."""
+    """Same points, sphere sizes and cap outcome as the unchunked walk (a
+    chunk never reports a partial sphere), and ``walk_table`` gathers the
+    walk's blocks and last-sphere rows, which it no longer keeps, in one
+    table.  Reading a drawn list of columns (repeats allowed) in place
+    equals walking the copy of those columns."""
     n, k = moves.shape
     start = data.draw(st.integers(0, n - 1))
     radius = data.draw(st.integers(0, n))
     bound = data.draw(st.integers(1, n + 1))
     cells = data.draw(st.integers(1, 3 * max(1, k)))  # a few rows per chunk
+    columns = data.draw(st.none() | st.lists(st.integers(0, k - 1), max_size=5) if k else st.none())
+    copied = moves if columns is None else moves[:, columns].reshape(n, len(columns))
+    columns = None if columns is None else np.array(columns, dtype=np.intp)
     try:
-        expected = _walk_before_chunks(moves, start, radius, bound)
+        expected = _walk_before_chunks(copied, start, radius, bound)
     except BoundExceededError as e:
         expected = e
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(perms, "WALK_CELLS", cells)
         if isinstance(expected, BoundExceededError):
             with pytest.raises(BoundExceededError) as caught:
-                walk(moves, start, radius, bound)
+                walk(moves, start, radius, bound, columns)
             assert (caught.value.radius, caught.value.vertices) == (expected.radius, expected.vertices)
             return
-        points, sizes, blocks, finish = walk(moves, start, radius, bound)
+        points, sizes = walk(moves, start, radius, bound, columns)
         assert points.tolist() == expected[0].tolist()
         assert sizes == expected[1]
-        assert [b.tolist() for b in blocks] == [b.tolist() for b in expected[2]]
-        assert finish().tolist() == expected[3]().tolist()
+        table = walk_table(moves, points, columns)
+        assert table.dtype == np.int64 and table.shape == (len(points), copied.shape[1])
+        assert table.tolist() == np.concatenate([*expected[2], expected[3]()]).tolist()
 
 
 def _closure_before_arrays(generators, bound=200_000):
@@ -739,3 +747,21 @@ def test_rows_of_the_wrong_width_are_a_value_error():
         inn.rows.locate(np.zeros((2, 7), dtype=np.int64))
     with pytest.raises(KeyError):
         inn.positions(np.array([[1, 0, 2, 3, 4]]))  # the right width, but not in D5
+
+
+def test_cayley_table_holds_the_table_and_one_block(monkeypatch):
+    """The Cayley table of Inn(R_301) peaks below twice its own size (it
+    held 5.13 tables when it gathered every row's base images at once),
+    and blocks of rows, down to one row each, give the table of that one
+    gather."""
+    inn = dihedral_quandle(301).inner_group()
+    images, rows = inn.images, inn.rows
+    table, peak = traced_peak(lambda: cayley_table(images, rows))
+    assert peak < 2 * table.nbytes
+    whole = rows.find(images[:, images[:, : rows.base_length]].transpose(1, 0, 2))
+    assert np.array_equal(table, whole)
+    monkeypatch.setattr(perms, "CAYLEY_CELLS", 1)
+    for group in (dihedral_quandle(7).inner_group(), conjugation_quandle(symmetric_group(4)).inner_group()):
+        images, rows = group.images, group.rows
+        whole = rows.find(images[:, images[:, : rows.base_length]].transpose(1, 0, 2))
+        assert np.array_equal(cayley_table(images, rows), whole)

@@ -16,6 +16,7 @@ from quandles.perms import Permutation
 from quandles.schreier import (
     SchreierAction,
     _permutation_moves,
+    _table_columns,
     ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
@@ -543,13 +544,53 @@ def _permutation_moves_before(action):
 
 
 def test_finite_moves_match_the_array_moves_before():
+    """The moves, read in place from a table or stacked, equal the array
+    the finite walk built before; a finite quandle's inner symmetries
+    are read from its table itself."""
     r7, conj_s4 = dihedral_quandle(7), conjugation_quandle(symmetric_group(4))
     actions = [inner_action(r7), inner_action(conj_s4), displacement_action(r7), displacement_action(conj_s4)]
     for action in actions:
-        moves, move_gen = _permutation_moves(action, 0)
+        moves, columns, move_gen = _permutation_moves(action, 0)
         expected, expected_gen = _permutation_moves_before(action)
-        assert moves.flags.c_contiguous and moves.dtype == np.int64
-        assert moves.tolist() == expected.tolist()
+        assert moves.dtype == np.int64
+        assert (moves if columns is None else moves[:, columns]).tolist() == expected.tolist()
         assert move_gen.tolist() == expected_gen.tolist()
+    # R_7's symmetries are involutions, so every move is a column of its table
+    moves, columns, _ = _permutation_moves(inner_action(r7), 0)
+    assert np.shares_memory(moves, r7.table) and columns.tolist() == list(range(7))
+    # conj(S4) has symmetries of order 3, whose inverses are fresh rows
+    assert _permutation_moves(inner_action(conj_s4), 0)[1] is None
     # the displacement generators are no involutions, so each gives two moves
-    assert len(_permutation_moves(displacement_action(r7), 0)[1]) == 2 * 6
+    assert len(_permutation_moves(displacement_action(r7), 0)[2]) == 2 * 6
+
+
+def test_table_columns_are_found_exactly():
+    """Rows are read in place only when each is exactly a column of one
+    C-contiguous array; every other layout is stacked."""
+    flat = np.arange(12, dtype=np.int64)
+    t = flat.reshape(3, 4)  # its base is the 1-d array
+    rows = [Permutation.unchecked(t[:, c]).images for c in (2, 0, 3, 2)]
+    table, columns = _table_columns(rows)
+    assert np.shares_memory(table, t) and table.tolist() == t.tolist() and columns.tolist() == [2, 0, 3, 2]
+    square = np.arange(16, dtype=np.int64).reshape(4, 4).copy()
+    table, columns = _table_columns([square[:, 1], square[:, 3]])
+    assert table.base is square and columns.tolist() == [1, 3]
+    big = np.arange(30, dtype=np.int64).reshape(5, 6)
+    fortran = np.asfortranarray(t)
+    other = np.arange(12, dtype=np.int64).reshape(3, 4)
+    for rows in (
+        [t[1, :3]],  # a row, not a column
+        [big[:3, 1]],  # a column of some rows of a bigger array
+        [big[::2, 1]],  # every other row
+        [fortran[:, 1]],  # a column of a Fortran-ordered array
+        [t[:, 1], other[:, 1]],  # two arrays
+        [t[:, 1], t[:, 1].copy()],  # a copy
+        [t[::-1, 1]],  # reversed
+        [t[:, 1].astype(np.int32)],
+    ):
+        assert _table_columns(rows) is None
+    # a stacked fallback reads the same moves
+    q = dihedral_quandle(9)
+    action = SchreierAction("copied", [(f"s{y}", Permutation.unchecked(q.table[:, y].copy())) for y in range(9)], q.key)
+    moves, columns, _ = _permutation_moves(action, 0)
+    assert columns is None and moves.tolist() == q.table.tolist()

@@ -260,11 +260,17 @@ def cmd_axioms(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_ball(args) -> int:
+def _based_ball(args, radius: int):
+    """The ball of ``radius`` of the spec's action, at ``--base`` or else
+    at the family's default basepoint."""
     backend, data = load_spec(args.spec)
     action = resolve_action(backend, data, args)
     base = backend.parse_key(args.base) if args.base else default_basepoint(backend)
-    ball = build_ball(action, base, args.radius, max_vertices=args.max_vertices)
+    return build_ball(action, base, radius, max_vertices=args.max_vertices)
+
+
+def cmd_ball(args) -> int:
+    ball = _based_ball(args, args.radius)
     text = ball_to_dot(ball) if args.dot else ball_to_json_lines(ball)
     if args.output:
         with open(args.output, "w") as fh:
@@ -296,12 +302,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_ends(args) -> int:
-    backend, data = load_spec(args.spec)
-    action = resolve_action(backend, data, args)
-    base = backend.parse_key(args.base) if args.base else default_basepoint(backend)
     if not 0 <= args.inner_radius < args.outer_radius:
         raise SpecError("bad-spec", "need 0 <= inner-radius < outer-radius")
-    ball = build_ball(action, base, args.outer_radius, max_vertices=args.max_vertices)
+    ball = _based_ball(args, args.outer_radius)
     count = ends_estimate(ball, args.inner_radius)
     _emit(
         {
@@ -400,17 +403,8 @@ def cmd_compare_gensets(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    backend, data = load_spec(args.spec)
-    action = resolve_action(backend, data, args)
-    base = backend.parse_key(args.base) if args.base else default_basepoint(backend)
-    ball = build_ball(action, base, args.radius, max_vertices=args.max_vertices)
-    _emit(
-        {
-            "basepoint": ball.basepoint,
-            "radius": args.radius,
-            "sphere_sizes": ball.sphere_sizes(),
-        }
-    )
+    ball = _based_ball(args, args.radius)
+    _emit({"basepoint": ball.basepoint, "radius": args.radius, "sphere_sizes": ball.sphere_sizes()})
     return 0
 
 

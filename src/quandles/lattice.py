@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import perms
 from .errors import BoundExceededError
 from .perms import _integers
 
@@ -323,7 +324,7 @@ def offset_moves(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int)
     D = max ||k||_inf.  Then a vertex at depth d has ||u||_inf <= B_d =
     D (1 + N + .. + N^(d-1)), by induction: ||A u + k|| <= N B_d + D =
     B_(d+1).  The walk moves vertices of depth at most R (the last sphere
-    in ``finish``), so each product a_ij u_j, each partial sum of A u
+    in ``table``), so each product a_ij u_j, each partial sum of A u
     (both at most N B_R) and each target is at most B = B_(R+1) in
     absolute value.  An offset's code is its mixed-radix number
     sum_i (u_i + B) W^i in base W = 2B + 1, which tells offsets with
@@ -350,21 +351,23 @@ def offset_moves(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int)
 def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, max_vertices: int):
     """``perms.walk`` for the moves of ``offset_moves``, over int64
     offsets from the basepoint, with its numbering and cap: returns
-    (offsets, sphere sizes, one block of vertex numbers per sphere inside
-    ``radius``, ``finish`` for the last sphere's block, V off the ball).
+    (offsets, sphere sizes, table), where ``table`` makes the (vertex x
+    move) table of vertex numbers, V off the ball.
 
     Every move has its inverse among the moves, so a neighbour of a
     vertex at depth d lies at depth d - 1, d or d + 1: targets are looked
     up in the last two spheres only, each kept as its sorted codes and
-    their vertex numbers, and the rest are the next sphere.
+    their vertex numbers, and the rest are the next sphere.  The walk
+    keeps each sphere's rows inside ``radius``; ``table`` copies them into
+    one array, dropping each once copied, and looks the last sphere's
+    rows up in chunks of about ``perms.WALK_CELLS`` cells.
     """
     n, m = shifts.shape[1], len(shifts)
     width = 2 * bound + 1
     radix = np.array([width**i for i in range(n)], dtype=np.int64)
 
     def targets(frontier):
-        moved = (frontier @ step).reshape(-1, m, n) + shifts
-        return moved.reshape(-1, n)
+        return ((frontier @ step).reshape(-1, m, n) + shifts).reshape(-1, n)
 
     def codes(offsets):
         return (offsets + bound) @ radix
@@ -401,9 +404,16 @@ def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, m
         spheres.append(frontier)
         last = [last[-1], (fresh, vertex)]
 
-    def finish() -> np.ndarray:
-        row = find(codes(targets(frontier)), last)
-        row[row < 0] = count  # moves that leave the ball
-        return row.reshape(-1, m)
+    def table() -> np.ndarray:
+        out, done = np.empty((count, m), dtype=np.int64), 0
+        while blocks:
+            out[done : done + len(blocks[0])] = blocks[0]
+            done += len(blocks.pop(0))
+        rows = max(1, perms.WALK_CELLS // m)
+        for c0 in range(0, len(frontier), rows):
+            row = find(codes(targets(frontier[c0 : c0 + rows])), last)
+            row[row < 0] = count  # moves that leave the ball
+            out[done + c0 : done + c0 + rows] = row.reshape(-1, m)
+        return out
 
-    return np.concatenate(spheres), [len(s) for s in spheres], blocks, finish
+    return np.concatenate(spheres), [len(s) for s in spheres], table

@@ -31,15 +31,17 @@ made on first use, which growth and ends never make.  When the action is
 the default point action and every move is a ``Permutation`` (every
 finite quandle), the walk is ``perms.walk``, a numpy gather over the
 moves' image rows, read in place when they are the columns of one table
-(a finite quandle's inner symmetries) and stacked once otherwise; the
-ball's table is one more gather, on first use.  When every move is a
-``LatticeAffine`` on Z^n with n >= 2 (the lattice quandles), it is
-``lattice.offset_walk``, one int64 matrix product per sphere.  Otherwise
-``_generic_bfs`` applies one move at a time and finds each target in a
-dict from point to vertex.  These two fill the rows inside radius R as
-they go; the rows of the last sphere, the only ones that can hold V, are
-made when edges or pair queries first need them.  Lattice points are
-tuples on both lattice paths.  All three walks take their moves from
+(a finite quandle's inner symmetries) and stacked once otherwise.  When
+every move is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice
+quandles), it is ``lattice.offset_walk``, one int64 matrix product per
+sphere.  Otherwise ``_generic_bfs`` applies one move at a time and finds
+each target in a dict from point to vertex.  Each walk hands the ball
+one function that makes the whole table, called once, when edges, pair
+queries or ends first need it: for ``perms.walk`` one more gather,
+``perms.walk_table``; the other two keep the rows inside radius R as
+they go, and the function writes them and the last sphere's rows, the
+only ones that can hold V, into one array.  Lattice points are tuples
+on both lattice paths.  All three walks take their moves from
 ``_moves``, so they discover vertices in the same order.  An edge list
 (JSON input) is converted once into the same kind of table, padded with V.
 
@@ -68,8 +70,9 @@ from __future__ import annotations
 import array
 import json
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -280,8 +283,9 @@ class _WalkPoints:
     def find(self, point) -> Optional[int]:
         points, hits = self.points, []
         if isinstance(points, list):
-            return points.index(point) if point in points else None
-        if points.ndim == 1 and isinstance(point, (int, np.integer)):
+            with suppress(ValueError):  # one scan; absent points fall through
+                return points.index(point)
+        elif points.ndim == 1 and isinstance(point, (int, np.integer)):
             hits = np.flatnonzero(points == point)
         elif points.ndim == 2 and isinstance(point, tuple) and len(point) == points.shape[1]:
             offset = [v - b for v, b in zip(point, self.base) if type(v) is int]
@@ -370,21 +374,15 @@ class _NeighborTable:
     the vertex count V where a move leaves the ball, and a label per cell
     that indexes ``names``, which is sorted.
 
-    A built ball's labels are its moves' generator indices, broadcast
-    over the rows.  ``blocks`` hold the rows the walk filled, in vertex
-    order (none for ``perms.walk``), and ``finish``, called once on first
-    use, returns the other rows (the last sphere, the only rows that can
-    hold V, or all).  An edge list is converted once, by ``from_edges``,
-    into a full table padded with V.
+    ``table`` is the int64 array, or the one function that makes it,
+    which ``array()`` calls once, on first use: a built ball's walk hands
+    over such a function, and its labels are its moves' generator
+    indices, broadcast over the rows.  An edge list is converted once,
+    by ``from_edges``, into a full table padded with V.
     """
 
-    def __init__(
-        self, blocks: list[np.ndarray], finish: Optional[Callable[[], np.ndarray]], labels: np.ndarray, names: list[str]
-    ):
-        self._blocks = blocks
-        self._finish = finish
-        self._labels = labels
-        self.names = names
+    def __init__(self, table: "np.ndarray | Callable[[], np.ndarray]", labels: np.ndarray, names: list[str]):
+        self._table, self._labels, self.names = table, labels, names
 
     @classmethod
     def from_edges(cls, index: dict[str, int], edges: Iterable[Edge]) -> "_NeighborTable":
@@ -407,14 +405,12 @@ class _NeighborTable:
         table[src, slot] = dst
         labels = np.zeros_like(table)
         labels[src, slot] = lab
-        return cls([table], None, labels, names)
+        return cls(table, labels, names)
 
     def array(self) -> np.ndarray:
-        if self._finish is not None:
-            parts = [*self._blocks, self._finish()]
-            self._blocks = [np.concatenate(parts) if len(parts) > 1 else parts[0]]
-            self._finish = None
-        return self._blocks[0]
+        if callable(self._table):
+            self._table = self._table()
+        return self._table
 
     def codes(self, rank: Optional[np.ndarray] = None) -> np.ndarray:
         """One sorted code per distinct edge, (lo * V + hi) * g + label
@@ -542,25 +538,25 @@ def build_ball(action: SchreierAction, basepoint, radius: int, max_vertices: int
     if fast is not None:
         moves, columns, move_gen = fast
         points, sizes = walk(moves, operator.index(basepoint), radius, max_vertices, columns)
-        blocks, finish = [], lambda: walk_table(moves, points, columns)
+        table = partial(walk_table, moves, points, columns)
     elif lattice is not None:
-        step, shifts, bound, move_gen = lattice
-        points, sizes, blocks, finish = offset_walk(step, shifts, bound, radius, max_vertices)
+        *offsets, move_gen = lattice
+        points, sizes, table = offset_walk(*offsets, radius, max_vertices)
     else:
-        points, sizes, blocks, finish, move_gen = _generic_bfs(action, basepoint, radius, max_vertices)
+        moves, move_gen = _moves(action)
+        points, sizes, table = _generic_bfs(action.apply, moves, basepoint, radius, max_vertices)
     names = [name for name, _ in action.generators]
     depth = np.repeat(np.arange(len(sizes)), sizes)
-    neighbors = _NeighborTable(blocks, finish, move_gen, names)
+    neighbors = _NeighborTable(table, move_gen, names)
     return LabeledBall(action.backend_id, radius, names, _WalkPoints(points, basepoint, action.key), depth, neighbors)
 
 
-def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: int):
+def _generic_bfs(apply, moves: list, basepoint, radius: int, max_vertices: int):
     """BFS applying one move at a time, numbering points by a dict from
-    point to vertex; returns (elements, sphere sizes, neighbor blocks,
-    finish, move_gen).  The rows of every sphere go to one int64 buffer,
-    made one block at the end."""
-    moves, move_gen = _moves(action)
-    apply = action.apply
+    point to vertex; returns (elements, sphere sizes, table), where
+    ``table`` makes the neighbor table.  The walk appends the rows inside
+    ``radius`` to one int64 buffer, and ``table`` appends the last
+    sphere's and reads the buffer as the table, with no copy."""
     elements, vertex = [basepoint], {basepoint: 0}
     sizes, rows = [1], array.array("q")
     done = 0  # vertices whose rows are in the buffer
@@ -580,12 +576,11 @@ def _generic_bfs(action: SchreierAction, basepoint, radius: int, max_vertices: i
         sizes.append(len(elements) - end)
         done = end
 
-    def finish() -> np.ndarray:
-        last = elements[done:]
-        row = (vertex.get(apply(aut, x), len(elements)) for x in last for aut in moves)
-        return np.fromiter(row, dtype=np.int64, count=len(last) * len(moves)).reshape(len(last), len(moves))
+    def table() -> np.ndarray:
+        rows.extend(vertex.get(apply(aut, x), len(elements)) for x in elements[done:] for aut in moves)
+        return np.frombuffer(rows, dtype=np.int64).reshape(len(elements), len(moves))
 
-    return elements, sizes, [np.frombuffer(rows, dtype=np.int64).reshape(done, len(moves))], finish, move_gen
+    return elements, sizes, table
 
 
 def _component_labels(table: np.ndarray, inside: np.ndarray) -> np.ndarray:

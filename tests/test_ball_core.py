@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import depths, key_counting, rewired
+from support import depths, key_counting, rewired, traced_peak
 
+from quandles import perms
 from quandles.cli import parse_generator_expressions
 from quandles.errors import BoundExceededError
 from quandles.families import (
@@ -507,22 +508,51 @@ def test_cap_progress_on_an_infinite_backend():
     assert f"after radius 3 ({sum(sizes[:4])} vertices)" in str(info.value)
 
 
-@pytest.mark.parametrize("finite", [True, False], ids=["permutation", "generic"])
-def test_growth_and_basepoint_distances_build_no_edges(finite):
-    if finite:
+@pytest.mark.parametrize("path", ["permutation", "lattice", "generic"])
+def test_growth_and_basepoint_distances_build_no_edges(path):
+    if path == "permutation":
         q = dihedral_quandle(101)
         action, base = SchreierAction("finite:s0,s1", [("s0", q.symmetry(0)), ("s1", q.symmetry(1))], q.key), 0
+    elif path == "lattice":
+        action, base = inner_action(galex_lattice(CAT)), (0, 0)
     else:
         fq = free_quandle(["a", "b"])
         action, base = inner_action(fq), fq.generator("a")
+    assert _path(action, base, 3) == path
     ball = build_ball(action, base, 3)
     assert ball.sphere_sizes()[0] == 1
     far = ball.keys[-1]
     assert ball.distance(ball.basepoint, far) == ball.depth[-1] == 3
-    # neither the edge list nor the last sphere's rows were needed
+    # neither the edge list nor the neighbor table was needed: the
+    # table is still the function that makes it
     assert "edges" not in vars(ball)
-    assert ball._neighbors._finish is not None
+    assert callable(ball._neighbors._table)
     assert ball.edges == _two_pass_ball(action, base, 3)[1]
+    assert not callable(ball._neighbors._table)
+
+
+def test_first_lattice_table_holds_the_table_about_once():
+    ball = build_ball(inner_action(galex_lattice(CAT)), (0, 0), 10)
+    table, peak = traced_peak(ball._neighbors.array)
+    assert table.shape == (ball.vertex_count, 6)
+    # one preallocated table and one chunk of the last sphere's lookups
+    assert peak < 1.3 * table.nbytes
+
+
+_LATTICE_CASES = [c for c in _cases() if c[1] == "lattice"]
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+@pytest.mark.parametrize("name,path,action,base,radius", _LATTICE_CASES, ids=[c[0] for c in _LATTICE_CASES])
+def test_lattice_tables_do_not_depend_on_the_chunk_size(name, path, action, base, radius, cells, monkeypatch):
+    """The last sphere's rows are looked up in chunks of about
+    ``perms.WALK_CELLS`` cells; one cell per chunk (one row) and seven give
+    the table and edges of the default chunks and of the oracle."""
+    expected = build_ball(action, base, radius)
+    monkeypatch.setattr(perms, "WALK_CELLS", cells)
+    ball = build_ball(action, base, radius)
+    assert np.array_equal(ball._neighbors.array(), expected._neighbors.array())
+    assert ball.edges == expected.edges == _two_pass_ball(action, base, radius)[1]
 
 
 def test_rewired_edge_list_replaces_the_neighbor_table():

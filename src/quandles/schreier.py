@@ -51,12 +51,22 @@ special case, since a visited vertex is never entered again.  One block
 of source rows at a time advances as a flat frontier of (row, vertex)
 cells, so the work is the number of table cells visited.  ``_certify``
 applies the certificate, to a block of pairs and to a single
-``distance`` query alike.  The certificate caps the search depth at
-2R+1 - d(x), and in fact at R: the path through the basepoint gives
-d(x, y) <= d(x) + d(y), so a certified pair has 2 d(x, y) <= 2R+1.  Memory is one block of rows, whose size
-``_BLOCK_CELLS`` fixes, and never grows with the square of the ball: no
-pair table is kept, and a single ``distance`` query is a block of one
-pair, searched to depth R, that keeps no row.
+``distance`` query alike; ``distance`` answers a pair at the basepoint,
+on the outer sphere or of one vertex as ``_certify`` would, without a
+search.  The certificate caps the search depth at 2R+1 - d(x), and in
+fact at R: the path through the basepoint gives d(x, y) <= d(x) + d(y),
+so a certified pair has 2 d(x, y) <= 2R+1.
+
+Memory is one block per ball, and ``_BLOCK_CELLS`` fixes its rows.  A
+block's distances are int32: its search keeps 4 bytes per cell of rows x
+(V + 1), the pairs are read from those rows in place when their columns
+are one ascending run (as in ``certified_pairs``) and gathered once, 4
+more bytes per cell, otherwise, and the certificate rewrites them in
+place.  With the frontier and a few bool masks, a pass over two balls
+(``first_failing_pair``) peaks near 13 bytes per cell of one block.
+Nothing grows with the square of the ball: no pair table is kept, and a
+``distance`` query that needs a search is a block of one pair, searched
+to depth R, that keeps no row.
 
 Ends are estimated from an annulus: the number of connected components of
 {v : n < d(v) <= N} that touch the outer frontier d(v) = N.  For graphs
@@ -83,7 +93,8 @@ from .perms import Permutation, _distinct, _named, walk, walk_table
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
-# touch: bounds the memory of every pair pass
+# touch: bounds the memory of every pair pass, which holds int32 rows, 4
+# bytes per (row, vertex) cell of a block, and about 13 over two balls
 _BLOCK_CELLS = 1 << 20
 
 Edge = tuple[str, str, str]  # (key_u, key_v, generator name) with key_u <= key_v
@@ -214,16 +225,19 @@ class LabeledBall:
         return max(1, _BLOCK_CELLS // ((n + 1) * max(1, width)))
 
     def _certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Certified distances from each vertex of ``rows`` to each of
-        ``cols``, -1 where the ball cannot certify the pair."""
+        """Certified int32 distances from each vertex of ``rows`` to each
+        of ``cols``, -1 where the ball cannot certify the pair."""
         R = self.radius
-        dx, dy = self.depth[rows], self.depth[cols]
-        d = np.full((rows.size, cols.size), -1, dtype=np.int64)
-        inner = (dx > 0) & (dx < R)
-        if inner.any():
-            # certified pairs lie at most R apart (see the module docstring)
-            d[inner] = _bfs(self._neighbors.array(), rows[inner], R)[:, cols]
-        return _certify(d, dx[:, None], dy, R)
+        dx = self.depth[rows]
+        # certified pairs lie at most R apart (see the module docstring)
+        found = _bfs(self._neighbors.array(), rows, R, (dx > 0) & (dx < R))
+        # the columns are read in place when they are one ascending run, as
+        # in ``certified_pairs``, and gathered once otherwise
+        if cols.size and cols[-1] - cols[0] == cols.size - 1 and (np.diff(cols) == 1).all():
+            found = found[:, cols[0] : cols[-1] + 1]
+        else:
+            found = found[:, cols]
+        return _certify(found, dx, self.depth[cols], R)
 
     def distances_from(self, key: str) -> dict[str, int]:
         """BFS distances inside the ball subgraph from one vertex."""
@@ -241,6 +255,12 @@ class LabeledBall:
             return None
         if i == j:
             return 0
+        # the answers ``_certify`` gives without a search
+        dx, dy = int(self.depth[i]), int(self.depth[j])
+        if dx == 0 or dy == 0:
+            return dx + dy
+        if max(dx, dy) >= self.radius:
+            return None
         d = int(self._certified(np.array([i]), np.array([j]))[0, 0])
         return d if d >= 0 else None
 
@@ -250,8 +270,11 @@ class LabeledBall:
         order = np.arange(len(keys))
         for i0, i1, upper in _upper_blocks(len(keys), self._block_rows()):
             d = self._certified(order[i0:i1], order[i0 + 1 :])
-            for r, c in zip(*np.nonzero(upper & (d >= 0))):
-                yield keys[i0 + r], keys[i0 + 1 + c], int(d[r, c])
+            r, c = np.nonzero(upper & (d >= 0))
+            found = d[r, c].tolist()
+            del d  # the block's rows go before its pairs are handed out
+            for x, y, dxy in zip((r + i0).tolist(), (c + i0 + 1).tolist(), found):
+                yield keys[x], keys[y], dxy
 
 
 class _WalkPoints:
@@ -295,20 +318,32 @@ class _WalkPoints:
         return int(hits[0]) if len(hits) else None
 
 
-def _certify(d, dx, dy, radius: int):
-    """The certificate, on ball-subgraph distances ``d`` (-1 where not
-    searched or unreachable) between vertices at basepoint depths ``dx``
-    and ``dy``: d where it is certified, -1 elsewhere.  A pair through
-    the basepoint is exact, since the ball was grown by BFS over the full
-    graph; any other needs both ends strictly inside the ball and
-    d + dx + dy <= 2R + 1.  The arguments broadcast."""
-    ok = (d >= 0) & (dx < radius) & (dy < radius) & (d + dx + dy <= 2 * radius + 1)
-    return np.where(dx == 0, dy, np.where(dy == 0, dx, np.where(ok, d, -1)))
+def _certify(d: np.ndarray, dx: np.ndarray, dy: np.ndarray, radius: int) -> np.ndarray:
+    """The certificate, applied in place to the int32 ball-subgraph
+    distances ``d`` (-1 where not searched or unreachable) from vertices
+    at basepoint depths ``dx`` (rows) to vertices at depths ``dy``
+    (columns); returns ``d``, with -1 where a pair is not certified.  A
+    pair through the basepoint is exact, since the ball was grown by BFS
+    over the full graph; any other needs both ends strictly inside the
+    ball and d + dx + dy <= 2R + 1.  Rows with dx >= R come unsearched,
+    all -1."""
+    d[:, dy >= radius] = -1
+    # the sum test as d + dy against each row's limit 2R + 1 - dx, with
+    # -1 cells back at -1 either way; d, dx and dy are below V, and
+    # V < 2^29 for any table that fits in memory, so no sum leaves int32
+    d += dy
+    over = d > min(2 * radius + 1, 2**31 - 1) - dx[:, None]
+    d -= dy
+    d[over] = -1
+    d[:, dy == 0] = dx[:, None]
+    d[dx == 0] = dy
+    return d
 
 
-def _bfs(table: np.ndarray, sources: np.ndarray, depth: int) -> np.ndarray:
-    """Ball-subgraph distances from each source to every vertex, -1 past
-    ``depth`` or when unreachable; one row per source.
+def _bfs(table: np.ndarray, sources: np.ndarray, depth: int, searched: Optional[np.ndarray] = None) -> np.ndarray:
+    """Ball-subgraph distances from each source to every vertex, int32,
+    -1 past ``depth`` or when unreachable; one row per source, all -1 for
+    a source that the bool mask ``searched`` leaves out.
 
     ``table`` is a ball's (vertex x slot) neighbor table with the vertex
     count V as its off-ball sentinel.  Self-loops and parallel slots need
@@ -319,13 +354,15 @@ def _bfs(table: np.ndarray, sources: np.ndarray, depth: int) -> np.ndarray:
     dist = np.full((sources.size, width), -1, dtype=np.int32)
     dist[:, n] = 0  # the sentinel counts as visited, so it is never expanded
     flat = dist.reshape(-1)
-    cells = np.arange(sources.size) * width + sources
+    rows = np.arange(sources.size) if searched is None else np.flatnonzero(searched)
+    cells = rows * width + sources[rows]
     flat[cells] = 0
     for d in range(1, depth + 1):
         if not cells.size:
             break
-        row_start = cells - cells % width
-        nxt = (row_start[:, None] + table[cells % width]).ravel()
+        vertex = cells % width
+        nxt = table[vertex]
+        nxt += (cells - vertex)[:, None]
         nxt = nxt[flat[nxt] < 0]
         # a cell reached twice keeps only the copy whose tag the last
         # write left in place, so each cell enters the frontier once
@@ -358,7 +395,9 @@ def first_failing_pair(ball_a: LabeledBall, rows_a, ball_b: LabeledBall, rows_b,
     for i0, i1, upper in _upper_blocks(len(rows_a), step):
         da = ball_a._certified(rows_a[i0:i1], rows_a[i0 + 1 :])
         db = ball_b._certified(rows_b[i0:i1], rows_b[i0 + 1 :])
-        both = upper & (da >= 0) & (db >= 0)
+        both = da >= 0
+        both &= db >= 0
+        both &= upper
         bad = both & fails(da, db)
         if bad.any():
             k = int(np.argmax(bad))  # first failure in (i, j) order
@@ -366,6 +405,7 @@ def first_failing_pair(ball_a: LabeledBall, rows_a, ball_b: LabeledBall, rows_b,
             r, c = divmod(k, bad.shape[1])
             return checked, (i0 + r, i0 + 1 + c, int(da[r, c]), int(db[r, c]))
         checked += int(np.count_nonzero(both))
+        del da, db, both, bad  # the next block starts with nothing held
     return checked, None
 
 
@@ -687,6 +727,19 @@ def bilipschitz_constant(
     return worst
 
 
+def _exceeds(d: np.ndarray, e: np.ndarray, bound: int) -> np.ndarray:
+    """d > bound * e, elementwise and exactly, for int32 arrays and a bound
+    1 <= L < 2**31, without the product, which could leave int32.
+
+    For integers a, e and L >= 1, a >= L e  <=>  a / L >= e  <=>
+    floor(a / L) >= e, the last because e is an integer.  With a = d - 1,
+    d > L e  <=>  d - 1 >= L e  <=>  (d - 1) // L >= e.  Every term stays
+    within [min(d) - 1, max(d)], so nothing overflows."""
+    floor = d - 1
+    floor //= bound
+    return floor >= e
+
+
 def bilipschitz_compare(
     ball_a: LabeledBall, ball_b: LabeledBall, constant: int
 ) -> ComparisonResult:
@@ -702,11 +755,11 @@ def bilipschitz_compare(
     index_b = ball_b.index
     shared = [(i, index_b[k]) for i, k in enumerate(ball_a.keys) if k in index_b]
     rows_a, rows_b = np.array(shared, dtype=np.int64).reshape(-1, 2).T
-    # distances are below 2**31, so every constant from there on decides
-    # alike; the cap keeps the products inside int64
-    bound = min(constant, 2**31)
+    # distances are below 2**31 - 1, so every constant from there on
+    # decides alike; the cap keeps the divisor inside int32
+    bound = min(constant, 2**31 - 1)
     checked, failure = first_failing_pair(
-        ball_a, rows_a, ball_b, rows_b, lambda da, db: (da > bound * db) | (db > bound * da)
+        ball_a, rows_a, ball_b, rows_b, lambda da, db: _exceeds(da, db, bound) | _exceeds(db, da, bound)
     )
     if failure is not None:
         i, j, da, db = failure

@@ -9,9 +9,10 @@ from contextlib import contextmanager
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import depths, rewired
+from support import depths, rewired, traced_peak
 
 from quandles import schreier, verify
 from quandles.families import dihedral_quandle, free_quandle, galex_lattice
@@ -20,7 +21,9 @@ from quandles.schreier import (
     ComparisonResult,
     SchreierAction,
     bilipschitz_compare,
+    _identity_like,
     build_ball,
+    cayley_action,
     displacement_action,
     first_failing_pair,
     inner_action,
@@ -31,6 +34,10 @@ CAT = [[2, 1], [1, 1]]
 SETTINGS = settings(max_examples=30, deadline=None)
 # block sizes from one source row per block up to the default
 BLOCK_CELLS = st.sampled_from([1, 256, schreier._BLOCK_CELLS])
+# the small constants that decide, then constants at and past int32: an
+# int32 product constant * d would wrap or overflow there, while every
+# such constant must decide as the pairwise loop does
+CONSTANTS = (1, 2, 3, 2**31 - 1, 2**31, 2**40)
 
 
 @contextmanager
@@ -213,6 +220,9 @@ def test_growing_the_ball_keeps_every_certified_distance(case, extra):
 
 @SETTINGS
 @given(st.integers(-50, 50), st.integers(1, 30), st.integers(1, 3), BLOCK_CELLS)
+@example(3, 12, 2, 1)
+@example(3, 12, 2, 256)
+@example(3, 12, 2, schreier._BLOCK_CELLS)
 def test_compare_matches_pairwise_loop_dihedral(base, radius, extra, cells):
     dq = dihedral_quandle("inf")
     gens_a = [(f"s{y}", dq.symmetry(y)) for y in (base, base + 1)]
@@ -220,7 +230,7 @@ def test_compare_matches_pairwise_loop_dihedral(base, radius, extra, cells):
     ball_a = build_ball(SchreierAction("a", gens_a, dq.key), base, radius)
     ball_b = build_ball(SchreierAction("b", gens_b, dq.key), base, radius)
     with _block_cells(cells):
-        for constant in (1, 2, 3):
+        for constant in CONSTANTS:
             assert bilipschitz_compare(ball_a, ball_b, constant) == _old_compare(ball_a, ball_b, constant)
             assert bilipschitz_compare(ball_b, ball_a, constant) == _old_compare(ball_b, ball_a, constant)
 
@@ -232,6 +242,9 @@ def test_compare_matches_pairwise_loop_dihedral(base, radius, extra, cells):
     st.integers(1, 4),
     BLOCK_CELLS,
 )
+@example("a^1", "a^b", 3, 1)
+@example("a^1", "a^b", 3, 256)
+@example("a^1", "a^b", 3, schreier._BLOCK_CELLS)
 def test_compare_matches_pairwise_loop_free(base, extra, radius, cells):
     fq = free_quandle(["a", "b"])
     gens_a = [(f"s{x}", fq.symmetry(fq.generator(x))) for x in ("a", "b")]
@@ -239,7 +252,7 @@ def test_compare_matches_pairwise_loop_free(base, extra, radius, cells):
     ball_a = build_ball(SchreierAction("a", gens_a, fq.key), fq.parse_key(base), radius)
     ball_b = build_ball(SchreierAction("b", gens_b, fq.key), fq.parse_key(base), radius)
     with _block_cells(cells):
-        for constant in (1, 2, 3):
+        for constant in CONSTANTS:
             assert bilipschitz_compare(ball_a, ball_b, constant) == _old_compare(ball_a, ball_b, constant)
 
 
@@ -295,3 +308,70 @@ def test_pair_walk_in_any_vertex_order(radius, rng, cells):
             assert first_failing_pair(ball_a, rows_a, ball_b, rows_b, fails) == _pairwise_walk(
                 ball_a, keys, ball_b, keys, fails
             )
+
+
+def _trivial_pairs(ball):
+    """The pairs that ``distance`` answers without a search: one vertex
+    twice, the basepoint with any vertex, and any pair with an end on
+    the outer sphere."""
+    keys, depth, R = ball.keys, ball.depth.tolist(), ball.radius
+    pairs = [(x, x) for x in keys]
+    pairs += [(ball.basepoint, x) for x in keys] + [(x, ball.basepoint) for x in keys]
+    outer = [k for k, d in zip(keys, depth) if d == R]
+    pairs += [(x, y) for x in keys[:6] + outer[:6] for y in outer]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_ball(displacement_action(dihedral_quandle("inf")), 5, 6),
+        lambda: build_ball(inner_action(galex_lattice(ROT90)), (1, -2), 3),
+        lambda: build_ball(inner_action(free_quandle(["a", "b"])), free_quandle(["a", "b"]).parse_key("a^1"), 3),
+    ],
+    ids=["dihedral-inf", "rot90-lattice", "free2"],
+)
+def test_distance_answers_trivial_pairs_without_a_search(make, monkeypatch):
+    ball = make()
+    oracle = _Oracle(ball)
+    searches = []
+    bfs = schreier._bfs
+    monkeypatch.setattr(schreier, "_bfs", lambda *args: searches.append(args) or bfs(*args))
+    for x, y in _trivial_pairs(ball):
+        assert ball.distance(x, y) == oracle.distance(x, y)
+    assert searches == []
+    inner = [k for k, d in depths(ball).items() if 0 < d < ball.radius]
+    assert ball.distance(inner[0], inner[-1]) == oracle.distance(inner[0], inner[-1])
+    assert len(searches) == 1
+
+
+def test_isometry_pair_pass_holds_about_one_block_per_ball():
+    """The rot90 R = 20 balls of the free-action-isometry suite, with the
+    orbit map as displacement-ball vertex numbers and both tables built."""
+    q = galex_lattice(ROT90)
+    action = displacement_action(q)
+    orbit = build_ball(action, (0, 0), 20)
+    word = build_ball(cayley_action(q.backend_id, action.generators), _identity_like(action.generators), 20)
+    image = np.array([orbit.index[q.key(g.act((0, 0)))] for g in word.elements], dtype=np.int64)
+    word._neighbors.array(), orbit._neighbors.array()
+    rows = np.arange(word.vertex_count)
+    (checked, failure), peak = traced_peak(
+        lambda: first_failing_pair(word, rows, orbit, image, lambda dw, do: dw != do)
+    )
+    assert failure is None and checked > 0
+    block = min(word._block_rows(), orbit._block_rows()) * (word.vertex_count + 1)
+    # about 13 bytes per cell: each ball's int32 rows, the frontier and
+    # the bool masks
+    assert peak <= 20 * block
+
+
+def test_certified_pairs_hold_about_one_block():
+    fq = free_quandle(["a", "b"])
+    ball = build_ball(inner_action(fq), fq.parse_key("a^1"), 7)
+    ball.keys, ball._neighbors.array()
+    assert ball._block_rows() < ball.vertex_count  # the pass takes several blocks
+    count, peak = traced_peak(lambda: sum(1 for _ in ball.certified_pairs()))
+    assert count > 0
+    # about 9 bytes per cell: the block's int32 rows, its masks and the
+    # block's pairs read out
+    assert peak <= 12 * ball._block_rows() * (ball.vertex_count + 1)

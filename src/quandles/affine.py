@@ -37,6 +37,9 @@ class SignedAffine:
     def is_identity(self) -> bool:
         return self.sign == 1 and self.shift == 0
 
+    def is_translation(self) -> bool:
+        return self.sign == 1
+
     def key(self) -> str:
         s = "z" if self.sign == 1 else "-z"
         return f"{s}{self.shift:+d}"

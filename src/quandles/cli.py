@@ -34,7 +34,6 @@ import sys
 
 from .errors import BoundExceededError, ConstructionError, MalformedTableError
 from .families import (
-    ConjugationQuandle,
     DihedralInfinite,
     FreeQuandle,
     GAlexFiniteQuandle,
@@ -366,29 +365,21 @@ def _split_generator_list(text: str) -> list[str]:
 
 def cmd_compare_gensets(args) -> int:
     backend, data = load_spec(args.spec)
-    gens_a = parse_generator_expressions(backend, _split_generator_list(args.genset_a))
-    gens_b = parse_generator_expressions(backend, _split_generator_list(args.genset_b))
+    gens = {s: parse_generator_expressions(backend, _split_generator_list(getattr(args, f"genset_{s}"))) for s in "ab"}
     base = backend.parse_key(args.base) if args.base else default_basepoint(backend)
     constant = args.constant
     if constant is None:
-        constant = bilipschitz_constant(gens_a, gens_b, args.max_word_length, max_vertices=args.max_vertices)
+        constant = bilipschitz_constant(gens["a"], gens["b"], args.max_word_length, max_vertices=args.max_vertices)
         if constant is None:
             raise SpecError(
                 "bad-spec",
                 f"generating sets are not mutually expressible within word length "
                 f"{args.max_word_length}",
             )
-    ball_a = build_ball(
-        SchreierAction(f"{backend.backend_id}:genset-a", gens_a, backend.key),
-        base,
-        args.radius,
-        max_vertices=args.max_vertices,
-    )
-    ball_b = build_ball(
-        SchreierAction(f"{backend.backend_id}:genset-b", gens_b, backend.key),
-        base,
-        args.radius,
-        max_vertices=args.max_vertices,
+    ball_a, ball_b = (
+        build_ball(SchreierAction(f"{backend.backend_id}:genset-{s}", gens[s], backend.key), base, args.radius,
+                   max_vertices=args.max_vertices)
+        for s in "ab"
     )
     result = bilipschitz_compare(ball_a, ball_b, constant)
     _emit(

@@ -20,6 +20,7 @@ ValueError.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .lattice import (
     UnimodularMatrix,
     dis_lattice,
     mat_vec,
-    one_minus_inverse,
+    one_minus,
 )
 from .perms import _integers
 from .quandle import AxiomReport, FiniteQuandle
@@ -261,11 +262,7 @@ class GAlexLattice:
         return self.op(x, y, exponent=-1)
 
     def symmetry(self, y: Sequence[int]) -> LatticeAffine:
-        one_minus_t = tuple(
-            tuple((1 if i == j else 0) - self.t.entries[i][j] for j in range(self.n))
-            for i in range(self.n)
-        )
-        return LatticeAffine.of(self.t, 1, mat_vec(one_minus_t, tuple(y)))
+        return LatticeAffine.of(self.t, 1, mat_vec(one_minus(self.t.entries), tuple(y)))
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.n
@@ -311,14 +308,7 @@ class GAlexLattice:
 
     def elements_window(self, radius: int) -> list[tuple[int, ...]]:
         _check_window(radius)
-
-        def rec(k):
-            if k == 0:
-                return [()]
-            rest = rec(k - 1)
-            return [(v,) + r for v in range(-radius, radius + 1) for r in rest]
-
-        return rec(self.n)
+        return list(product(range(-radius, radius + 1), repeat=self.n))
 
     def check_axioms_window(self, radius: int) -> AxiomReport:
         """The window axiom check, proved in exact int64 numpy when that is

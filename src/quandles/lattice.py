@@ -1,9 +1,12 @@
 """Exact integer linear algebra for lattice quandles on Z^n.
 
 Everything here uses Python integers only; powers of a unimodular matrix
-grow without bound and must stay exact.  The one exception is the walk of
-Schreier balls, ``offset_walk``, which runs in int64 numpy only where
-``offset_moves`` proves beforehand that no value can overflow.  The Hermite normal form is
+grow without bound and must stay exact.  The one exact elimination is
+Bareiss's fraction-free one in ``mat_det`` (E. H. Bareiss, Math. Comp.
+22, 1968); the inverse is the adjugate of its cofactors, with no
+``Fraction``.  The one exception is the walk of Schreier balls,
+``offset_walk``, which runs in int64 numpy only where ``offset_moves``
+proves beforehand that no value can overflow.  The Hermite normal form is
 column-style: basis vectors are columns, pivots descend strictly (so a
 full-rank basis is lower triangular), pivot entries are positive, and
 entries to the left of a pivot are reduced into [0, pivot).  That form is
@@ -13,7 +16,6 @@ unique per lattice, which makes bases comparable in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -61,7 +63,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 
 def mat_det(a: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination; exact."""
+    """Determinant by fraction-free (Bareiss) elimination; exact, 1 if empty."""
     n = len(a)
     m = [list(row) for row in a]
     sign = 1
@@ -79,29 +81,25 @@ def mat_det(a: Matrix) -> int:
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def mat_inverse_exact(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv = tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
-    if any(v.denominator != 1 for row in inv for v in row):
+    """Inverse of an integer matrix with determinant +-1: the adjugate over
+    the determinant d, each cofactor a minor by ``mat_det``.  Its entries
+    are integers exactly when d divides every cofactor, which happens
+    exactly when d = +-1, since det(a^-1) = 1/d."""
+    n, d = len(a), mat_det(a)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    # entry (i, j) is (-1)^(i+j) times the minor of a without row j and column i
+    adjugate = [
+        [(-1) ** (i + j) * mat_det([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j]) for j in range(n)]
+        for i in range(n)
+    ]
+    if any(v % d for row in adjugate for v in row):
         raise ValueError("inverse is not integral; matrix is not unimodular")
-    return tuple(tuple(int(v) for v in row) for row in inv)
+    return tuple(tuple(v // d for v in row) for row in adjugate)
 
 
 class UnimodularMatrix:
@@ -294,12 +292,14 @@ class IntegerLattice:
         return f"IntegerLattice(dim={self.ambient_dim}, rank={self.rank}, basis={self.basis})"
 
 
+def one_minus(m: Matrix) -> Matrix:
+    """The integer matrix I - m."""
+    return tuple(tuple((1 if i == j else 0) - v for j, v in enumerate(row)) for i, row in enumerate(m))
+
+
 def one_minus_inverse(t: UnimodularMatrix) -> Matrix:
     """The integer matrix I - t^-1."""
-    inv = t.power(-1)
-    return tuple(
-        tuple((1 if i == j else 0) - inv[i][j] for j in range(t.n)) for i in range(t.n)
-    )
+    return one_minus(t.power(-1))
 
 
 def dis_lattice(t: UnimodularMatrix) -> IntegerLattice:

@@ -27,13 +27,16 @@ points by value, under one rule: a point is a hashable value, and two
 points are equal exactly when their keys are equal.  A built ball keeps
 the depths and the points in the walk's own form (``_WalkPoints``) and
 keys its basepoint alone; the other keys, the elements and ``index`` are
-made on first use, which growth and ends never make.  When the action is
-the default point action and every move is a ``Permutation`` (every
-finite quandle), the walk is ``perms.walk``, a numpy gather over the
-moves' image rows, read in place when they are the columns of one table
-(a finite quandle's inner symmetries) and stacked once otherwise.  When
+made on first use, which growth and ends never make.  ``build_ball``
+takes the moves from ``_moves`` once, and ``_walk`` makes the one walk
+choice.  When the action is the default point action and every move is
+a ``Permutation`` of the basepoint's set (every finite quandle), the
+walk is ``perms.walk``, a numpy gather over the moves' image rows, read
+in place when they are the columns of one table (a finite quandle's
+inner symmetries) and stacked once otherwise (``_finite_moves``).  When
 every move is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice
-quandles), it is ``lattice.offset_walk``, one int64 matrix product per
+quandles) and ``lattice.offset_moves`` proves that the walk fits in
+int64, it is ``lattice.offset_walk``, one int64 matrix product per
 sphere.  Otherwise ``_generic_bfs`` applies one move at a time and finds
 each target in a dict from point to vertex.  Each walk hands the ball
 one function that makes the whole table, called once, when edges, pair
@@ -41,9 +44,9 @@ queries or ends first need it: for ``perms.walk`` one more gather,
 ``perms.walk_table``; the other two keep the rows inside radius R as
 they go, and the function writes them and the last sphere's rows, the
 only ones that can hold V, into one array.  Lattice points are tuples
-on both lattice paths.  All three walks take their moves from
-``_moves``, so they discover vertices in the same order.  An edge list
-(JSON input) is converted once into the same kind of table, padded with V.
+on both lattice paths.  All three walks share those moves, so they
+discover vertices in the same order.  An edge list (JSON input) is
+converted once into the same kind of table, padded with V.
 
 Pair queries walk that table directly, with the ``depth`` array of
 basepoint distances beside it; self-loops, parallel moves and V need no
@@ -487,27 +490,13 @@ class _NeighborTable:
         return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
 
 
-def _permutation_moves(action: SchreierAction, basepoint):
-    """The moves of ``_moves`` for ``perms.walk`` as ``(array, columns,
-    move_gen)``: move m is column ``columns[m]`` (m if None) of ``array``,
-    the table that all the image rows are columns of (``_table_columns``),
-    else the rows stacked once.  None unless the action is the default
-    point action, every generator is a ``Permutation`` of one degree and
-    the basepoint is one of its points."""
-    auts = [aut for _, aut in action.generators]
-    if action.apply is not _act or not auts or any(type(a) is not Permutation for a in auts):
-        return None
-    degree = auts[0].degree
-    try:
-        base = operator.index(basepoint)
-    except TypeError:
-        return None
-    if any(a.degree != degree for a in auts) or not 0 <= base < degree:
-        return None
-    moves, move_gen = _moves(action)
+def _finite_moves(moves: list) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The ``Permutation`` moves for ``perms.walk`` as ``(table, columns)``:
+    move m is column ``columns[m]`` (m if None) of ``table``, the table
+    that all the image rows are columns of (``_table_columns``), else the
+    rows stacked once."""
     images = [m.images for m in moves]
-    found = _table_columns(images)
-    return (np.stack(images, axis=1), None, move_gen) if found is None else (*found, move_gen)
+    return _table_columns(images) or (np.stack(images, axis=1), None)
 
 
 def _table_columns(images: list[np.ndarray]) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -540,23 +529,28 @@ def _moves(action: SchreierAction) -> tuple[list, np.ndarray]:
     return moves, np.array(move_gen, dtype=np.int64)
 
 
-def _affine_moves(action: SchreierAction, basepoint, radius: int):
-    """The moves of a lattice action as ``(step, shifts, bound, move_gen)``
-    for ``lattice.offset_walk``; None unless the action is the default
-    point action, every generator is a ``LatticeAffine`` on one Z^n with
-    n >= 2, the basepoint is a tuple of n Python ints and
-    ``lattice.offset_moves`` finds that the walk fits in int64."""
+def _walk(action: SchreierAction, moves: list, basepoint, radius: int, max_vertices: int):
+    """The one walk choice of ``build_ball``, as (points, sphere sizes,
+    table maker): the first of ``perms.walk``, ``lattice.offset_walk`` and
+    ``_generic_bfs`` whose preconditions, stated here, hold."""
     auts = [aut for _, aut in action.generators]
-    if action.apply is not _act or not auts or any(type(a) is not LatticeAffine for a in auts):
-        return None
-    n = len(auts[0].shift)
-    if n < 2 or any(len(a.matrix) != n or len(a.shift) != n for a in auts):
-        return None
-    if not isinstance(basepoint, tuple) or len(basepoint) != n or any(type(v) is not int for v in basepoint):
-        return None
-    moves, move_gen = _moves(action)
-    offsets = offset_moves(moves, basepoint, radius)
-    return None if offsets is None else (*offsets, move_gen)
+    kind = type(auts[0]) if action.apply is _act and auts and all(type(a) is type(auts[0]) for a in auts) else None
+    if kind is Permutation:
+        base = -1
+        with suppress(TypeError):
+            base = operator.index(basepoint)
+        if all(a.degree == auts[0].degree for a in auts) and 0 <= base < auts[0].degree:
+            table, columns = _finite_moves(moves)
+            points, sizes = walk(table, base, radius, max_vertices, columns)
+            return points, sizes, partial(walk_table, table, points, columns)
+    elif kind is LatticeAffine:
+        n = len(auts[0].shift)
+        same = n >= 2 and all(len(a.matrix) == n and len(a.shift) == n for a in auts)
+        if same and isinstance(basepoint, tuple) and len(basepoint) == n and all(type(v) is int for v in basepoint):
+            offsets = offset_moves(moves, basepoint, radius)
+            if offsets is not None:
+                return offset_walk(*offsets, radius, max_vertices)
+    return _generic_bfs(action.apply, moves, basepoint, radius, max_vertices)
 
 
 def build_ball(action: SchreierAction, basepoint, radius: int, max_vertices: int = DEFAULT_VERTEX_BOUND) -> LabeledBall:
@@ -573,18 +567,8 @@ def build_ball(action: SchreierAction, basepoint, radius: int, max_vertices: int
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    fast = _permutation_moves(action, basepoint)
-    lattice = _affine_moves(action, basepoint, radius)
-    if fast is not None:
-        moves, columns, move_gen = fast
-        points, sizes = walk(moves, operator.index(basepoint), radius, max_vertices, columns)
-        table = partial(walk_table, moves, points, columns)
-    elif lattice is not None:
-        *offsets, move_gen = lattice
-        points, sizes, table = offset_walk(*offsets, radius, max_vertices)
-    else:
-        moves, move_gen = _moves(action)
-        points, sizes, table = _generic_bfs(action.apply, moves, basepoint, radius, max_vertices)
+    moves, move_gen = _moves(action)
+    points, sizes, table = _walk(action, moves, basepoint, radius, max_vertices)
     names = [name for name, _ in action.generators]
     depth = np.repeat(np.arange(len(sizes)), sizes)
     neighbors = _NeighborTable(table, move_gen, names)
@@ -713,10 +697,9 @@ def bilipschitz_constant(
         if not other:
             raise ValueError("an empty generating set expresses no generator")
         action, identity = cayley_action("bilipschitz", other), _identity_like(other)
-        targets = [aut.key() for _, aut in one]
         for r in range(max_length + 1):
             ball = build_ball(action, identity, r, max_vertices=max_vertices)
-            found = [ball.index.get(k) for k in targets]
+            found = [ball.find(aut) for _, aut in one]
             if None not in found:
                 break
             if ball.depth[-1] < r:  # closed up: the group is finite and enumerated

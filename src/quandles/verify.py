@@ -471,7 +471,8 @@ def verify_free_action_isometry(
             key = Permutation.unchecked(dis.images[culprit[0]]).key()
             return report(False, {"failed_hypothesis": "free", "element": key, "fixed_point": culprit[1]})
     else:
-        not_translation = [name for name, aut in gens if not _is_pure_translation(aut)]
+        # the affine automorphisms answer is_translation; no other kind is one
+        not_translation = [name for name, aut in gens if not (hasattr(aut, "is_translation") and aut.is_translation())]
         if not_translation:
             return report(False, {"failed_hypothesis": "free", "non_translations": not_translation})
 
@@ -539,14 +540,3 @@ def _check_basepoint(q: FiniteQuandle, basepoint) -> None:
     integer = isinstance(basepoint, (int, np.integer)) and not isinstance(basepoint, bool)
     if not (integer and 0 <= basepoint < q.size):
         raise ValueError(f"basepoint {basepoint!r} is not a point of {q!r}: it must be in 0..{q.size - 1}")
-
-
-def _is_pure_translation(aut) -> bool:
-    from .affine import SignedAffine
-    from .lattice import LatticeAffine
-
-    if isinstance(aut, SignedAffine):
-        return aut.sign == 1
-    if isinstance(aut, LatticeAffine):
-        return aut.is_translation()
-    return False

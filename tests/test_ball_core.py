@@ -33,10 +33,8 @@ from quandles.quandle import FiniteQuandle
 from quandles.schreier import (
     SchreierAction,
     _NeighborTable,
-    _affine_moves,
     _component_labels,
     _identity_like,
-    _permutation_moves,
     ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
@@ -87,13 +85,20 @@ def _generic(action):
     return SchreierAction(action.backend_id, action.generators, action.key, apply=lambda a, x: a.act(x))
 
 
+def _walk_of(ball):
+    """The walk that built ``ball``, read from the form of its points: the
+    int array of ``perms.walk``, the int64 offsets of the lattice walk or
+    the list of the generic walk."""
+    points = ball._walked.points
+    if isinstance(points, list):
+        return "generic"
+    assert points.dtype == np.int64
+    return {1: "permutation", 2: "lattice"}[points.ndim]
+
+
 def _path(action, base, radius):
     """The walk ``build_ball`` takes for this ball."""
-    if _permutation_moves(action, base) is not None:
-        return "permutation"
-    if _affine_moves(action, base, radius) is not None:
-        return "lattice"
-    return "generic"
+    return _walk_of(build_ball(action, base, radius))
 
 
 def _is_point(x, path):
@@ -207,7 +212,7 @@ def _past_the_guard():
 
 @pytest.mark.parametrize("name,action,base,radius", _past_the_guard(), ids=[c[0] for c in _past_the_guard()])
 def test_lattice_balls_past_the_int64_guard_stay_exact(name, action, base, radius):
-    """When the a priori bound of ``_affine_moves`` reaches 2^62 the ball
+    """When the a priori bound of ``lattice.offset_moves`` reaches 2^62 the ball
     falls back to Python ints, and stays exact, also past int64."""
     assert _path(action, base, radius) == "generic"
     ball = build_ball(action, base, radius)
@@ -225,6 +230,39 @@ def test_a_list_basepoint_is_a_type_error_on_both_lattice_paths():
         assert _path(action, base, radius) == path
         with pytest.raises(TypeError, match="unhashable"):
             build_ball(action, list(base), radius)
+
+
+def _walk_cases():
+    r9, conj = dihedral_quandle(9), conjugation_quandle(symmetric_group(4))
+    dis9 = r9.displacement_generators()
+    return [
+        # R_n's symmetries are involutions, the columns of its table
+        ("r9-inner", inner_action(r9), 0, 3, "columns"),
+        # displacement moves and their inverses, and conj(S4)'s inverses
+        # of its order-3 symmetries, are fresh rows
+        ("r9-displacement", displacement_action(r9), 0, 3, "stacked"),
+        ("conj-s4-inner", inner_action(conj), 0, 3, "stacked"),
+        ("rot90-inner", inner_action(galex_lattice(ROT90)), (0, 0), 3, "lattice"),
+        ("1x1-lattice", inner_action(galex_lattice([[-1]])), (0,), 3, "generic"),
+        *((name, action, base, radius, "generic") for name, action, base, radius in _past_the_guard()),
+        ("dihedral-inf", inner_action(dihedral_quandle("inf")), 0, 3, "generic"),
+        ("cayley", cayley_action("finite", dis9), _identity_like(dis9), 3, "generic"),
+    ]
+
+
+@pytest.mark.parametrize("name,action,base,radius,walk", _walk_cases(), ids=[c[0] for c in _walk_cases()])
+def test_each_input_takes_one_walk(name, action, base, radius, walk):
+    """Every branch of the one walk choice, read from the built ball: the
+    finite walk with its moves read in place as columns of the quandle's
+    table or stacked once, the lattice walk, and the generic walk."""
+    ball = build_ball(action, base, radius)
+    path = _walk_of(ball)
+    if path == "permutation":
+        # the finite table maker is ``walk_table`` over (moves, points, columns)
+        moves, _, columns = ball._neighbors._table.args
+        path = "stacked" if columns is None else "columns"
+        assert np.shares_memory(moves, action.generators[0][1].images) == (path == "columns")
+    assert path == walk
 
 
 def _oracle_json_lines(ball, order, edges):
@@ -326,8 +364,8 @@ def test_build_ball_keys_each_vertex_once(name, path, action, base, radius):
     ``build_ball`` keys the basepoint alone; the other vertices are keyed
     once, on first use, and edges and pair queries key nothing more."""
     counted, keyed = key_counting(action)
-    assert _path(counted, base, radius) == path
     ball = build_ball(counted, base, radius)
+    assert _walk_of(ball) == path
     # growth and ends read nothing but the basepoint's key
     assert sum(ball.sphere_sizes()) == ball.vertex_count
     ends_estimate(ball, radius - 1)

@@ -353,6 +353,31 @@ def test_import_quandles_leaves_numpy_unimported():
     assert out.stdout.splitlines() == ["False", "False"], out.stderr
 
 
+def test_cli_start_leaves_fractions_and_decimal_unimported(tmp_path):
+    """Exact arithmetic is done in Python ints: neither the CLI's start nor
+    a lattice ``growth`` run, which inverts t, loads ``fractions`` or
+    ``decimal``."""
+    rot90 = write_spec(tmp_path, "rot90.json", {"family": "galex-lattice", "t": [[0, -1], [1, 0]]})
+    code = "\n".join(
+        [
+            "import sys",
+            "import quandles.cli",
+            "quandles.cli.build_parser()",
+            "loaded = lambda: sorted({'fractions', 'decimal'} & set(sys.modules))",
+            "print(loaded())",
+            "sys.argv[1:] = ['growth', sys.argv[1], '--radius', '3']",
+            "code = quandles.cli.main()",
+            "print(code, loaded())",
+        ]
+    )
+    out = subprocess.run([sys.executable, "-c", code, rot90], env=src_env(), capture_output=True, text=True)
+    assert out.stdout.splitlines() == [
+        "[]",
+        '{"basepoint":"(0,0)","radius":3,"sphere_sizes":[1,3,6,8]}',
+        "0 []",
+    ], out.stderr
+
+
 @pytest.mark.parametrize("preset,seen", [(None, "1"), ("2", "2")])
 def test_main_defaults_openblas_threads_to_one_and_skips_verify(tmp_path, preset, seen):
     """``main`` sets OPENBLAS_NUM_THREADS only where the caller has not,

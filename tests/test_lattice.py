@@ -60,8 +60,23 @@ def _det_cofactor(m):
 def test_mat_inverse_exact():
     inv = mat_inverse_exact(ROT90)
     assert mat_mul(ROT90, inv) == mat_identity(2)
-    with pytest.raises(ValueError):
-        mat_inverse_exact([[2, 0], [0, 1]])  # inverse not integral
+    with pytest.raises(ValueError, match="not integral"):
+        mat_inverse_exact([[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse_exact([[1, 2], [2, 4]])
+    assert mat_inverse_exact([[-1]]) == ((-1,),)
+    # products of elementary matrices are unimodular, with large entries
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randrange(1, 6)
+        m = mat_identity(n)
+        for _ in range(12):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            e = [list(r) for r in mat_identity(n)]
+            e[i][j] = rng.choice([-3, -1, 2, 5]) if i != j else -1
+            m = mat_mul(m, tuple(map(tuple, e)))
+        inv = mat_inverse_exact(m)
+        assert mat_mul(m, inv) == mat_mul(inv, m) == mat_identity(n)
 
 
 def test_unimodular_rejects():

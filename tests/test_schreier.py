@@ -15,7 +15,8 @@ from quandles.groups import symmetric_group
 from quandles.perms import Permutation
 from quandles.schreier import (
     SchreierAction,
-    _permutation_moves,
+    _finite_moves,
+    _moves,
     _table_columns,
     ball_from_json_lines,
     ball_to_dot,
@@ -543,6 +544,12 @@ def _permutation_moves_before(action):
     return moves, move_gen
 
 
+def _finite(action):
+    """The finite walk's moves of ``action`` as (table, columns, move_gen)."""
+    moves, move_gen = _moves(action)
+    return (*_finite_moves(moves), move_gen)
+
+
 def test_finite_moves_match_the_array_moves_before():
     """The moves, read in place from a table or stacked, equal the array
     the finite walk built before; a finite quandle's inner symmetries
@@ -550,18 +557,18 @@ def test_finite_moves_match_the_array_moves_before():
     r7, conj_s4 = dihedral_quandle(7), conjugation_quandle(symmetric_group(4))
     actions = [inner_action(r7), inner_action(conj_s4), displacement_action(r7), displacement_action(conj_s4)]
     for action in actions:
-        moves, columns, move_gen = _permutation_moves(action, 0)
+        moves, columns, move_gen = _finite(action)
         expected, expected_gen = _permutation_moves_before(action)
         assert moves.dtype == np.int64
         assert (moves if columns is None else moves[:, columns]).tolist() == expected.tolist()
         assert move_gen.tolist() == expected_gen.tolist()
     # R_7's symmetries are involutions, so every move is a column of its table
-    moves, columns, _ = _permutation_moves(inner_action(r7), 0)
+    moves, columns, _ = _finite(inner_action(r7))
     assert np.shares_memory(moves, r7.table) and columns.tolist() == list(range(7))
     # conj(S4) has symmetries of order 3, whose inverses are fresh rows
-    assert _permutation_moves(inner_action(conj_s4), 0)[1] is None
+    assert _finite(inner_action(conj_s4))[1] is None
     # the displacement generators are no involutions, so each gives two moves
-    assert len(_permutation_moves(displacement_action(r7), 0)[2]) == 2 * 6
+    assert len(_finite(displacement_action(r7))[2]) == 2 * 6
 
 
 def test_table_columns_are_found_exactly():
@@ -592,5 +599,5 @@ def test_table_columns_are_found_exactly():
     # a stacked fallback reads the same moves
     q = dihedral_quandle(9)
     action = SchreierAction("copied", [(f"s{y}", Permutation.unchecked(q.table[:, y].copy())) for y in range(9)], q.key)
-    moves, columns, _ = _permutation_moves(action, 0)
+    moves, columns, _ = _finite(action)
     assert columns is None and moves.tolist() == q.table.tolist()

@@ -12,6 +12,7 @@ from quandles.families import (
     conjugation_automorphism,
     conjugation_quandle,
     dihedral_quandle,
+    free_quandle,
     galex_finite,
     galex_lattice,
 )
@@ -510,6 +511,21 @@ def test_free_action_isometry_rejects_nonfree():
     rep = verify_free_action_isometry(dq, 0, 4, generators=dq.inner_generators())
     assert not rep.passed
     assert rep.witness["failed_hypothesis"] == "free"
+    # each affine automorphism answers whether it is a translation; an
+    # automorphism of any other kind never is one
+    rot90, fq = galex_lattice(ROT90), free_quandle(["a", "b"])
+    mixed = dq.displacement_generators() + [("s0", dq.symmetry(0))]
+    for backend, base, gens, named in (
+        (dq, 0, mixed, ["s0"]),
+        (rot90, (0, 0), rot90.inner_generators(), ["s0", "se1", "se2"]),
+        (rot90, (0, 0), rot90.displacement_generators(), []),
+        (fq, fq.generator("a"), fq.inner_generators(), [name for name, _ in fq.inner_generators()]),
+    ):
+        rep = verify_free_action_isometry(backend, base, 3, generators=gens)
+        if named:
+            assert rep.witness == {"failed_hypothesis": "free", "non_translations": named}
+        else:
+            assert rep.passed
 
 
 def _keyed_vertex_checks(q, basepoint, word_ball, orbit_ball):

@@ -3,15 +3,15 @@
 This module owns the group algebra of the package, all on element
 indices: identity and inverses, element orders, subgroup closures,
 normal closures, commutator subgroups, subgroups and quotients re-indexed
-as tables of their own, cyclicity, abelian invariants and conjugacy
-closure tests.  A table has one format, the int64 array
-``GroupTable.mul``, checked like a quandle table by
-``quandle._operation_table``, and the algebra is array expressions on
-it.  A subgroup is closed by ``perms.walk`` from the identity under the
-right translations ``mul[:, g]``.  ``perms.cayley_table`` tabulates an
-enumerated ``PermGroup`` (index i is row i of its images) and the stock
-symmetric and alternating groups (permutations in lexicographic order);
-the cyclic, dihedral and quaternion tables are formulas on the indices.
+as tables of their own, abelian invariants and conjugacy closure tests.
+A table has one format, the int64 array ``GroupTable.mul``, checked like
+a quandle table by ``quandle._operation_table``, and the algebra is
+array expressions on it.  A subgroup is closed by ``perms.walk`` from
+the identity under the right translations ``mul[:, g]``.
+``perms.cayley_table`` tabulates the stock symmetric and alternating
+groups (permutations in lexicographic order); the cyclic, dihedral and
+quaternion tables are formulas on the indices.  An enumerated
+``PermGroup`` is not tabulated: ``verify`` runs on its rows.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class GroupTable:
         key = self.mul[np.asarray(normal, dtype=np.int64)].min(axis=0)
         keys = _distinct(key)
         return GroupTable(_positions(keys, self.size)[key[self.mul[np.ix_(keys, keys)]]])
-
-    def is_cyclic(self) -> bool:
-        return bool((self.orders == self.size).any())
 
     def abelian_invariants(self) -> list[int]:
         """Invariant factors of this group, which must be abelian, ascending.

@@ -2,14 +2,14 @@
 
 This module owns what acts on points: ``Permutation``, the enumeration
 of a ``PermGroup``, orbits and free actions, and the one
-point walk, closure and Cayley table of the package.  ``walk`` is the
+point walk, closure and product search of the package.  ``walk`` is the
 orbit algorithm (Holt, Eick and O'Brien, cited below, section 4.1) that
 Schreier balls, ``orbits``, ``group_closure``, ``subgroup_closure``
 and the zero-sum check of ``verify_dis_properties`` run on.
 Group algebra (normal closures, commutators, quotients, abelian
-invariants, element orders) lives in ``quandles.groups`` and runs on
-indices: an enumerated ``PermGroup`` hands it its Cayley table through
-``PermGroup.table()``.  No stabilizer chains; everything is desk scale.
+invariants, element orders) lives in ``quandles.groups`` and runs on the
+indices of a table, which an enumerated ``PermGroup`` never builds.  No
+stabilizer chains; everything is desk scale.
 
 A permutation has one format, a row of images: a ``Permutation`` holds
 one read-only int64 row (for a finite quandle's point symmetry, a view
@@ -32,7 +32,7 @@ points 0, .., L-1 whose images tell the rows apart (a base in the sense
 of Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
 section 4.1, restricted to a prefix of the points).  R_n needs two, since
 an affine map of Z/n is fixed by its images of 0 and 1.  ``RowIndex``
-does the lookup; with it the Cayley table costs |G|^2 L gathers.
+does the lookup for ``products``, at L gathers a product.
 
 Generators come in one form everywhere in the package: a sequence of
 (name, automorphism) pairs, as ``inner_generators()`` returns them.
@@ -58,7 +58,7 @@ from .errors import BoundExceededError, MalformedTableError
 
 DEFAULT_GROUP_BOUND = 200_000
 WALK_CELLS = 1 << 12  # cells per gather chunk of a walk sphere
-CAYLEY_CELLS = 1 << 16  # products per block of rows of a Cayley table
+CAYLEY_CELLS = 1 << 16  # products per block of rows of the product search
 
 
 class Permutation:
@@ -247,7 +247,6 @@ class PermGroup:
         for name, g in self.generators:
             if g.degree != self.degree:
                 raise ValueError(f"generator {name} has mismatched degree")
-        self._table = None
 
     @cached_property
     def images(self) -> np.ndarray:
@@ -271,34 +270,29 @@ class PermGroup:
             raise KeyError(f"{Permutation.unchecked(images[found.argmin()]).key()} is not in the group")
         return found.tolist()
 
-    def table(self):
-        """The Cayley table as a ``groups.GroupTable``: index i is row i
-        of ``images``, so the identity is 0."""
-        if self._table is None:
-            from .groups import GroupTable
-
-            self._table = GroupTable(cayley_table(self.images, self.rows))
-        return self._table
-
     def __repr__(self):
         names = ",".join(name for name, _ in self.generators)
         return f"PermGroup(<{names}>, degree={self.degree})"
 
 
-def cayley_table(images: np.ndarray, rows: Optional[RowIndex] = None) -> np.ndarray:
+def products(rows: RowIndex, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The product search: [a, j] is the row of left[a] * right[j], which
+    its base images right[j, left[a, :L]] pick out through ``rows`` (so
+    every product must be a row), a block of about ``CAYLEY_CELLS``
+    products at a time: it holds the result and one block's codes."""
+    base = rows.base_length
+    found = np.empty((len(left), len(right)), dtype=np.intp)
+    step = max(1, CAYLEY_CELLS // max(1, len(right) * base))
+    for a0 in range(0, len(left), step):
+        on_base = right[:, left[a0 : a0 + step, :base]]  # [j, a, i]
+        found[a0 : a0 + step] = rows.find(on_base.transpose(1, 0, 2))
+    return found
+
+
+def cayley_table(images: np.ndarray) -> np.ndarray:
     """The Cayley table of the distinct rows ``images``, closed under
-    products: [a, b] is the row of images[a] * images[b], which its base
-    images images[b, images[a, :L]] pick out (through ``rows``).  It is
-    found a block of about ``CAYLEY_CELLS`` products at a time, so it
-    holds the table and one block's base images and codes."""
-    rows = rows or RowIndex(images)
-    m, base = len(images), rows.base_length
-    table = np.empty((m, m), dtype=np.intp)
-    step = max(1, CAYLEY_CELLS // max(1, m * base))
-    for a0 in range(0, m, step):
-        on_base = images[:, images[a0 : a0 + step, :base]]  # [b, a, j]
-        table[a0 : a0 + step] = rows.find(on_base.transpose(1, 0, 2))
-    return table
+    products: [a, b] is the row of images[a] * images[b]."""
+    return products(RowIndex(images), images, images)
 
 
 def group_closure(
@@ -307,18 +301,15 @@ def group_closure(
     """Enumerate the group generated by the (name, permutation) pairs
     ``generators`` as an int32 array with one row of images per element,
     in the order of the module docstring: ``_dimino`` finds the elements,
-    then ``walk`` numbers them from the identity over the moves
-    a -> a * g_j, found by ``RowIndex`` from the base images g_j[a[:L]].
-    Raises BoundExceededError once a coset would pass ``bound`` elements.
-    """
+    then ``walk`` numbers them from the identity over the moves a -> a * g_j
+    that ``products`` finds.  Raises BoundExceededError once a coset would
+    pass ``bound`` elements."""
     named = _named(generators)
     if not named:
         raise ValueError("need at least one generator")
-    rows = RowIndex(_dimino(np.array([g.images for _, g in named], dtype=np.int32), bound))
-    base = rows.images[:, : rows.base_length]
-    moves = np.empty((len(base), len(named)), dtype=np.int32)
-    for j, (_, g) in enumerate(named):
-        moves[:, j] = rows.find(g.images[base])
+    gens = np.array([g.images for _, g in named], dtype=np.int32)
+    rows = RowIndex(_dimino(gens, bound))
+    moves = products(rows, rows.images, gens)
     return rows.images[walk(moves, 0, len(moves), len(moves))[0]]
 
 
@@ -327,7 +318,7 @@ def _dimino(gens: np.ndarray, bound: int) -> np.ndarray:
     first, by Dimino's algorithm.  A generator the kept ones generate is
     skipped; else the new group is the union of right cosets H r of the
     old group H closed under every kept generator s, as H r s = H (r s).
-    The byte set ``seen`` and the int32 ``gens`` die before ``walk``."""
+    The byte set ``seen`` dies before ``walk``."""
     group = np.arange(gens.shape[1], dtype=gens.dtype)[None, :]
     seen = {group.tobytes()}
     kept: list[np.ndarray] = []
@@ -448,6 +439,18 @@ def first_fixed_point(images: np.ndarray, orbit: Iterable[int]) -> Optional[tupl
 
 
 def quotient_is_cyclic(group: PermGroup, sub: PermGroup) -> tuple[bool, int]:
-    """Whether group/sub is cyclic (sub must be normal).  Returns (flag, order)."""
-    quotient = group.table().quotient(group.positions(sub.images))
-    return quotient.is_cyclic(), quotient.size
+    """Whether G/N is cyclic, and |G:N|, for G = ``group`` and a normal
+    N = ``sub``: the coset gN has order the least m > 0 with g^m in N, so
+    G/N is cyclic iff some g has g^m outside N for 0 < m < |G:N|.  Every
+    g's powers are walked at once on base images (g^(m+1) maps the base
+    to g[g^m[base]]), and g is dropped once a power falls in N."""
+    order = group.order // sub.order
+    in_sub = np.zeros(group.order, dtype=bool)
+    in_sub[group.positions(sub.images)] = True
+    live = np.arange(group.order)
+    power = np.broadcast_to(np.arange(group.rows.base_length), (group.order, group.rows.base_length))
+    for _ in range(1, order):
+        power = group.images[live[:, None], power]
+        keep = ~in_sub[group.rows.find(power)]
+        live, power = live[keep], power[keep]
+    return bool(live.size), order

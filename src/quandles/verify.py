@@ -31,6 +31,7 @@ from .perms import (
     _integers,
     first_fixed_point,
     orbits,
+    products,
     quotient_is_cyclic,
     walk,
 )
@@ -77,8 +78,13 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
        s_a1^k1 .. s_am^km with k1 + .. + km = 0,
     4. both groups have the same orbits.
 
-    (1) and (3) run on the indices of the Cayley table of Inn; the
-    normality witness is the first failure conjugator-major.
+    (1) is tested at the generators g of Inn (Holt, Eick and O'Brien,
+    cited below): g^-1 Dis g in Dis is equality, as Dis is finite, and
+    the h with h^-1 Dis h = Dis form a subgroup.  At g the test is that
+    d g lies in g Dis for every d in Dis, on ``perms.products``; only if
+    a generator fails does it run over all of Inn, for the first failure
+    conjugator-major.  (2) is ``quotient_is_cyclic`` if (1) holds; else
+    the cosets form no group, and (2) fails with |Inn|/|Dis| of them.
 
     (3) is decided exactly by the spanning-tree argument behind
     Reidemeister-Schreier (Holt, Eick and O'Brien, Handbook of
@@ -98,28 +104,32 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     instance = instance or repr(q)
     inn = q.inner_group()
     dis = q.displacement_group()
-    table = inn.table()
     dis_index = inn.positions(dis.images)
+    in_dis = _positions(dis_index, inn.order) >= 0
+    gens = np.array([sym.images for _, sym in inn.generators])
 
     def key(x):
         return Permutation.unchecked(inn.images[x]).key()
 
-    in_dis = _positions(dis_index, table.size) >= 0
-    outside = np.argwhere(~in_dis[table.conj(np.array(dis_index), np.arange(table.size)[:, None])])
+    def unconjugated(conjugators):  # [g, d]: d g is outside g Dis
+        inside = np.zeros((len(conjugators), inn.order), dtype=bool)
+        inside[np.arange(len(conjugators))[:, None], products(inn.rows, conjugators, dis.images)] = True
+        return ~np.take_along_axis(inside, products(inn.rows, dis.images, conjugators).T, axis=1)
+
     bad = None
-    if len(outside):
-        g, d = outside[0]
+    if unconjugated(gens).any():
+        g, d = np.argwhere(unconjugated(inn.images))[0]
         bad = {"conjugator": key(g), "element": key(dis_index[d])}
     details = {"inn_order": inn.order, "dis_order": dis.order}
     reports = [TheoremReport("dis-normal-in-inn", instance, bad is None, bad, details)]
 
-    cyclic, qorder = quotient_is_cyclic(inn, dis)
+    cyclic, qorder = quotient_is_cyclic(inn, dis) if bad is None else (False, inn.order // dis.order)
     witness = None if cyclic else {"quotient_order": qorder}
     reports.append(TheoremReport("inn-mod-dis-cyclic", instance, cyclic, witness, {"quotient_order": qorder}))
 
-    moves = table.mul[:, inn.positions(np.array([sym.images for _, sym in inn.generators]))]
-    points, sizes = walk(moves, table.identity, table.size, table.size)
-    phi = np.empty(table.size, dtype=np.int64)
+    moves = products(inn.rows, inn.images, gens)
+    points, sizes = walk(moves, 0, inn.order, inn.order)  # from the identity, row 0
+    phi = np.empty(inn.order, dtype=np.int64)
     phi[points] = np.repeat(np.arange(len(sizes)), sizes)
     k = np.gcd.reduce((phi[:, None] + 1 - phi[moves]).ravel())
     zero_sum = phi % k == 0

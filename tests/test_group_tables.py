@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import elements
+from support import elements, traced_peak
 
 from quandles.errors import ConstructionError
 from quandles.families import conjugation_automorphism, conjugation_quandle, dihedral_quandle, galex_finite
@@ -417,7 +417,6 @@ def test_stock_tables_and_algebra_match_the_tuple_code(name):
     points = range(group.size)
     assert group.orders.tolist() == [before.element_order(x) for x in points]
     assert [group.element_order(x) for x in points] == [before.element_order(x) for x in points]
-    assert group.is_cyclic() is before.is_cyclic()
     whole = list(points)
     assert group.abelian_invariants_of_subgroup(whole) == before.abelian_invariants_of_subgroup(whole)
     for order in set(group.orders.tolist()) | {None}:
@@ -613,6 +612,83 @@ def test_failing_reports_carry_the_witnesses_of_the_tuple_code(monkeypatch):
     reports = verify_dis_properties(q)
     assert reports == _dis_properties_before(q)
     assert not reports[0].passed and reports[0].witness["conjugator"]
+
+
+def _transpositions(n):
+    """The conjugation quandle of S_n on its n(n-1)/2 transpositions, whose
+    Inn is S_n and Dis is A_n."""
+    moved = (np.array(list(permutations(range(n)))) != np.arange(n)).sum(axis=1)
+    return conjugation_quandle(symmetric_group(n), np.flatnonzero(moved == 2).tolist())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_transposition_quandles_match_the_tuple_code(n):
+    q = _transpositions(n)
+    reports = verify_dis_properties(q)
+    assert reports == _dis_properties_before(q)
+    assert all(r.passed for r in reports) and reports[1].details == {"quotient_order": 2}
+
+
+def test_dis_properties_hold_no_table_of_inn():
+    """|Inn| = 720 on the transpositions of S_6: the check peaks below one
+    720 x 720 int64 table, the Cayley table of Inn it once built."""
+    q = _transpositions(6)
+    reports, peak = traced_peak(lambda: verify_dis_properties(q))
+    assert all(r.passed for r in reports)
+    assert peak < 720 * 720 * 8
+
+
+def test_a_displacement_group_that_is_not_normal_fails_the_first_two_reports(monkeypatch):
+    """Dis replaced by a subgroup of order 3 of Inn = S_4, on the 6
+    transpositions: its cosets form no group, so the cyclic check fails
+    with their number 24/3 = 8 instead of tabulating a quotient, and the
+    normality witness is the first failure conjugator-major."""
+    q = _transpositions(4)
+    inn = q.inner_group()
+    dis = PermGroup([("x", Permutation(inn.images[12]))])
+    monkeypatch.setattr(q, "displacement_group", lambda: dis)
+    normal, cyclic, zero_sum, orbits_equal = verify_dis_properties(q)
+    assert (normal.passed, normal.witness) == (False, _first_unnormalized(inn, dis))
+    assert (cyclic.passed, cyclic.witness, cyclic.details) == (False, {"quotient_order": 8}, {"quotient_order": 8})
+    assert not zero_sum.passed and not orbits_equal.passed
+
+
+def _first_unnormalized(inn, dis):
+    """The first (g, d) conjugator-major with g^-1 d g outside Dis, keyed
+    as the normality report keys it, or None: the loop over Permutations."""
+    dis_set = set(elements(dis))
+    return next(
+        (
+            {"conjugator": g.key(), "element": d.key()}
+            for g in elements(inn)
+            for d in elements(dis)
+            if g.inverse() * d * g not in dis_set
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "dis", [[(1, 0, 2, 3)], [(1, 2, 3, 0)], [(1, 0, 3, 2), (2, 3, 0, 1)], [(0, 1, 3, 2), (0, 2, 1, 3)]], ids=str
+)
+def test_normality_is_decided_at_every_generator(monkeypatch, dis):
+    """Inn replaced by S_4 on 4 points, generated by a = (0 1) and
+    b = (0 1 2 3), in both orders: <(0 1)> is normalized by a alone,
+    <(0 1 2 3)> by b alone, and the Klein group by both, so a check that
+    skipped either generator would pass a subgroup that is not normal.
+    The stabilizer of 0 fails first at b, of order 4, where b^-1 d b and
+    b d b^-1 leave it at different first elements d."""
+    q = dihedral_quandle(4)
+    a, b = ("a", Permutation((1, 0, 2, 3))), ("b", Permutation((1, 2, 3, 0)))
+    dis = PermGroup([(f"d{i}", Permutation(p)) for i, p in enumerate(dis)])
+    monkeypatch.setattr(q, "displacement_group", lambda: dis)
+    for generators in ([a, b], [b, a]):
+        inn = PermGroup(generators)
+        monkeypatch.setattr(q, "inner_group", lambda inn=inn: inn)
+        normal = verify_dis_properties(q)[0]
+        witness = _first_unnormalized(inn, dis)
+        assert (normal.passed, normal.witness) == (witness is None, witness)
+        assert normal.details == {"inn_order": 24, "dis_order": dis.order}
 
 
 def _exact_dis_reports(q):

@@ -16,6 +16,7 @@ from quandles.families import (
     galex_finite,
 )
 from quandles.groups import (
+    GroupTable,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -29,6 +30,7 @@ from quandles.perms import (
     first_fixed_point,
     group_closure,
     orbits,
+    products,
     quotient_is_cyclic,
     walk,
     walk_table,
@@ -227,7 +229,7 @@ def test_normal_closure_a3():
     a = Permutation((1, 0, 2))
     c = Permutation((1, 2, 0))
     s3 = PermGroup([("a", a), ("c", c)])
-    table = s3.table()
+    table = GroupTable(cayley_table(s3.images))
     index_a, index_c = s3.positions(np.array([a.images, c.images]))
     n = table.normal_closure_of(index_c)
     assert len(n) == 3
@@ -236,9 +238,11 @@ def test_normal_closure_a3():
 
 
 def test_commutator_subgroup():
-    s3 = PermGroup([("a", Permutation((1, 0, 2))), ("c", Permutation((1, 2, 0)))]).table()
+    s3 = PermGroup([("a", Permutation((1, 0, 2))), ("c", Permutation((1, 2, 0)))])
+    s3 = GroupTable(cayley_table(s3.images))
     assert len(s3.commutator_of_subgroup(range(s3.size))) == 3
-    v4 = PermGroup([("x", Permutation((1, 0, 3, 2))), ("y", Permutation((2, 3, 0, 1)))]).table()
+    v4 = PermGroup([("x", Permutation((1, 0, 3, 2))), ("y", Permutation((2, 3, 0, 1)))])
+    v4 = GroupTable(cayley_table(v4.images))
     assert len(v4.commutator_of_subgroup(range(v4.size))) == 1
 
 
@@ -253,7 +257,7 @@ def test_quotient_is_cyclic():
 
 
 def _abelianization(group: PermGroup) -> list[int]:
-    table = group.table()
+    table = GroupTable(cayley_table(group.images))
     return table.abelian_invariants_of_subgroup(range(table.size))
 
 
@@ -270,7 +274,7 @@ def test_abelianization_invariants():
 
 def test_perm_group_table_indices():
     d4 = PermGroup([("r", Permutation((1, 2, 3, 0))), ("f", Permutation((0, 3, 2, 1)))])
-    table = d4.table()
+    table = GroupTable(cayley_table(d4.images))
     assert table.identity == 0 and table.size == d4.order == 8
     els = elements(d4)
     assert d4.positions(d4.images) == list(range(8))
@@ -308,7 +312,8 @@ ORACLE_GROUPS = {
 def test_group_table_algebra_against_sympy(name):
     """Abelian invariants, quotients and element orders against sympy, on
     the regular representation of the whole group and of the normal
-    closure of its first non-identity element."""
+    closure N of its first non-identity element, and ``quotient_is_cyclic``
+    of G mod N and of G mod 1 on those representations."""
     sympy_comb = pytest.importorskip("sympy.combinatorics")
     SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
 
@@ -333,8 +338,11 @@ def test_group_table_algebra_against_sympy(name):
     sym_cyclic = any(
         SymGroup(list(sym_closure.generators) + [r]).order() == whole.order() for r in regular
     )
-    assert quotient.is_cyclic() == sym_cyclic
-    assert group.is_cyclic() == whole.is_cyclic
+    translations = [(f"r{x}", Permutation(group.mul[:, x])) for x in range(group.size)]
+    as_perms = PermGroup(translations)
+    normal, trivial = PermGroup([translations[x] for x in closure]), PermGroup([translations[group.identity]])
+    assert quotient_is_cyclic(as_perms, normal) == (sym_cyclic, quotient.size)
+    assert quotient_is_cyclic(as_perms, trivial) == (whole.is_cyclic, group.size)
 
 
 # the stock groups of order <= 8, so their regular translations move <= 8 points
@@ -514,7 +522,7 @@ def _assert_matches_loop(generators, table_up_to=None):
     assert group.images.tolist() == [list(p) for p in expected]
     assert group.positions(group.images) == list(range(group.order))
     if table_up_to is None or group.order <= table_up_to:
-        assert group.table().mul.tolist() == [list(row) for row in _table_before_arrays(expected)]
+        assert GroupTable(cayley_table(group.images)).mul.tolist() == [list(row) for row in _table_before_arrays(expected)]
     return group
 
 
@@ -524,6 +532,19 @@ def test_enumeration_and_table_match_the_tuple_loop():
         if name == "s4-natural":
             assert group.order == 24 and group.rows.base_length == 3
         assert group.rows.find(group.images).tolist() == list(range(group.order)), name
+        gens = np.array([g.images for _, g in generators])
+        assert np.array_equal(products(group.rows, group.images, gens), _moves_before_products(group.rows, generators))
+
+
+def _moves_before_products(rows, generators):
+    """The moves a -> a * g_j of ``group_closure`` as it found them before
+    ``products``: one ``RowIndex.find`` per generator, on the base images
+    g_j[a[:L]] of every row a."""
+    base = rows.images[:, : rows.base_length]
+    moves = np.empty((len(base), len(generators)), dtype=np.int32)
+    for j, (_, g) in enumerate(generators):
+        moves[:, j] = rows.find(g.images[base])
+    return moves
 
 
 def test_closure_bound_raises_exactly_when_the_loop_does():
@@ -635,6 +656,20 @@ def test_closure_matches_the_block_loop_and_raises_at_the_same_bounds(generators
             assert (caught.value.what, caught.value.bound) == ("group closure", bound)
         else:
             assert group_closure(generators, bound).tolist() == expected.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_lists(), st.sampled_from([1, 5, 64, 1 << 16]))
+def test_products_give_the_moves_of_the_per_generator_loop(generators, cells):
+    """Cell for cell, on every row of the closure, in blocks of rows down
+    to one row each."""
+    group = PermGroup(generators)
+    gens = np.array([g.images for _, g in generators])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perms, "CAYLEY_CELLS", cells)
+        found = products(group.rows, group.images, gens)
+    assert found.shape == (group.order, len(generators))
+    assert np.array_equal(found, _moves_before_products(group.rows, generators))
 
 
 def test_closure_elements_and_order_against_sympy_dimino():
@@ -756,7 +791,7 @@ def test_cayley_table_holds_the_table_and_one_block(monkeypatch):
     gather."""
     inn = dihedral_quandle(301).inner_group()
     images, rows = inn.images, inn.rows
-    table, peak = traced_peak(lambda: cayley_table(images, rows))
+    table, peak = traced_peak(lambda: cayley_table(images))
     assert peak < 2 * table.nbytes
     whole = rows.find(images[:, images[:, : rows.base_length]].transpose(1, 0, 2))
     assert np.array_equal(table, whole)
@@ -764,4 +799,4 @@ def test_cayley_table_holds_the_table_and_one_block(monkeypatch):
     for group in (dihedral_quandle(7).inner_group(), conjugation_quandle(symmetric_group(4)).inner_group()):
         images, rows = group.images, group.rows
         whole = rows.find(images[:, images[:, : rows.base_length]].transpose(1, 0, 2))
-        assert np.array_equal(cayley_table(images, rows), whole)
+        assert np.array_equal(cayley_table(images), whole)

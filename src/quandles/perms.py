@@ -308,17 +308,18 @@ def group_closure(
     if not named:
         raise ValueError("need at least one generator")
     gens = np.array([g.images for _, g in named], dtype=np.int32)
-    rows = RowIndex(_dimino(gens, bound))
+    rows = RowIndex(_dimino(gens, bound)[0])
     moves = products(rows, rows.images, gens)
+    del gens  # the walk holds the moves alone
     return rows.images[walk(moves, 0, len(moves), len(moves))[0]]
 
 
-def _dimino(gens: np.ndarray, bound: int) -> np.ndarray:
+def _dimino(gens: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The elements of the group the rows ``gens`` generate, identity
-    first, by Dimino's algorithm.  A generator the kept ones generate is
-    skipped; else the new group is the union of right cosets H r of the
-    old group H closed under every kept generator s, as H r s = H (r s).
-    The byte set ``seen`` dies before ``walk``."""
+    first, and the generators kept, in order, by Dimino's algorithm: one
+    the kept ones generate is skipped; else the new group is the union of
+    right cosets H r of the old group H closed under every kept generator
+    s, as H r s = H (r s).  The byte set ``seen`` dies before ``walk``."""
     group = np.arange(gens.shape[1], dtype=gens.dtype)[None, :]
     seen = {group.tobytes()}
     kept: list[np.ndarray] = []
@@ -339,7 +340,7 @@ def _dimino(gens: np.ndarray, bound: int) -> np.ndarray:
                 cosets.append(coset)
                 reps.append(rs)
         group = np.concatenate(cosets)
-    return group
+    return group, np.array(kept, dtype=gens.dtype).reshape(-1, gens.shape[1])
 
 
 def walk(moves: np.ndarray, start: int, radius: int, bound: int, columns: Optional[np.ndarray] = None):

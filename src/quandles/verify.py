@@ -23,11 +23,14 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import BoundExceededError
 from .families import GAlexFiniteQuandle, conjugation_automorphism, galex_finite
 from .groups import GroupTable, _positions
 from .perms import (
     Permutation,
+    PermGroup,
     RowIndex,
+    _dimino,
     _integers,
     first_fixed_point,
     orbits,
@@ -167,25 +170,30 @@ def verify_free_transitive_reconstruction(
     basepoint off 0..n-1 raise ValueError; no rows fail transitivity.
 
     Normality is checked inside the ambient group generated by the point
-    symmetries together with G (the report records it), at its
-    generators only.  Conjugation by a generator h that maps the finite
-    set G into itself is injective, so it maps G onto itself, and so does
-    conjugation by h^-1 and by every product of generators: G is normal.
-    The ambient group, enumerated breadth-first, lists the identity and
-    then its distinct non-identity generators in order, so the first
-    failing generator is also the first failing element of the group.
-    The supplied set must also be closed under products, or it is no
-    group.  A failed hypothesis fails the report with the hypothesis
-    named.  Normality under s_x0, which sigma needs, is part of the
-    ambient check, since s_x0 is a point symmetry.
+    symmetries and the supplied set S (the report records it), and S
+    must be closed under products; a failed hypothesis fails the report
+    with the hypothesis named.  ``perms._dimino`` sifts S once, bounded
+    by its number |E| of distinct rows, and keeps generators K.  (a) The
+    sift stays within |E| elements exactly when <S> = S: the identity is
+    in <S>, so an S without it overflows; sizes are compared too, as the
+    empty S is no group.  (b) Let S be a group and P a subgroup of it: its
+    automorphisms, or the g with h^-1 g h in S for a conjugator h.  A row
+    the sift skips lies in the group of the kept rows before it, so the
+    first row outside P, in supplied order, is in K: checking K alone
+    raises for the same row and cell, and names the same first element
+    that h conjugates out of S.  (c) Conjugation by h maps S into itself
+    iff onto, so the generators of the ambient group decide, and the
+    first to fail is its first failing element, as it lists the
+    identity, then its generators in order; a group is normal in itself.
+    When S is no group every row is checked and conjugated.  s_x0, which
+    sigma needs, is a point symmetry.
 
-    Everything runs on the rows: conjugating and multiplying are
-    gathers, and membership is a ``RowIndex`` lookup confirmed on the
-    full row.  Witnesses are first failures in these orders:
-    conjugator-major (point symmetries, then the supplied rows) and
-    supplied-order minor for normality; the supplied order for freeness;
-    row-major over the distinct rows sorted by their images for closure
-    and the isomorphism.
+    Rows are conjugated and multiplied by gathers and found by
+    ``RowIndex``; a group's table is ``products``.  Witnesses are first
+    failures in these orders: conjugator-major (point symmetries, then
+    the supplied rows) and supplied-order minor for normality; the
+    supplied order for freeness; row-major over the distinct rows sorted
+    by their images for closure and the isomorphism.
     """
     instance = instance or repr(q)
     statement = "free-transitive-reconstruction"
@@ -197,7 +205,14 @@ def verify_free_transitive_reconstruction(
     if broken.size:
         raise ValueError(f"subgroup row {broken[0]} is not a permutation of 0..{n - 1}: {supplied[broken[0]].tolist()}")
     _check_basepoint(q, basepoint)
-    for row in supplied:
+    elements = np.array(sorted(set(map(tuple, supplied.tolist()))), dtype=np.int64).reshape(-1, n)
+    try:
+        closure, kept = _dimino(supplied, len(elements))
+        is_group = len(closure) == len(elements)
+    except BoundExceededError:
+        is_group = False
+    tested = kept if is_group else supplied
+    for row in tested:
         bad = _automorphism_defect(q.table, row)
         if bad is not None:
             raise ValueError(f"subgroup element {Permutation.unchecked(row).key()} is not an automorphism at {bad}")
@@ -207,19 +222,18 @@ def verify_free_transitive_reconstruction(
     def failed(witness: dict) -> TheoremReport:
         return TheoremReport(statement, instance, False, witness, {"ambient": ambient_desc})
 
-    elements = np.array(sorted(set(map(tuple, supplied.tolist()))), dtype=np.int64).reshape(-1, n)
     rows = RowIndex(elements)
-
     # h^-1 g h is x -> h[g[h^-1[x]]]; the conjugators are the point
-    # symmetries s_y (column y of the table), then the supplied rows
-    for h in np.concatenate((q.table.T, supplied)):
-        outside = rows.locate(h[supplied[:, np.argsort(h)]]) < 0
+    # symmetries s_y (column y of the table), then the supplied rows,
+    # which a group normalizes
+    for h in q.table.T if is_group else np.concatenate((q.table.T, supplied)):
+        outside = rows.locate(h[tested[:, np.argsort(h)]]) < 0
         if outside.any():
             return failed(
                 {
                     "failed_hypothesis": "normal-in-ambient",
                     "conjugator": Permutation.unchecked(h).key(),
-                    "element": Permutation.unchecked(supplied[outside.argmax()]).key(),
+                    "element": Permutation.unchecked(tested[outside.argmax()]).key(),
                 }
             )
 
@@ -232,17 +246,15 @@ def verify_free_transitive_reconstruction(
             {"failed_hypothesis": "free", "element": Permutation.unchecked(supplied[fix[0]]).key(), "fixed_point": fix[1]}
         )
 
-    # mul[a, b] is the row of elements[a] * elements[b] = elements[b][elements[a]]
-    mul = np.empty((len(elements), len(elements)), dtype=np.intp)
-    for a, row in enumerate(elements):
-        mul[a] = rows.locate(elements[:, row])
-        if mul[a].min() < 0:
-            b = int(mul[a].argmin())
+    # a transitive set (so not empty) that is no group misses some a * b = b[a]
+    for a in [] if is_group else elements:
+        found = rows.locate(elements[:, a])
+        if found.min() < 0:
             return failed(
                 {
                     "failed_hypothesis": "closed-under-products",
-                    "left": Permutation.unchecked(row).key(),
-                    "right": Permutation.unchecked(elements[b]).key(),
+                    "left": Permutation.unchecked(a).key(),
+                    "right": Permutation.unchecked(elements[found.argmin()]).key(),
                 }
             )
 
@@ -250,7 +262,7 @@ def verify_free_transitive_reconstruction(
     s0 = q.table[:, basepoint]
     s0_inv = np.argsort(s0)  # the inverse permutation: s0[s0_inv[x]] = x
     sigma = rows.locate(s0[elements[:, s0_inv]])
-    group = GroupTable(mul)
+    group = GroupTable(products(rows, elements, elements))
     rebuilt = galex_finite(group, sigma)
 
     f = elements[:, basepoint]
@@ -459,10 +471,11 @@ def verify_free_action_isometry(
     the action: the orbit map must be a bijection on vertices that
     preserves basepoint distances and all certified pairwise distances.
 
-    Freeness is established by stabilizer check for finite quandles and
-    by the generators being nontrivial translations for affine backends;
-    anything else fails the hypothesis.  Both balls are built under the
-    ``max_vertices`` cap of ``build_ball``.
+    Freeness is established by stabilizer check for finite quandles, on
+    the basepoint's orbit under the group of the generators (Dis if there
+    are none), and for affine backends by the generators being nontrivial
+    translations; anything else fails the hypothesis.  Both balls are
+    built under the ``max_vertices`` cap of ``build_ball``.
     """
     instance = instance or repr(backend)
     statement = "free-displacement-action-gives-isometry"
@@ -474,11 +487,10 @@ def verify_free_action_isometry(
 
     if isinstance(backend, FiniteQuandle):
         _check_basepoint(backend, basepoint)
-        dis = backend.displacement_group()
-        component = next(part for part in backend.components() if basepoint in part)
-        culprit = first_fixed_point(dis.images, component)
+        group = PermGroup(gens) if gens else backend.displacement_group()
+        culprit = first_fixed_point(group.images, orbits(group.generators, [basepoint])[0])
         if culprit is not None:
-            key = Permutation.unchecked(dis.images[culprit[0]]).key()
+            key = Permutation.unchecked(group.images[culprit[0]]).key()
             return report(False, {"failed_hypothesis": "free", "element": key, "fixed_point": culprit[1]})
     else:
         # the affine automorphisms answer is_translation; no other kind is one
@@ -499,15 +511,11 @@ def verify_free_action_isometry(
         cayley_action(backend.backend_id, gens), _identity_like(gens), radius, max_vertices=max_vertices
     )
 
-    # the orbit map as orbit-ball vertex numbers; images outside the
-    # orbit ball are numbered from V on, in order of appearance
-    index, n = orbit_ball.index, orbit_ball.vertex_count
-    outside: dict[str, int] = {}
-
-    def number(k):
-        return index[k] if k in index else outside.setdefault(k, n + len(outside))
-
-    image = np.array([number(backend.key(g.act(basepoint))) for g in word_ball.elements], dtype=np.int64)
+    # the orbit map as orbit-ball vertex numbers, found by value; images
+    # outside the orbit ball are numbered from V on, in order of appearance
+    n = orbit_ball.vertex_count
+    vertex = {p: v for v, p in enumerate(orbit_ball.elements)}
+    image = np.array([vertex.setdefault(g.act(basepoint), len(vertex)) for g in word_ball.elements], dtype=np.int64)
     order = np.argsort(image, kind="stable")
     repeat = np.zeros(image.size, dtype=bool)
     repeat[order[1:]] = image[order[1:]] == image[order[:-1]]
@@ -516,10 +524,10 @@ def verify_free_action_isometry(
 
     missed = np.ones(n, dtype=bool)
     missed[image[image < n]] = False
-    if outside or missed.any():
+    if len(vertex) > n or missed.any():
         witness = {
             "orbit_ball_only": sorted(orbit_ball.keys[i] for i in np.flatnonzero(missed))[:4],
-            "word_ball_only": sorted(outside)[:4],
+            "word_ball_only": sorted(map(backend.key, list(vertex)[n:]))[:4],
         }
         details = {"word_ball": word_ball.vertex_count, "orbit_ball": orbit_ball.vertex_count}
         return report(False, witness, details)

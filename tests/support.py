@@ -23,12 +23,14 @@ def elements(group):
 
 def rewired(ball, edges):
     """The ball read back from its JSON lines with the edge records
-    replaced by ``edges``: the same vertices, numbering and depths over
-    another graph.  The copy has no elements."""
+    replaced by ``edges``: the same vertices, numbering, depths and
+    elements over another graph."""
     records = [json.loads(line) for line in ball_to_json_lines(ball).splitlines()]
     records = [r for r in records if r["type"] != "edge"]
     records += [{"type": "edge", "u": u, "v": v, "label": name} for u, v, name in edges]
-    return ball_from_json_lines("\n".join(map(json.dumps, records)))
+    copy = ball_from_json_lines("\n".join(map(json.dumps, records)))
+    copy.elements = ball.elements
+    return copy
 
 
 def src_env():

@@ -672,6 +672,33 @@ def test_products_give_the_moves_of_the_per_generator_loop(generators, cells):
     assert np.array_equal(found, _moves_before_products(group.rows, generators))
 
 
+@settings(max_examples=80, deadline=None)
+@given(_generator_lists())
+def test_dimino_keeps_the_generators_it_cannot_skip(generators):
+    """The kept generators are the rows of ``gens``, in order, that the
+    kept ones before them do not generate, and they generate the group."""
+    gens = np.array([g.images for _, g in generators])
+    group, kept = perms._dimino(gens, 200_000)
+    expected = []
+    for g in gens.tolist():
+        before = group_closure([("k", Permutation(k)) for k in expected]) if expected else [range(len(g))]
+        if g not in np.asarray(before).tolist():
+            expected.append(g)
+    assert kept.dtype == gens.dtype and kept.shape == (len(expected), gens.shape[1])
+    assert kept.tolist() == expected
+    assert sorted(group.tolist()) == sorted(group_closure(generators).tolist())
+
+
+def test_closure_drops_its_generator_rows_before_the_walk():
+    """Inn(R_1001), 1001 generators and 2002 elements: the int32 generator
+    rows (3.8 MiB) go once the moves are found; the closure peaked at
+    34.5 MiB with them alive through the walk."""
+    gens = dihedral_quandle(1001).inner_generators()
+    images, peak = traced_peak(lambda: group_closure(gens))
+    assert images.shape == (2002, 1001)
+    assert peak < 32.5 * 2**20
+
+
 def test_closure_elements_and_order_against_sympy_dimino():
     sympy_comb = pytest.importorskip("sympy.combinatorics")
     SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from quandles.groups import (
     symmetric_group,
 )
 from quandles.groups import GroupTable
-from quandles.perms import PermGroup, Permutation
+from quandles.perms import PermGroup, Permutation, first_fixed_point
+from quandles.quandle import _automorphism_defect
 from quandles.schreier import SchreierAction, build_ball, cayley_action
 from quandles.verify import (
     TheoremReport,
@@ -277,6 +280,123 @@ def test_reconstruction_fails_on_a_set_not_closed_under_products():
     )
 
 
+def _reconstruction_oracle(q, subgroup, basepoint):
+    """The report of the frozen loops, on a supplied list that may repeat
+    elements and hold non-automorphisms.  The ValueError is the first
+    row, in supplied order, that is no automorphism.  A repeat only
+    counts in the ambient description, since each witness is a first
+    failure over the supplied list or over the distinct elements; and a
+    set not closed under products gets the first product outside it,
+    row-major over the distinct elements sorted by their images."""
+    for p in subgroup:
+        at = q.is_automorphism(p)
+        if at is not None:
+            raise ValueError(f"subgroup element {p.key()} is not an automorphism at {at}")
+    distinct = list(dict.fromkeys(subgroup))
+    ambient = {"ambient": f"<point symmetries + {len(subgroup)} supplied>"}
+    expected = _reconstruction_before_arrays(q, distinct, basepoint)
+    if expected == "KeyError":
+        ordered = sorted(distinct, key=lambda p: p.images.tolist())
+        a, b = next((a, b) for a in ordered for b in ordered if a * b not in set(distinct))
+        witness = {"failed_hypothesis": "closed-under-products", "left": a.key(), "right": b.key()}
+        return TheoremReport("free-transitive-reconstruction", repr(q), False, witness, ambient)
+    return dataclasses.replace(expected, details={**expected.details, **ambient})
+
+
+def _drawn_supplied_sets(rng, q, count):
+    """``count`` (supplied list, basepoint) pairs for the reconstruction
+    check on q: Dis, Inn, a subset of either, Dis with a few Inn rows, a
+    subgroup of Inn (often not normal), the cyclic group of a random
+    permutation (often of non-automorphisms), and on R_n the rows
+    x -> x + b, x - b and every x -> a x + c, which the point symmetries
+    normalize but x -> a x + c does not when a b is not +-b.  Each list
+    is shuffled, with up to two repeats."""
+    dis, inn, n = elements(q.displacement_group()), elements(q.inner_group()), q.size
+    units = [a for a in range(2, n - 1) if math.gcd(a, n) == 1] if q.backend_id == "finite" else []
+    for _ in range(count):
+        kind = rng.randrange(8 if units else 7)
+        if kind == 0:
+            supplied = list(dis)
+        elif kind == 1:
+            supplied = list(inn)
+        elif kind == 2:
+            supplied = rng.sample(dis, rng.randrange(1, len(dis) + 1))
+        elif kind == 3:
+            supplied = rng.sample(inn, rng.randrange(1, len(inn) + 1))
+        elif kind == 4:
+            supplied = dis + rng.sample(inn, rng.randrange(1, 4))
+        elif kind == 5:
+            supplied = elements(PermGroup([(f"h{i}", h) for i, h in enumerate(rng.sample(inn, rng.randrange(1, 3)))]))
+        elif kind == 6:
+            supplied = elements(PermGroup([("p", Permutation(rng.sample(range(n), n)))]))
+        else:
+            a = rng.choice(units)
+            b = rng.choice([b for b in range(1, n) if (a - 1) * b % n and (a + 1) * b % n])
+            supplied = [Permutation([(x + b) % n for x in range(n)]), Permutation([(x - b) % n for x in range(n)])]
+            supplied += [Permutation([(a * x + c) % n for x in range(n)]) for c in range(n)]
+        supplied += rng.choices(supplied, k=rng.randrange(3))
+        rng.shuffle(supplied)
+        yield supplied, rng.randrange(n)
+
+
+def test_reconstruction_matches_the_product_loops_on_drawn_sets():
+    """Reports and ValueErrors against the frozen loops on 320 drawn
+    supplied lists, and on the closed ones the normality verdict against
+    sympy's: S is normal in <point symmetries, S>."""
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
+    s3, s4, a4 = symmetric_group(3), symmetric_group(4), alternating_group(4)
+    quandles = [dihedral_quandle(n) for n in (4, 5, 9, 15)]
+    quandles += [conjugation_quandle(g) for g in (s3, s4, a4)]
+    quandles.append(galex_finite(cyclic_group(7), [(3 * x) % 7 for x in range(7)]))
+    rng = random.Random(30)
+    outcomes = Counter()
+    for q in quandles:
+        symmetries = {s.key() for _, s in q.inner_generators()}
+        for supplied, basepoint in _drawn_supplied_sets(rng, q, 40):
+            try:
+                expected = _reconstruction_oracle(q, supplied, basepoint)
+            except ValueError as error:
+                with pytest.raises(ValueError) as caught:
+                    verify_free_transitive_reconstruction(q, _rows(supplied), basepoint)
+                assert str(caught.value) == str(error)
+                outcomes["ValueError"] += 1
+                continue
+            report = verify_free_transitive_reconstruction(q, _rows(supplied), basepoint)
+            assert report == expected
+            failed = None if report.passed else report.witness["failed_hypothesis"]
+            outcomes[failed or "pass"] += 1
+            if failed == "normal-in-ambient" and report.witness["conjugator"] not in symmetries:
+                outcomes["supplied conjugator"] += 1
+            distinct = set(supplied)
+            if len(PermGroup([(f"g{i}", p) for i, p in enumerate(distinct)]).images) == len(distinct):
+                sub = SymGroup([SymPerm(p.images.tolist()) for p in distinct])
+                ambient = SymGroup([SymPerm(p.images.tolist()) for p in distinct | {s for _, s in q.inner_generators()}])
+                assert sub.is_normal(ambient) is (failed != "normal-in-ambient")
+                outcomes["closed, not normal" if failed == "normal-in-ambient" else "closed, normal"] += 1
+    assert sum(outcomes[k] for k in ("ValueError", "pass", "normal-in-ambient", "transitive", "free",
+                                     "closed-under-products")) == 320
+    for outcome in ("ValueError", "pass", "normal-in-ambient", "transitive", "free", "supplied conjugator",
+                    "closed, not normal", "closed, normal"):
+        assert outcomes[outcome] > 0, (outcome, outcomes)
+
+
+def test_reconstruction_checks_automorphisms_at_the_kept_generators(monkeypatch):
+    """Dis(R_301) is cyclic, and its first non-identity row generates it:
+    one automorphism check, where every supplied row had one."""
+    calls = []
+
+    def counted(table, row):
+        calls.append(row)
+        return _automorphism_defect(table, row)
+
+    monkeypatch.setattr(verify, "_automorphism_defect", counted)
+    q = dihedral_quandle(301)
+    report = verify_free_transitive_reconstruction(q, q.displacement_group().images)
+    assert report.passed and report.details["group_order"] == 301
+    assert len(calls) == 1
+
+
 def test_reconstruction_rejects_non_automorphisms():
     # every permutation preserves R_3, so use R_4 where a bare swap does not
     q = dihedral_quandle(4)
@@ -526,6 +646,61 @@ def test_free_action_isometry_rejects_nonfree():
             assert rep.witness == {"failed_hypothesis": "free", "non_translations": named}
         else:
             assert rep.passed
+
+
+def _free_witness_before(q, basepoint):
+    """The freeness witness as it was found whatever the generators: on
+    Dis and the component of the basepoint; None if Dis acts freely."""
+    dis = q.displacement_group()
+    component = next(part for part in q.components() if basepoint in part)
+    culprit = first_fixed_point(dis.images, component)
+    if culprit is None:
+        return None
+    return {"failed_hypothesis": "free", "element": Permutation.unchecked(dis.images[culprit[0]]).key(), "fixed_point": culprit[1]}
+
+
+def test_free_action_freeness_is_checked_on_the_group_of_the_generators():
+    """With the inner generators of R_5 freeness was checked on Dis, which
+    is free, and the orbit map folded instead; the group the generators
+    generate fixes 0.  Default and empty generators keep Dis."""
+    q = dihedral_quandle(5)
+    report = verify_free_action_isometry(q, 0, 3, generators=q.inner_generators())
+    assert report.witness == {"failed_hypothesis": "free", "element": "[0,4,3,2,1]", "fixed_point": 0}
+    # s_2 swaps 0 and 4 and fixes only 2, off the orbit of 0
+    report = verify_free_action_isometry(q, 0, 3, generators=[("s2", q.symmetry(2))])
+    assert report.passed and report.details == {"vertices": 2, "pairs_checked": 1}
+    s4 = symmetric_group(4)
+    transpositions = conjugation_quandle(s4, sorted({s4.conj(1, h) for h in range(s4.size)}))
+    cases = [(conjugation_quandle(s4), 1), (transpositions, 0), (conjugation_quandle(alternating_group(4)), 5)]
+    cases += [(dihedral_quandle(n), b) for n, b in ((4, 1), (5, 0), (6, 2), (9, 4))]
+    failing = 0
+    for q, basepoint in cases:
+        expected = _free_witness_before(q, basepoint)
+        for generators in (None, []):
+            report = verify_free_action_isometry(q, basepoint, 2, generators=generators)
+            if expected is not None:
+                failing += 1
+                assert report.witness == expected
+            else:
+                assert report.witness is None or "failed_hypothesis" not in report.witness
+    assert failing
+    report = verify_free_action_isometry(conjugation_quandle(s4), 1, 2)
+    assert report.witness["fixed_point"] == 1
+
+
+@pytest.mark.parametrize(
+    "q,basepoint",
+    [(galex_lattice(ROT90), (0, 0)), (dihedral_quandle(21), 0), (dihedral_quandle("inf"), 0)],
+    ids=["rot90", "r21", "dihedral-inf"],
+)
+def test_a_passing_isometry_check_keys_its_basepoint_alone(monkeypatch, q, basepoint):
+    """The orbit map numbers its images by value: a passing check keys
+    only the orbit ball's basepoint, where it keyed every image."""
+    keyed, key = [], q.key
+    monkeypatch.setattr(q, "key", lambda x: keyed.append(x) or key(x))
+    report = verify_free_action_isometry(q, basepoint, 6)
+    assert report.passed
+    assert keyed == [basepoint]
 
 
 def _keyed_vertex_checks(q, basepoint, word_ball, orbit_ball):

@@ -125,56 +125,62 @@ def _load_raw(path: str) -> dict:
     return data
 
 
-def load_spec(path: str):
-    data = _load_raw(path)
-    family = data.get("family")
-    if family is None:
-        raise SpecError("missing-field", "spec needs a \"family\" field", "family")
+def _galex_finite(data: dict):
+    group = load_group(data["group"])
+    sigma = data["sigma"]
+    if isinstance(sigma, dict) and "conjugation-by" in sigma:
+        sigma = conjugation_automorphism(group, sigma["conjugation-by"])
+    return galex_finite(group, sigma)
 
+
+def _galex_lattice(data: dict):
     try:
-        if family == "dihedral":
-            if "n" not in data:
-                raise SpecError("missing-field", "dihedral spec needs \"n\"", "n")
-            backend = dihedral_quandle(data["n"])
-        elif family == "finite-table":
-            if "table" not in data:
-                raise SpecError("missing-field", "finite-table spec needs \"table\"", "table")
-            backend = FiniteQuandle(data["table"])
-        elif family == "conjugation":
-            if "group" not in data:
-                raise SpecError("missing-field", "conjugation spec needs \"group\"", "group")
-            backend = conjugation_quandle(load_group(data["group"]), data.get("subset"))
-        elif family == "galex-finite":
-            for fieldname in ("group", "sigma"):
-                if fieldname not in data:
-                    raise SpecError(
-                        "missing-field", f"galex-finite spec needs \"{fieldname}\"", fieldname
-                    )
-            group = load_group(data["group"])
-            sigma = data["sigma"]
-            if isinstance(sigma, dict) and "conjugation-by" in sigma:
-                sigma = conjugation_automorphism(group, sigma["conjugation-by"])
-            backend = galex_finite(group, sigma)
-        elif family == "galex-lattice":
-            if "t" not in data:
-                raise SpecError("missing-field", "galex-lattice spec needs \"t\"", "t")
-            try:
-                backend = galex_lattice(data["t"])
-            except ValueError as e:
-                raise SpecError("non-unimodular", str(e), "t")
-        elif family == "free":
-            if "alphabet" not in data:
-                raise SpecError("missing-field", "free spec needs \"alphabet\"", "alphabet")
-            if not isinstance(data["alphabet"], list):
-                raise ConstructionError(f"alphabet must be a list of letters, got {data['alphabet']!r}")
-            backend = free_quandle(data["alphabet"])
-        else:
-            raise SpecError("unknown-family", f"unknown family {family!r}", "family")
+        return galex_lattice(data["t"])
+    except ValueError as e:
+        raise SpecError("non-unimodular", str(e), "t")
+
+
+def _free(data: dict):
+    if not isinstance(data["alphabet"], list):
+        raise ConstructionError(f"alphabet must be a list of letters, got {data['alphabet']!r}")
+    return free_quandle(data["alphabet"])
+
+
+# family: (the fields its spec needs, in the order they are checked, and
+# its constructor from the spec)
+FAMILIES = {
+    "dihedral": (("n",), lambda data: dihedral_quandle(data["n"])),
+    "finite-table": (("table",), lambda data: FiniteQuandle(data["table"])),
+    "conjugation": (("group",), lambda data: conjugation_quandle(load_group(data["group"]), data.get("subset"))),
+    "galex-finite": (("group", "sigma"), _galex_finite),
+    "galex-lattice": (("t",), _galex_lattice),
+    "free": (("alphabet",), _free),
+}
+
+
+def _construct(data: dict, build=None):
+    """The family's constructor, or ``build``, applied to the spec, once the
+    spec has a family and every field that family needs (the first one
+    missing is named); a construction error becomes a spec error."""
+    family = data.get("family")
+    fields, constructor = FAMILIES.get(family, ((), None)) if isinstance(family, str) else ((), None)
+    missing = ["family"] if family is None else [name for name in fields if name not in data]
+    if missing:
+        what = "spec needs a \"family\" field" if family is None else f"{family} spec needs \"{missing[0]}\""
+        raise SpecError("missing-field", what, missing[0])
+    if constructor is None:
+        raise SpecError("unknown-family", f"unknown family {family!r}", "family")
+    try:
+        return (build or constructor)(data)
     except MalformedTableError as e:
         raise SpecError("malformed-table", str(e))
     except ConstructionError as e:
         raise SpecError("bad-construction", f"{e} (witness {e.witness})")
-    return backend, data
+
+
+def load_spec(path: str):
+    data = _load_raw(path)
+    return _construct(data), data
 
 
 def parse_generator_expressions(backend, expressions) -> list[tuple[str, object]]:
@@ -204,9 +210,10 @@ def parse_generator_expressions(backend, expressions) -> list[tuple[str, object]
 
 def resolve_action(backend, data, args) -> "SchreierAction":
     tag = data.get("action", "inner")
-    custom = data.get("generators")
-    if getattr(args, "generators", None):
-        custom = args.generators
+    custom = getattr(args, "generators", None) or data.get("generators")
+    if custom is not None and not (isinstance(custom, list) and all(isinstance(e, str) for e in custom)):
+        raise SpecError("bad-generator", f"generators must be a list of expression strings, got {custom!r}",
+                        "generators")
     gens = parse_generator_expressions(backend, custom) if custom else None
     if tag == "inner":
         return inner_action(backend, gens)
@@ -239,15 +246,10 @@ def cmd_axioms(args) -> int:
     if data.get("family") == "finite-table":
         # check the raw table so a broken one yields a witness, not a
         # construction error
-        if "table" not in data:
-            raise SpecError("missing-field", "finite-table spec needs \"table\"", "table")
-        try:
-            report = check_quandle_axioms(data["table"])
-        except MalformedTableError as e:
-            raise SpecError("malformed-table", str(e))
+        report = _construct(data, lambda data: check_quandle_axioms(data["table"]))
         backend = None
     else:
-        backend, data = load_spec(args.spec)
+        backend = _construct(data)
         if isinstance(backend, FiniteQuandle):
             report = check_quandle_axioms(backend.table)
         else:
@@ -399,55 +401,47 @@ def cmd_growth(args) -> int:
     return 0
 
 
+def _inner_suite(check, q: GAlexFiniteQuandle, spec: str) -> list:
+    """[check(group, g)] for the g that sigma is conjugation by, else a
+    bad-spec error."""
+    g = q.sigma_is_conjugation_by()
+    if g is None:
+        raise SpecError("bad-spec", "sigma is not conjugation by any element", "sigma")
+    return [check(q.group, g, instance=spec)]
+
+
+# suite: (the backend types it runs on, the bad-spec message for other
+# backends, its runner (verify module, backend, args) -> reports)
+SUITES = {
+    "dis-properties": (FiniteQuandle, "dis-properties runs on finite quandles",
+                       lambda v, q, args: v.verify_dis_properties(q, instance=args.spec)),
+    "p-equals-dis": (GAlexFiniteQuandle, "p-equals-dis needs a galex-finite spec",
+                     lambda v, q, args: [v.verify_p_equals_dis(q, instance=args.spec)]),
+    "inner-commutator": (GAlexFiniteQuandle, "inner-commutator needs a galex-finite spec",
+                         lambda v, q, args: _inner_suite(v.verify_inner_case_commutator, q, args.spec)),
+    "inner-identity-component": (GAlexFiniteQuandle, "inner-identity-component needs a galex-finite spec",
+                                 lambda v, q, args: _inner_suite(v.verify_inner_case_identity_component, q, args.spec)),
+    "reconstruction": (FiniteQuandle, "reconstruction runs on finite quandles", lambda v, q, args: [
+        v.verify_free_transitive_reconstruction(q, q.displacement_group().images, instance=args.spec)]),
+    "free-action-isometry": ((FiniteQuandle, DihedralInfinite, GAlexLattice), "suite not available for free quandles",
+                             lambda v, q, args: [v.verify_free_action_isometry(q, default_basepoint(q), args.radius,
+                                                                               instance=args.spec,
+                                                                               max_vertices=args.max_vertices)]),
+}
+
+
 def cmd_verify(args) -> int:
     # imported here so that the other subcommands never load verify.py
-    from .verify import (
-        verify_dis_properties,
-        verify_free_action_isometry,
-        verify_free_transitive_reconstruction,
-        verify_inner_case_commutator,
-        verify_p_equals_dis,
-    )
+    from . import verify
 
     backend, data = load_spec(args.spec)
-    suite = args.suite
-    reports = []
-    if suite == "dis-properties":
-        if not isinstance(backend, FiniteQuandle):
-            raise SpecError("bad-spec", "dis-properties runs on finite quandles", "family")
-        reports = verify_dis_properties(backend, instance=args.spec)
-    elif suite == "p-equals-dis":
-        if not isinstance(backend, GAlexFiniteQuandle):
-            raise SpecError("bad-spec", "p-equals-dis needs a galex-finite spec", "family")
-        reports = [verify_p_equals_dis(backend, instance=args.spec)]
-    elif suite == "inner-commutator":
-        if not isinstance(backend, GAlexFiniteQuandle):
-            raise SpecError("bad-spec", "inner-commutator needs a galex-finite spec", "family")
-        g = backend.sigma_is_conjugation_by()
-        if g is None:
-            raise SpecError("bad-spec", "sigma is not conjugation by any element", "sigma")
-        reports = [verify_inner_case_commutator(backend.group, g, instance=args.spec)]
-    elif suite == "reconstruction":
-        if not isinstance(backend, FiniteQuandle):
-            raise SpecError("bad-spec", "reconstruction runs on finite quandles", "family")
-        dis = backend.displacement_group()
-        reports = [verify_free_transitive_reconstruction(backend, dis.images, instance=args.spec)]
-    elif suite == "free-action-isometry":
-        if isinstance(backend, FreeQuandle):
-            raise SpecError("bad-spec", "suite not available for free quandles", "family")
-        reports = [
-            verify_free_action_isometry(
-                backend,
-                default_basepoint(backend),
-                args.radius,
-                instance=args.spec,
-                max_vertices=args.max_vertices,
-            )
-        ]
-    else:
-        raise SpecError("bad-spec", f"unknown suite {suite!r}", "suite")
+    if args.suite not in SUITES:
+        raise SpecError("bad-spec", f"unknown suite {args.suite!r}", "suite")
+    types, message, run = SUITES[args.suite]
+    if not isinstance(backend, types):
+        raise SpecError("bad-spec", message, "family")
     ok = True
-    for rep in reports:
+    for rep in run(verify, backend, args):
         sys.stdout.write(rep.to_json_line() + "\n")
         ok = ok and rep.passed
     return 0 if ok else 1

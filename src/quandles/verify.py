@@ -205,7 +205,8 @@ def verify_free_transitive_reconstruction(
     if broken.size:
         raise ValueError(f"subgroup row {broken[0]} is not a permutation of 0..{n - 1}: {supplied[broken[0]].tolist()}")
     _check_basepoint(q, basepoint)
-    elements = np.array(sorted(set(map(tuple, supplied.tolist()))), dtype=np.int64).reshape(-1, n)
+    ordered = supplied[np.lexsort(supplied.T[::-1])]  # sorted by their images, column 0 first
+    elements = ordered[(np.diff(ordered, axis=0, prepend=-1) != 0).any(axis=1)]  # the first of each run of equal rows
     try:
         closure, kept = _dimino(supplied, len(elements))
         is_group = len(closure) == len(elements)
@@ -348,6 +349,25 @@ def verify_p_equals_dis(q: GAlexFiniteQuandle, instance: str = "") -> TheoremRep
     return TheoremReport(statement, instance, True, None, sizes)
 
 
+def _inner_case(group: GroupTable, g: int):
+    """The identity component P of the quandle with sigma = conjugation by
+    g, the normal closure N of g, and [N, N]; P and [N, N] as sets."""
+    p_elems = set(galex_finite(group, conjugation_automorphism(group, g)).identity_component())
+    closure = group.normal_closure_of(g)
+    return p_elems, closure, set(group.commutator_of_subgroup(closure))
+
+
+def _component_report(statement, instance, p_elems, target, details, cut=None) -> TheoremReport:
+    """Pass iff P equals ``target``; a failure lists, sorted and cut to
+    ``cut`` entries, what each of the two sets lacks."""
+    witness = {
+        "commutator_not_in_component": sorted(target - p_elems)[:cut],
+        "component_not_in_commutator": sorted(p_elems - target)[:cut],
+    }
+    same = p_elems == target
+    return TheoremReport(statement, instance, same, None if same else witness, details)
+
+
 def verify_inner_case_commutator(
     group: GroupTable, g: int, instance: str = ""
 ) -> TheoremReport:
@@ -367,13 +387,7 @@ def verify_inner_case_commutator(
     [N, N] = 1 but P has order 2 and 4); it is checked by
     ``verify_inner_case_identity_component``.
     """
-    instance = instance or f"conj-by-{g}"
-    statement = "inner-sigma-identity-component-is-commutator"
-    quandle = galex_finite(group, conjugation_automorphism(group, g))
-    p_elems = set(quandle.identity_component())
-
-    closure = group.normal_closure_of(g)
-    commutator = set(group.commutator_of_subgroup(closure))
+    p_elems, closure, commutator = _inner_case(group, g)
     invariants = group.abelian_invariants_of_subgroup(closure)
     order_g = group.element_order(g)
     details = {
@@ -384,21 +398,8 @@ def verify_inner_case_commutator(
         "remark_formula": invariants == ([order_g] if order_g > 1 else []),
         "component_size": len(p_elems),
     }
-
-    missing = commutator - p_elems
-    extra = p_elems - commutator
-    if missing or extra:
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {
-                "commutator_not_in_component": sorted(missing)[:4],
-                "component_not_in_commutator": sorted(extra)[:4],
-            },
-            details,
-        )
-    return TheoremReport(statement, instance, True, None, details)
+    statement = "inner-sigma-identity-component-is-commutator"
+    return _component_report(statement, instance or f"conj-by-{g}", p_elems, commutator, details, cut=4)
 
 
 def verify_inner_case_identity_component(
@@ -426,14 +427,8 @@ def verify_inner_case_identity_component(
     ``verify_inner_case_commutator``, which fails when conjugation acts
     nontrivially on the abelianization of N).
     """
-    instance = instance or f"conj-by-{g}"
-    statement = "inner-sigma-identity-component-is-commutator-with-group"
-    quandle = galex_finite(group, conjugation_automorphism(group, g))
-    p_elems = set(quandle.identity_component())
-
-    closure = group.normal_closure_of(g)
+    p_elems, closure, closure_commutator = _inner_case(group, g)
     with_group = set(group.commutator_of_subgroup(closure, range(group.size)))
-    closure_commutator = set(group.commutator_of_subgroup(closure))
     details = {
         "component_size": len(p_elems),
         "closure_order": len(closure),
@@ -441,18 +436,8 @@ def verify_inner_case_identity_component(
         "closure_commutator_order": len(closure_commutator),
         "component_equals_closure_commutator": p_elems == closure_commutator,
     }
-    if p_elems != with_group:
-        return TheoremReport(
-            statement,
-            instance,
-            False,
-            {
-                "component_not_in_commutator": sorted(p_elems - with_group),
-                "commutator_not_in_component": sorted(with_group - p_elems),
-            },
-            details,
-        )
-    return TheoremReport(statement, instance, True, None, details)
+    statement = "inner-sigma-identity-component-is-commutator-with-group"
+    return _component_report(statement, instance or f"conj-by-{g}", p_elems, with_group, details)
 
 
 def verify_free_action_isometry(

@@ -603,6 +603,26 @@ def test_verify_unknown_suite(dih5):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("suite", ["inner-commutator", "inner-identity-component"])
+def test_inner_suites_need_sigma_to_be_conjugation(tmp_path, capsys, suite):
+    """Inversion on the abelian C3 is no conjugation: exit 2 on field sigma."""
+    spec = write_spec(tmp_path, "c3.json", {"family": "galex-finite", "group": "cyclic:3", "sigma": [0, 2, 1]})
+    assert cli.main(["verify", spec, "--suite", suite]) == 2
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and (err["error"], err["field"]) == ("bad-spec", "sigma")
+
+
+@pytest.mark.parametrize("generators", [[1], "s:1"], ids=["list-of-ints", "string"])
+def test_spec_generators_must_be_a_list_of_strings(tmp_path, capsys, generators):
+    spec = write_spec(tmp_path, "r5.json", {"family": "dihedral", "n": 5, "generators": generators})
+    assert cli.main(["growth", spec, "--radius", "2"]) == 2
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and (err["error"], err["field"]) == ("bad-generator", "generators")
+    assert repr(generators) in err["message"]
+
+
 def test_named_group_specs(tmp_path):
     spec = write_spec(
         tmp_path, "conj.json",

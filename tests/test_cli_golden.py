@@ -38,6 +38,7 @@ SPECS = {
     "conj_s3.json": {"family": "conjugation", "group": "symmetric:3", "subset": [1, 2, 5]},
     "free_ab.json": {"family": "free", "alphabet": ["a", "b"]},
     "d4_rot.json": {"family": "galex-finite", "group": "dihedral:4", "sigma": {"conjugation-by": 1}},
+    "a4.json": {"family": "galex-finite", "group": "alternating:4", "sigma": {"conjugation-by": 3}},
     "moebius.json": {"family": "moebius"},
 }
 
@@ -60,6 +61,8 @@ CASES = {
     "verify-dis-properties-conj-s3": ["verify", "conj_s3.json", "--suite", "dis-properties"],
     "verify-p-equals-dis-d4": ["verify", "d4_rot.json", "--suite", "p-equals-dis"],
     "verify-inner-commutator-d4": ["verify", "d4_rot.json", "--suite", "inner-commutator"],
+    "verify-inner-identity-component-d4": ["verify", "d4_rot.json", "--suite", "inner-identity-component"],
+    "verify-inner-identity-component-a4": ["verify", "a4.json", "--suite", "inner-identity-component"],
     "verify-reconstruction-r5": ["verify", "r5.json", "--suite", "reconstruction"],
     "verify-reconstruction-r4-fails": ["verify", "r4.json", "--suite", "reconstruction"],
     "verify-reconstruction-r21": ["verify", "r21.json", "--suite", "reconstruction"],
@@ -129,7 +132,7 @@ def test_every_exit_code_and_suite_is_covered():
     commands = {argv[0] for argv in CASES.values()}
     assert commands == set(cli.build_parser()._subparsers._group_actions[0].choices)
     suites = {argv[argv.index("--suite") + 1] for argv in CASES.values() if "--suite" in argv}
-    assert suites == {"dis-properties", "p-equals-dis", "inner-commutator", "reconstruction", "free-action-isometry"}
+    assert suites == set(cli.SUITES)
 
 
 def record() -> None:

@@ -3,15 +3,21 @@
 The ends of a graph do not depend on the scale at which they are read,
 the inner group of a lattice quandle with t of finite order is virtually
 Z^2 and so grows quadratically, and the cat map's inner group grows
-exponentially.  Each is checked on balls that ``build_ball`` walks.
+exponentially.  A word metric on a lattice of translations lies within
+bounded distance of the norm whose unit ball is the convex hull of the
+generators and their inverses (D. Burago, Periodic metrics, Adv. Soviet
+Math. 9, 1992).  Each is checked on balls that ``build_ball`` walks.
 """
 
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from quandles.families import dihedral_quandle, galex_lattice
+from quandles.lattice import LatticeAffine
 from quandles.schreier import build_ball, displacement_action, ends_estimate, inner_action
 
 ROT90 = [[0, -1], [1, 0]]
@@ -56,3 +62,49 @@ def test_cat_map_inner_growth_is_exponential():
     spheres = build_ball(inner_action(galex_lattice(CAT)), (0, 0), 12).sphere_sizes()
     ratios = [spheres[d + 1] / spheres[d] for d in range(6, 12)]
     assert all(2.6 <= r <= 2.72 for r in ratios), ratios
+
+
+def _polytope_norm(v, translations) -> Fraction:
+    """||v||_P for P = conv(+-translations) in the plane, exactly: the
+    least a + b with v = a p + b q, a, b >= 0, over independent p, q in
+    +-translations, as an optimal vertex of the linear program has at most
+    two nonzero weights."""
+    signed = [*translations, *(tuple(-c for c in w) for w in translations)]
+    norms = []
+    for p, q in combinations(signed, 2):
+        det = p[0] * q[1] - p[1] * q[0]
+        if det:
+            a, b = Fraction(v[0] * q[1] - v[1] * q[0], det), Fraction(p[0] * v[1] - p[1] * v[0], det)
+            if a >= 0 and b >= 0:
+                norms.append(a + b)
+    return min(norms)
+
+
+@pytest.mark.parametrize(
+    "translations,radius,settle,gap,peak",
+    [
+        (None, 10, 0, 0, 0),
+        ([(1, 0), (0, 1), (1, 1)], 10, 0, 0, 0),
+        ([(2, 1), (1, 3), (1, 1)], 14, 4, Fraction(16, 5), Fraction(16, 5)),
+        ([(3, 0), (0, 2), (1, 1)], 16, 6, Fraction(11, 3), Fraction(9, 2)),
+    ],
+    ids=["default", "unit-and-diagonal", "non-basis-16/5", "non-basis-11/3"],
+)
+def test_lattice_word_metric_is_the_polytope_norm_up_to_a_bounded_gap(translations, radius, settle, gap, peak):
+    """On rot90, each vertex's depth under translations S is at least its
+    norm ||v||_P, P = conv(+-S); the largest gap on a sphere stops growing
+    from sphere ``settle`` on.  A basis of the lattice has gap 0, so the
+    non-basis sets are the ones that test the bound."""
+    q = galex_lattice(ROT90)
+    if translations is None:
+        gens = q.displacement_generators()
+    else:
+        gens = [(f"t{w}", LatticeAffine.translation(q.t, w)) for w in translations]
+    ball = build_ball(displacement_action(q, gens), q.zero(), radius)
+    vectors = [aut.shift for _, aut in gens]
+    gaps = [Fraction(0)] * (radius + 1)
+    for v, depth in zip(ball.elements, ball.depth.tolist()):
+        norm = _polytope_norm(v, vectors)
+        assert depth >= norm, v
+        gaps[depth] = max(gaps[depth], depth - norm)
+    assert gaps[settle:] == [gap] * (radius + 1 - settle) and max(gaps) == peak, gaps

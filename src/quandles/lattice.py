@@ -5,8 +5,8 @@ grow without bound and must stay exact.  The one exact elimination is
 Bareiss's fraction-free one in ``mat_det`` (E. H. Bareiss, Math. Comp.
 22, 1968); the inverse is the adjugate of its cofactors, with no
 ``Fraction``.  The one exception is the walk of Schreier balls,
-``offset_walk``, which runs in int64 numpy only where ``offset_moves``
-proves beforehand that no value can overflow.  The Hermite normal form is
+``offset_walk``, which runs in int64 numpy only while the offsets it
+reaches prove that no value can overflow.  The Hermite normal form is
 column-style: basis vectors are columns, pivots descend strictly (so a
 full-rank basis is lower triangular), pivot entries are positive, and
 entries to the left of a pivot are reduced into [0, pivot).  That form is
@@ -27,7 +27,7 @@ from .perms import _integers
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # row-major
 
-# every int64 value of a ball walk stays below this (see offset_moves)
+# every int64 value of a ball walk stays below this (see offset_walk)
 _INT64_ROOM = 1 << 62
 
 
@@ -310,67 +310,55 @@ def dis_lattice(t: UnimodularMatrix) -> IntegerLattice:
     return IntegerLattice(t.n, cols)
 
 
-def offset_moves(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int):
-    """The affine ``moves`` of Z^n, as ``(step, shifts, bound)`` for
-    ``offset_walk`` of the ball of ``radius`` at ``basepoint``, or None
-    when the walk might leave int64.
+def offset_walk(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int, max_vertices: int):
+    """``perms.walk`` for the affine ``moves`` of Z^n at ``basepoint``, over
+    int64 offsets from it, with its numbering and cap: returns (offsets,
+    sphere sizes, table), where ``table`` makes the (vertex x move) table
+    of vertex numbers, V off the ball; or None if an offset it reaches
+    fails the check below.
 
-    Offsets u = x - b from the basepoint b turn the move x -> A x + c into
-    u -> A u + k with k = A b + c - b.  The targets of an (f x n) frontier
-    are ``frontier @ step`` plus ``shifts``, where ``step`` puts the A^T of
-    the moves side by side, so they come frontier-major and move-minor.
+    Offsets u = x - b turn the move x -> A x + c into u -> A u + k, with
+    k = A b + c - b, so a frontier's targets are ``frontier @ step`` plus
+    the k, frontier-major and move-minor.  A target's code is
+    sum_i (u_i + h) W^i, where W = 2h + 1 is the largest odd radix with
+    W^n < 2^62.  Every inverse is a move, so a neighbour of a vertex at
+    depth d lies at depth d - 1, d or d + 1: targets are looked up in the
+    last two spheres, each kept as sorted codes and their vertex numbers.
+    A sphere is moved a chunk of about ``perms.WALK_CELLS`` cells at a
+    time, each chunk keeping only its rows and the codes it did not find;
+    those, numbered in first-occurrence order, are the next sphere,
+    decoded from them.  ``table`` copies the rows inside ``radius`` into
+    one array, dropping each once copied, and moves the last sphere in
+    chunks too.
 
-    The guard.  Let N = max(1, largest absolute row sum of any A) and
-    D = max ||k||_inf.  Then a vertex at depth d has ||u||_inf <= B_d =
-    D (1 + N + .. + N^(d-1)), by induction: ||A u + k|| <= N B_d + D =
-    B_(d+1).  The walk moves vertices of depth at most R (the last sphere
-    in ``table``), so each product a_ij u_j, each partial sum of A u
-    (both at most N B_R) and each target is at most B = B_(R+1) in
-    absolute value.  An offset's code is its mixed-radix number
-    sum_i (u_i + B) W^i in base W = 2B + 1, which tells offsets with
-    entries in [-B, B] apart; it and its partial sums lie in [0, W^n).
-    The elements u + b have entries at most ||b|| + B.  So when N, W^n and
-    ||b|| + B are all below 2^62, no int64 value of the walk overflows;
-    otherwise this returns None, and the ball is walked in Python ints.
+    The check.  Let N be the largest absolute row sum of an A, D the
+    largest |k_i| and T the largest |u_i| of a sphere.  Before a sphere is
+    moved (the last one too, as ``table`` moves it), N T + D <= h and
+    |b_i| + N T + D < 2^62 are checked exactly, in Python ints.  Then every
+    product a_ij u_j, partial sum of A u and target entry is at most
+    N T + D <= h in absolute value, so digits lie in [0, W), codes and
+    their partial sums in [0, W^n), codes tell targets apart, and every
+    point u + b fits in int64.  The check admits every ball that the a
+    priori bound B_d = D (1 + N + .. + N^(d-1)) on depth d admits: by
+    induction T <= B_d on sphere d, whose targets reach N B_d + D =
+    B_(d+1), and (2 B_(R+1) + 1)^n < 2^62 gives 2 B_(R+1) + 1 <= W.
     """
-    n = len(basepoint)
-    shifts = [[a + c - b for a, c, b in zip(mat_vec(m.matrix, basepoint), m.shift, basepoint)] for m in moves]
-    norm = max(1, *(sum(map(abs, row)) for m in moves for row in m.matrix))
+    n, m = len(basepoint), len(moves)
+    width = next(w for w in range(int(_INT64_ROOM ** (1 / n)) + 1, 0, -1) if w % 2 and w**n < _INT64_ROOM)
+    half = width // 2
+    shifts = [[a + c - b for a, c, b in zip(mat_vec(mv.matrix, basepoint), mv.shift, basepoint)] for mv in moves]
+    norm = max(sum(map(abs, row)) for mv in moves for row in mv.matrix)
     reach = max(abs(v) for k in shifts for v in k)
-    if norm == 1:
-        bound = reach * (radius + 1)
-    else:
-        # past 63 terms a nonzero sum is already above 2^62
-        bound = reach * (norm ** min(radius + 1, 63) - 1) // (norm - 1)
-    if norm >= _INT64_ROOM or (2 * bound + 1) ** n >= _INT64_ROOM or max(map(abs, basepoint)) + bound >= _INT64_ROOM:
+    room = min(half, _INT64_ROOM - 1 - max(map(abs, basepoint)))
+    if reach > room or norm >= _INT64_ROOM:  # the basepoint's check; int64 ``step``
         return None
-    step = np.concatenate([np.array(m.matrix, dtype=np.int64).T for m in moves], axis=1)
-    return step, np.array(shifts, dtype=np.int64), bound
+    step = np.concatenate([np.array(mv.matrix, dtype=np.int64).T for mv in moves], axis=1)
+    shift = np.array(shifts, dtype=np.int64)
+    radix = width ** np.arange(n, dtype=np.int64)
+    rows = max(1, perms.WALK_CELLS // m)
 
-
-def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, max_vertices: int):
-    """``perms.walk`` for the moves of ``offset_moves``, over int64
-    offsets from the basepoint, with its numbering and cap: returns
-    (offsets, sphere sizes, table), where ``table`` makes the (vertex x
-    move) table of vertex numbers, V off the ball.
-
-    Every move has its inverse among the moves, so a neighbour of a
-    vertex at depth d lies at depth d - 1, d or d + 1: targets are looked
-    up in the last two spheres only, each kept as its sorted codes and
-    their vertex numbers, and the rest are the next sphere.  The walk
-    keeps each sphere's rows inside ``radius``; ``table`` copies them into
-    one array, dropping each once copied, and looks the last sphere's
-    rows up in chunks of about ``perms.WALK_CELLS`` cells.
-    """
-    n, m = shifts.shape[1], len(shifts)
-    width = 2 * bound + 1
-    radix = np.array([width**i for i in range(n)], dtype=np.int64)
-
-    def targets(frontier):
-        return ((frontier @ step).reshape(-1, m, n) + shifts).reshape(-1, n)
-
-    def codes(offsets):
-        return (offsets + bound) @ radix
+    def codes(frontier):  # of its targets, frontier-major and move-minor
+        return (((frontier @ step).reshape(-1, m, n) + shift + half) @ radix).ravel()
 
     def find(code, spheres):
         row = np.full(code.size, -1, dtype=np.int64)
@@ -381,26 +369,30 @@ def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, m
         return row
 
     frontier = np.zeros((1, n), dtype=np.int64)
-    last = [(codes(frontier), np.zeros(1, dtype=np.int64))]  # the last two spheres
-    spheres, blocks = [frontier], []
-    count = 1
+    last = [(half * radix.sum(keepdims=True), np.zeros(1, dtype=np.int64))]  # the last two spheres
+    spheres, blocks, count = [frontier], [], 1
     for d in range(1, radius + 1):
         if not len(frontier):
             break
-        moved = targets(frontier)
-        code = codes(moved)
-        row = find(code, last)
-        new = row < 0
-        fresh, first, inverse = np.unique(code[new], return_index=True, return_inverse=True)
+        block, unseen = np.empty((len(frontier), m), dtype=np.int64), []
+        for c0 in range(0, len(frontier), rows):
+            code = codes(frontier[c0 : c0 + rows])
+            row = find(code, last)
+            block[c0 : c0 + rows] = row.reshape(-1, m)
+            unseen.append(code[row < 0])
+        unseen = np.concatenate(unseen)
+        fresh, first, inverse = np.unique(unseen, return_index=True, return_inverse=True)
         if count + fresh.size > max_vertices:
             raise BoundExceededError("schreier ball", max_vertices, radius=d - 1, vertices=count)
         order = np.argsort(first)  # first-occurrence order
         vertex = np.empty(fresh.size, dtype=np.int64)
         vertex[order] = np.arange(count, count + fresh.size)
-        row[new] = vertex[inverse]
+        block[block < 0] = vertex[inverse]
         count += fresh.size
-        frontier = moved[new][first[order]]
-        blocks.append(row.reshape(-1, m))
+        frontier = fresh[order, None] // radix % width - half
+        if norm * int(np.abs(frontier).max(initial=0)) + reach > room:
+            return None
+        blocks.append(block)
         spheres.append(frontier)
         last = [last[-1], (fresh, vertex)]
 
@@ -409,9 +401,8 @@ def offset_walk(step: np.ndarray, shifts: np.ndarray, bound: int, radius: int, m
         while blocks:
             out[done : done + len(blocks[0])] = blocks[0]
             done += len(blocks.pop(0))
-        rows = max(1, perms.WALK_CELLS // m)
         for c0 in range(0, len(frontier), rows):
-            row = find(codes(targets(frontier[c0 : c0 + rows])), last)
+            row = find(codes(frontier[c0 : c0 + rows]), last)
             row[row < 0] = count  # moves that leave the ball
             out[done + c0 : done + c0 + rows] = row.reshape(-1, m)
         return out

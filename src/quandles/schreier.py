@@ -35,9 +35,9 @@ walk is ``perms.walk``, a numpy gather over the moves' image rows, read
 in place when they are the columns of one table (a finite quandle's
 inner symmetries) and stacked once otherwise (``_finite_moves``).  When
 every move is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice
-quandles) and ``lattice.offset_moves`` proves that the walk fits in
-int64, it is ``lattice.offset_walk``, one int64 matrix product per
-sphere.  Otherwise ``_generic_bfs`` applies one move at a time and finds
+quandles), it is ``lattice.offset_walk``, int64 matrix products a chunk
+of each sphere at a time, unless the offsets it reaches fail its int64
+check.  Otherwise ``_generic_bfs`` applies one move at a time and finds
 each target in a dict from point to vertex.  Each walk hands the ball
 one function that makes the whole table, called once, when edges, pair
 queries or ends first need it: for ``perms.walk`` one more gather,
@@ -91,7 +91,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
-from .lattice import LatticeAffine, offset_moves, offset_walk
+from .lattice import LatticeAffine, offset_walk
 from .perms import Permutation, _distinct, _named, walk, walk_table
 
 DEFAULT_VERTEX_BOUND = 1_000_000
@@ -315,7 +315,7 @@ class _WalkPoints:
             hits = np.flatnonzero(points == point)
         elif points.ndim == 2 and isinstance(point, tuple) and len(point) == points.shape[1]:
             offset = [v - b for v, b in zip(point, self.base) if type(v) is int]
-            # every offset of the walk lies below 2^62 (``lattice.offset_moves``)
+            # every offset of the walk lies below 2^62 (``lattice.offset_walk``)
             if len(offset) == len(point) and max(map(abs, offset)) < 1 << 62:
                 hits = np.flatnonzero((points == offset).all(axis=1))
         return int(hits[0]) if len(hits) else None
@@ -547,9 +547,8 @@ def _walk(action: SchreierAction, moves: list, basepoint, radius: int, max_verti
         n = len(auts[0].shift)
         same = n >= 2 and all(len(a.matrix) == n and len(a.shift) == n for a in auts)
         if same and isinstance(basepoint, tuple) and len(basepoint) == n and all(type(v) is int for v in basepoint):
-            offsets = offset_moves(moves, basepoint, radius)
-            if offsets is not None:
-                return offset_walk(*offsets, radius, max_vertices)
+            if (walked := offset_walk(moves, basepoint, radius, max_vertices)) is not None:
+                return walked
     return _generic_bfs(action.apply, moves, basepoint, radius, max_vertices)
 
 

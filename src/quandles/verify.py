@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import perms
 from .errors import BoundExceededError
 from .families import GAlexFiniteQuandle, conjugation_automorphism, galex_finite
 from .groups import GroupTable, _positions
@@ -85,9 +86,10 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
     cited below): g^-1 Dis g in Dis is equality, as Dis is finite, and
     the h with h^-1 Dis h = Dis form a subgroup.  At g the test is that
     d g lies in g Dis for every d in Dis, on ``perms.products``; only if
-    a generator fails does it run over all of Inn, for the first failure
-    conjugator-major.  (2) is ``quotient_is_cyclic`` if (1) holds; else
-    the cosets form no group, and (2) fails with |Inn|/|Dis| of them.
+    one fails does it scan Inn, to the first failure conjugator-major, a
+    block of about ``perms.CAYLEY_CELLS`` cells of conjugators at a
+    time.  (2) is ``quotient_is_cyclic`` if (1) holds; else the cosets
+    form no group, and (2) fails with |Inn|/|Dis| of them.
 
     (3) is decided exactly by the spanning-tree argument behind
     Reidemeister-Schreier (Holt, Eick and O'Brien, Handbook of
@@ -121,7 +123,9 @@ def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremR
 
     bad = None
     if unconjugated(gens).any():
-        g, d = np.argwhere(unconjugated(inn.images))[0]
+        step = max(1, perms.CAYLEY_CELLS // inn.order)
+        blocks = (np.argwhere(unconjugated(inn.images[g0 : g0 + step])) + (g0, 0) for g0 in range(0, inn.order, step))
+        g, d = next(failed[0] for failed in blocks if len(failed))
         bad = {"conjugator": key(g), "element": key(dis_index[d])}
     details = {"inn_order": inn.order, "dis_order": dis.order}
     reports = [TheoremReport("dis-normal-in-inn", instance, bad is None, bad, details)]

@@ -1,15 +1,19 @@
 """The integer-indexed ball core.
 
 ``build_ball`` walks a permutation action with numpy gathers, a lattice
-action with one int64 matrix product per sphere, and every other action
-one move at a time.  All three walks must give the same ball: the same
-vertex order, elements, edges, serialized bytes, pair answers and cap
-behaviour.  A copy of the original two-pass BFS, keyed by strings, is
-the oracle for vertex order, elements and edges; Cayley balls, which
-only the one-move walk builds, are compared with it directly.
+action with int64 matrix products, a chunk of each sphere at a time, as
+long as the offsets it reaches pass its int64 check, and every other
+action one move at a time.  All three walks must give the same ball: the
+same vertex order, elements, edges, serialized bytes, pair answers and
+cap behaviour.  A copy of the original two-pass BFS, keyed by strings,
+is the oracle for vertex order, elements and edges; Cayley balls, which
+only the one-move walk builds, are compared with it directly.  A frozen
+copy of the a priori bound that once guarded the lattice walk checks
+that the walk's own check admits every ball that bound admitted.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from quandles.schreier import (
     _NeighborTable,
     _component_labels,
     _identity_like,
+    _moves,
     ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
@@ -125,7 +130,9 @@ def _cases():
     shear3 = galex_lattice([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     # s:(1,0) s:(0,0)^-1 and s:(0,1) s:(0,0)^-1 are translations
     translations = parse_generator_expressions(rot90, ["s:(1,0) s:(0,0)^-1", "s:(0,1) s:(0,0)^-1", "s:(2,3)"])
-    # its bound B is about 2^27, so codes reach about 2^55, near the guard
+    # row sum N = 513 and shifts up to D = 512: the a priori bound
+    # D (1 + N + N^2) on its offsets is about 2^27, yet the offsets it
+    # reaches stay within 512 R
     shear = galex_lattice([[1, 512], [0, 1]])
     return [
         ("r12-inner", "permutation", inner_action(r12), 0, 3),
@@ -199,11 +206,19 @@ def test_both_paths_stop_at_the_same_cap(name, path, action, base, radius):
             assert outcomes[0] == (cap, first - 1, sum(sizes[:first]))
 
 
+def _cat_path():
+    """The cat map's ball under its one symmetry s:(0,0), x -> t x, and its
+    inverse, at (1, 0): a path whose offsets grow like Fibonacci numbers,
+    so it passes the int64 check through radius 20 and fails it at 21."""
+    cat = galex_lattice(CAT)
+    return SchreierAction("lattice:s:(0,0)", parse_generator_expressions(cat, ["s:(0,0)"]), cat.key)
+
+
 def _past_the_guard():
     rot90 = galex_lattice(ROT90)
     return [
-        # the shear near the guard above, one radius further: B is about 2^36
-        ("shear-one-radius-on", inner_action(galex_lattice([[1, 512], [0, 1]])), (0, 0), 3),
+        # offsets that leave the int64 check part-way through the walk
+        ("cat-path-leaves-the-field", _cat_path(), (1, 0), 30),
         ("huge-shear", inner_action(galex_lattice([[1, 2**40], [0, 1]])), (1, -1), 2),
         ("basepoint-near-2^62", displacement_action(rot90), (2**62 - 3, 5), 4),
         ("basepoint-past-int64", inner_action(rot90), (2**70, -(2**70)), 3),
@@ -212,14 +227,82 @@ def _past_the_guard():
 
 @pytest.mark.parametrize("name,action,base,radius", _past_the_guard(), ids=[c[0] for c in _past_the_guard()])
 def test_lattice_balls_past_the_int64_guard_stay_exact(name, action, base, radius):
-    """When the a priori bound of ``lattice.offset_moves`` reaches 2^62 the ball
-    falls back to Python ints, and stays exact, also past int64."""
+    """When the offsets the lattice walk reaches fail its int64 check, the
+    ball falls back to Python ints, and stays exact, also past int64."""
     assert _path(action, base, radius) == "generic"
     ball = build_ball(action, base, radius)
     order, edges, _ = _two_pass_ball(action, base, radius)
     assert list(depths(ball).items()) == order
     assert ball.edges == edges
     assert all(_is_point(x, "lattice") for x in ball.elements)
+
+
+def test_a_walk_that_leaves_the_field_falls_back_at_that_radius():
+    """The cat path keeps the lattice walk through radius 20 and falls back
+    from 21 on, where its last sphere fails the check; the ball is exact
+    at every radius either way."""
+    action = _cat_path()
+    for radius in range(31):
+        ball = build_ball(action, (1, 0), radius)
+        assert _walk_of(ball) == ("lattice" if radius <= 20 else "generic")
+        order, edges, elements = _two_pass_ball(action, (1, 0), radius)
+        assert list(depths(ball).items()) == order
+        assert ball.edges == edges and ball.elements == elements
+
+
+def _admitted_before(moves, basepoint, radius):
+    """Whether the a priori bound that guarded the lattice walk before it
+    checked the offsets it reached admits int64 for this ball: offsets at
+    depth d are at most B_d = D (1 + N + .. + N^(d-1)), with N = max(1,
+    largest absolute row sum) and D the largest shift entry, and the walk
+    ran in int64 iff N, (2 B_(R+1) + 1)^n and |b| + B_(R+1) were all below
+    2^62."""
+    n, room = len(basepoint), 1 << 62
+    shifts = [[sum(a * b for a, b in zip(row, basepoint)) + c - b for row, c, b in zip(m.matrix, m.shift, basepoint)] for m in moves]
+    norm = max(1, *(sum(map(abs, row)) for m in moves for row in m.matrix))
+    reach = max(abs(v) for k in shifts for v in k)
+    if norm == 1:
+        bound = reach * (radius + 1)
+    else:
+        bound = reach * (norm ** min(radius + 1, 63) - 1) // (norm - 1)
+    return norm < room and (2 * bound + 1) ** n < room and max(map(abs, basepoint)) + bound < room
+
+
+def _beyond_the_bound():
+    """Balls that the a priori bound sent to Python ints and that the walk's
+    own check keeps on int64: the order-3 t from radius 29, and the cat
+    map at an off-origin basepoint."""
+    order3, cat = inner_action(galex_lattice([[0, -1], [1, -1]])), inner_action(galex_lattice(CAT))
+    return [
+        ("order-3-r30", order3, (0, 0), 30),
+        ("order-3-r80", order3, (0, 0), 80),
+        ("cat-off-origin-r9", cat, (31234, 45678), 9),
+    ]
+
+
+@pytest.mark.parametrize("name,action,base,radius", _beyond_the_bound(), ids=[c[0] for c in _beyond_the_bound()])
+def test_balls_beyond_the_a_priori_bound_take_the_lattice_walk(name, action, base, radius):
+    assert not _admitted_before(_moves(action)[0], base, radius)
+    ball = build_ball(action, base, radius)
+    assert _walk_of(ball) == "lattice"
+    order, edges, elements = _two_pass_ball(action, base, radius)
+    assert list(depths(ball).items()) == order
+    assert ball.edges == edges and ball.elements == elements
+
+
+def test_every_ball_the_a_priori_bound_admits_takes_the_lattice_walk():
+    """On every lattice case of this module, at every radius up to its
+    own, the walk's check admits whatever the frozen bound admits."""
+    cases = [(action, base, radius) for _, path, action, base, radius in _cases() if path == "lattice"]
+    cases += [(action, base, radius) for _, action, base, radius in _past_the_guard() + _beyond_the_bound()]
+    cases += [(action, base, radius) for _, path, action, base, radius in _numbering_cases() if path == "lattice"]
+    admitted = 0
+    for action, base, top in cases:
+        for radius in range(top + 1):
+            if _admitted_before(_moves(action)[0], base, radius):
+                admitted += 1
+                assert _path(action, base, radius) == "lattice"
+    assert admitted > 100
 
 
 def test_a_list_basepoint_is_a_type_error_on_both_lattice_paths():
@@ -569,6 +652,20 @@ def test_growth_and_basepoint_distances_build_no_edges(path):
     assert not callable(ball._neighbors._table)
 
 
+def test_the_lattice_walk_peaks_near_what_its_ball_holds():
+    """Each sphere's targets are formed a chunk at a time, and only the
+    chunk's rows and unseen codes are kept, so the walk's peak stays near
+    what the finished ball holds: its points, rows and last two spheres."""
+    tracemalloc.start()
+    try:
+        ball = build_ball(inner_action(galex_lattice(CAT)), (0, 0), 10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _walk_of(ball) == "lattice"
+    assert peak < 1.6 * held
+
+
 def test_first_lattice_table_holds_the_table_about_once():
     ball = build_ball(inner_action(galex_lattice(CAT)), (0, 0), 10)
     table, peak = traced_peak(ball._neighbors.array)
@@ -583,12 +680,15 @@ _LATTICE_CASES = [c for c in _cases() if c[1] == "lattice"]
 @pytest.mark.parametrize("cells", [1, 7])
 @pytest.mark.parametrize("name,path,action,base,radius", _LATTICE_CASES, ids=[c[0] for c in _LATTICE_CASES])
 def test_lattice_tables_do_not_depend_on_the_chunk_size(name, path, action, base, radius, cells, monkeypatch):
-    """The last sphere's rows are looked up in chunks of about
-    ``perms.WALK_CELLS`` cells; one cell per chunk (one row) and seven give
-    the table and edges of the default chunks and of the oracle."""
+    """Each sphere's targets, and the last sphere's rows, are formed in
+    chunks of about ``perms.WALK_CELLS`` cells; one cell per chunk (one
+    row) and seven give the points, sphere sizes, table and edges of the
+    default chunks and of the oracle."""
     expected = build_ball(action, base, radius)
     monkeypatch.setattr(perms, "WALK_CELLS", cells)
     ball = build_ball(action, base, radius)
+    assert np.array_equal(ball._walked.points, expected._walked.points)
+    assert ball.sphere_sizes() == expected.sphere_sizes()
     assert np.array_equal(ball._neighbors.array(), expected._neighbors.array())
     assert ball.edges == expected.edges == _two_pass_ball(action, base, radius)[1]
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import elements, traced_peak
 
+from quandles import perms
 from quandles.errors import ConstructionError
 from quandles.families import conjugation_automorphism, conjugation_quandle, dihedral_quandle, galex_finite
 from quandles.groups import (
@@ -642,15 +643,18 @@ def test_a_displacement_group_that_is_not_normal_fails_the_first_two_reports(mon
     """Dis replaced by a subgroup of order 3 of Inn = S_4, on the 6
     transpositions: its cosets form no group, so the cyclic check fails
     with their number 24/3 = 8 instead of tabulating a quotient, and the
-    normality witness is the first failure conjugator-major."""
+    normality witness is the first failure conjugator-major, also when
+    the scan for it takes one conjugator per block."""
     q = _transpositions(4)
     inn = q.inner_group()
     dis = PermGroup([("x", Permutation(inn.images[12]))])
     monkeypatch.setattr(q, "displacement_group", lambda: dis)
-    normal, cyclic, zero_sum, orbits_equal = verify_dis_properties(q)
-    assert (normal.passed, normal.witness) == (False, _first_unnormalized(inn, dis))
-    assert (cyclic.passed, cyclic.witness, cyclic.details) == (False, {"quotient_order": 8}, {"quotient_order": 8})
-    assert not zero_sum.passed and not orbits_equal.passed
+    for cells in (perms.CAYLEY_CELLS, 1):
+        monkeypatch.setattr(perms, "CAYLEY_CELLS", cells)
+        normal, cyclic, zero_sum, orbits_equal = verify_dis_properties(q)
+        assert (normal.passed, normal.witness) == (False, _first_unnormalized(inn, dis))
+        assert (cyclic.passed, cyclic.witness, cyclic.details) == (False, {"quotient_order": 8}, {"quotient_order": 8})
+        assert not zero_sum.passed and not orbits_equal.passed
 
 
 def _first_unnormalized(inn, dis):

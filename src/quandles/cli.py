@@ -57,6 +57,7 @@ from .quandle import FiniteQuandle, check_quandle_axioms, symmetry_word_automorp
 from .schreier import (
     DEFAULT_VERTEX_BOUND,
     SchreierAction,
+    _json_line,
     ball_to_dot,
     ball_to_json_lines,
     bilipschitz_compare,
@@ -84,7 +85,7 @@ class SpecError(Exception):
 
 
 def _emit(record: dict, out=None) -> None:
-    (out or sys.stdout).write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    (out or sys.stdout).write(_json_line(record) + "\n")
 
 
 def load_group(value) -> GroupTable:

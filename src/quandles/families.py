@@ -37,7 +37,7 @@ from .lattice import (
     mat_vec,
     one_minus,
 )
-from .perms import _integers
+from .perms import _integers, _is_integer
 from .quandle import AxiomReport, FiniteQuandle
 from .schreier import build_ball, inner_action
 
@@ -130,7 +130,7 @@ def dihedral_quandle(n) -> "FiniteQuandle | DihedralInfinite":
     """R_n for an integer n >= 2, or the quandle on Z for n in (None, "inf")."""
     if n is None or n == "inf":
         return DihedralInfinite()
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+    if not _is_integer(n) or n < 2:
         raise ConstructionError(f"dihedral quandle needs an integer n >= 2 or \"inf\", got {n!r}")
     x = np.arange(n)
     table = 2 * x[None, :] - x[:, None]
@@ -228,7 +228,7 @@ def galex_finite(group: GroupTable, sigma: Sequence[int]) -> GAlexFiniteQuandle:
 def conjugation_automorphism(group: GroupTable, g: int) -> list[int]:
     """sigma(x) = g^-1 x g as an image list; ConstructionError unless g is
     an integer in 0..|G|-1."""
-    if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or not 0 <= g < group.size:
+    if not (_is_integer(g) and 0 <= g < group.size):
         raise ConstructionError(f"conjugating element must be an integer in 0..{group.size - 1}, got {g!r}")
     return group.conj(np.arange(group.size), g).tolist()
 

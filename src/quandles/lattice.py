@@ -6,16 +6,20 @@ Bareiss's fraction-free one in ``mat_det`` (E. H. Bareiss, Math. Comp.
 22, 1968); the inverse is the adjugate of its cofactors, with no
 ``Fraction``.  The one exception is the walk of Schreier balls,
 ``offset_walk``, which runs in int64 numpy only while the offsets it
-reaches prove that no value can overflow.  The Hermite normal form is
-column-style: basis vectors are columns, pivots descend strictly (so a
-full-rank basis is lower triangular), pivot entries are positive, and
-entries to the left of a pivot are reduced into [0, pivot).  That form is
-unique per lattice, which makes bases comparable in tests.
+reaches prove that no value can overflow.  An affine map of Z^n,
+``LatticeAffine``, is its matrix and its shift alone, whatever t it was
+built from, so maps built on different t compose and compare as maps.
+The Hermite normal form is column-style: basis vectors are columns,
+pivots descend strictly (so a full-rank basis is lower triangular),
+pivot entries are positive, and entries to the left of a pivot are
+reduced into [0, pivot).  That form is unique per lattice, which makes
+bases comparable in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,13 +50,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+@cache
 def mat_identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
+    if len(a[0]) != m:
+        raise ValueError(f"cannot multiply a matrix with {len(a[0])} columns by one with {m} rows")
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)) for i in range(n)
     )
@@ -148,24 +154,15 @@ class UnimodularMatrix:
 
 @dataclass(frozen=True)
 class LatticeAffine:
-    """z -> M z + c on Z^n where M = t^power for a fixed unimodular t.
+    """z -> M z + c on Z^n: the map is its matrix M and its shift c, and
+    two maps are equal, and hash alike, exactly when both agree."""
 
-    Equality and hashing use (M, c), i.e. the map itself: two power/shift
-    presentations of the same map compare equal.  When M is the identity
-    the stored power normalizes to 0.
-    """
-
-    t: UnimodularMatrix
-    power: int
     matrix: Matrix
     shift: Vector
 
     @staticmethod
     def of(t: UnimodularMatrix, power: int, shift: Sequence[int]) -> "LatticeAffine":
-        m = t.power(power)
-        if m == mat_identity(t.n):
-            power = 0
-        return LatticeAffine(t, power, m, tuple(int(v) for v in shift))
+        return LatticeAffine(t.power(power), tuple(int(v) for v in shift))
 
     @staticmethod
     def translation(t: UnimodularMatrix, shift: Sequence[int]) -> "LatticeAffine":
@@ -176,38 +173,29 @@ class LatticeAffine:
         return tuple(a + b for a, b in zip(mv, self.shift))
 
     def __mul__(self, other: "LatticeAffine") -> "LatticeAffine":
-        # z -> other(self(z))
-        shift = tuple(
-            a + b for a, b in zip(mat_vec(other.matrix, self.shift), other.shift)
-        )
-        return LatticeAffine.of(self.t, self.power + other.power, shift)
+        # z -> other(self(z)) = B (A z + c) + d; a translation factor
+        # leaves the other's matrix as it is, with no product
+        n, (a, b) = len(self.shift), (self.matrix, other.matrix)
+        if len(other.shift) != n:
+            raise ValueError(f"dimensions differ: {n} and {len(other.shift)}")
+        shift = tuple(x + y for x, y in zip(mat_vec(b, self.shift), other.shift))
+        one = mat_identity(n)
+        return LatticeAffine(b if a == one else a if b == one else mat_mul(b, a), shift)
 
     def inverse(self) -> "LatticeAffine":
-        minv = self.t.power(-self.power)
-        shift = tuple(-v for v in mat_vec(minv, self.shift))
-        return LatticeAffine.of(self.t, -self.power, shift)
+        minv = mat_inverse_exact(self.matrix)
+        return LatticeAffine(minv, tuple(-v for v in mat_vec(minv, self.shift)))
 
     def is_identity(self) -> bool:
-        return self.matrix == mat_identity(self.t.n) and not any(self.shift)
+        return self.is_translation() and not any(self.shift)
 
     def is_translation(self) -> bool:
-        return self.matrix == mat_identity(self.t.n)
+        return self.matrix == mat_identity(len(self.shift))
 
     def key(self) -> str:
         flat = ";".join(",".join(str(v) for v in row) for row in self.matrix)
         sh = ",".join(str(v) for v in self.shift)
         return f"[{flat}]+({sh})"
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeAffine):
-            return NotImplemented
-        return self.matrix == other.matrix and self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.matrix, self.shift))
-
-    def __repr__(self):
-        return f"LatticeAffine(power={self.power}, shift={self.shift})"
 
 
 def column_hnf(columns: Iterable[Vector], n: int) -> list[Vector]:

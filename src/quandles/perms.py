@@ -157,6 +157,11 @@ def _integers(values, ndim: int, what: str, error: type = MalformedTableError) -
     return array.astype(np.int64, copy=False)
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, never a bool: the package's one scalar test."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values; a bare ``np.unique`` would import numpy.ma."""
     values = np.sort(values)

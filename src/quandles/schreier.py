@@ -30,10 +30,11 @@ keys its basepoint alone; the other keys, the elements and ``index`` are
 made on first use, which growth and ends never make.  ``build_ball``
 takes the moves from ``_moves`` once, and ``_walk`` makes the one walk
 choice.  When the action is the default point action and every move is
-a ``Permutation`` of the basepoint's set (every finite quandle), the
-walk is ``perms.walk``, a numpy gather over the moves' image rows, read
-in place when they are the columns of one table (a finite quandle's
-inner symmetries) and stacked once otherwise (``_finite_moves``).  When
+a ``Permutation`` (every finite quandle), the walk is always
+``perms.walk``, a numpy gather over the moves' image rows, read in place
+when they are the columns of one table (a finite quandle's inner
+symmetries) and stacked once otherwise (``_finite_moves``); a basepoint
+that is no point (``perms._is_integer``, in 0..n-1) is a ValueError.  When
 every move is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice
 quandles), it is ``lattice.offset_walk``, int64 matrix products a chunk
 of each sphere at a time, unless the offsets it reaches fail its int64
@@ -82,7 +83,6 @@ from __future__ import annotations
 
 import array
 import json
-import operator
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -91,14 +91,16 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
-from .lattice import LatticeAffine, offset_walk
-from .perms import Permutation, _distinct, _named, walk, walk_table
+from .lattice import _INT64_ROOM, LatticeAffine, offset_walk
+from .perms import Permutation, _distinct, _is_integer, _named, walk, walk_table
 
 DEFAULT_VERTEX_BOUND = 1_000_000
 # cells (source rows x ball vertices x neighbor slots) one BFS block may
 # touch: bounds the memory of every pair pass, which holds int32 rows, 4
 # bytes per (row, vertex) cell of a block, and about 13 over two balls
 _BLOCK_CELLS = 1 << 20
+# the one JSON-line writer, shared: ``json.dumps`` builds an encoder per call
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 Edge = tuple[str, str, str]  # (key_u, key_v, generator name) with key_u <= key_v
 
@@ -311,12 +313,12 @@ class _WalkPoints:
         if isinstance(points, list):
             with suppress(ValueError):  # one scan; absent points fall through
                 return points.index(point)
-        elif points.ndim == 1 and isinstance(point, (int, np.integer)):
+        elif points.ndim == 1 and _is_integer(point):
             hits = np.flatnonzero(points == point)
         elif points.ndim == 2 and isinstance(point, tuple) and len(point) == points.shape[1]:
             offset = [v - b for v, b in zip(point, self.base) if type(v) is int]
-            # every offset of the walk lies below 2^62 (``lattice.offset_walk``)
-            if len(offset) == len(point) and max(map(abs, offset)) < 1 << 62:
+            # every offset of the walk lies below ``_INT64_ROOM`` (``lattice.offset_walk``)
+            if len(offset) == len(point) and max(map(abs, offset)) < _INT64_ROOM:
                 hits = np.flatnonzero((points == offset).all(axis=1))
         return int(hits[0]) if len(hits) else None
 
@@ -532,18 +534,20 @@ def _moves(action: SchreierAction) -> tuple[list, np.ndarray]:
 def _walk(action: SchreierAction, moves: list, basepoint, radius: int, max_vertices: int):
     """The one walk choice of ``build_ball``, as (points, sphere sizes,
     table maker): the first of ``perms.walk``, ``lattice.offset_walk`` and
-    ``_generic_bfs`` whose preconditions, stated here, hold."""
+    ``_generic_bfs`` whose preconditions, stated here, hold; a finite
+    point action always takes ``perms.walk``, else raises ValueError."""
     auts = [aut for _, aut in action.generators]
     kind = type(auts[0]) if action.apply is _act and auts and all(type(a) is type(auts[0]) for a in auts) else None
     if kind is Permutation:
-        base = -1
-        with suppress(TypeError):
-            base = operator.index(basepoint)
-        if all(a.degree == auts[0].degree for a in auts) and 0 <= base < auts[0].degree:
-            table, columns = _finite_moves(moves)
-            points, sizes = walk(table, base, radius, max_vertices, columns)
-            return points, sizes, partial(walk_table, table, points, columns)
-    elif kind is LatticeAffine:
+        degree = auts[0].degree
+        if any(a.degree != degree for a in auts):
+            raise ValueError(f"generators of one action must have one degree, got {sorted({a.degree for a in auts})}")
+        if not (_is_integer(basepoint) and 0 <= basepoint < degree):
+            raise ValueError(f"basepoint {basepoint!r} is not a point: it must be an integer in 0..{degree - 1}")
+        table, columns = _finite_moves(moves)
+        points, sizes = walk(table, int(basepoint), radius, max_vertices, columns)
+        return points, sizes, partial(walk_table, table, points, columns)
+    if kind is LatticeAffine:
         n = len(auts[0].shift)
         same = n >= 2 and all(len(a.matrix) == n and len(a.shift) == n for a in auts)
         if same and isinstance(basepoint, tuple) and len(basepoint) == n and all(type(v) is int for v in basepoint):
@@ -774,7 +778,7 @@ def ball_to_json_lines(ball: LabeledBall) -> str:
     records.extend(
         {"type": "edge", "u": u, "v": v, "label": name} for u, v, name in ball.edges
     )
-    return "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records) + "\n"
+    return "\n".join(map(_json_line, records)) + "\n"
 
 
 def _fields(rec, *names: str) -> list:

@@ -17,7 +17,6 @@ witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +31,9 @@ from .perms import (
     PermGroup,
     RowIndex,
     _dimino,
+    _distinct,
     _integers,
+    _is_integer,
     first_fixed_point,
     orbits,
     products,
@@ -43,6 +44,7 @@ from .quandle import FiniteQuandle, _automorphism_defect
 from .schreier import (
     DEFAULT_VERTEX_BOUND,
     _identity_like,
+    _json_line,
     build_ball,
     cayley_action,
     displacement_action,
@@ -70,7 +72,7 @@ class TheoremReport:
             "witness": self.witness,
             "details": self.details,
         }
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        return _json_line(rec)
 
 
 def verify_dis_properties(q: FiniteQuandle, instance: str = "") -> list[TheoremReport]:
@@ -477,7 +479,7 @@ def verify_free_action_isometry(
     if isinstance(backend, FiniteQuandle):
         _check_basepoint(backend, basepoint)
         group = PermGroup(gens) if gens else backend.displacement_group()
-        culprit = first_fixed_point(group.images, orbits(group.generators, [basepoint])[0])
+        culprit = first_fixed_point(group.images, _distinct(group.images[:, basepoint]))
         if culprit is not None:
             key = Permutation.unchecked(group.images[culprit[0]]).key()
             return report(False, {"failed_hypothesis": "free", "element": key, "fixed_point": culprit[1]})
@@ -487,15 +489,9 @@ def verify_free_action_isometry(
         if not_translation:
             return report(False, {"failed_hypothesis": "free", "non_translations": not_translation})
 
+    if not gens:  # the orbit ball of no generators is the basepoint alone
+        return report(True, None, {"vertices": 1, "pairs_checked": 0})
     orbit_ball = build_ball(action, basepoint, radius, max_vertices=max_vertices)
-    if not gens:
-        # trivial displacement group: the orbit must be a single point
-        ok = orbit_ball.vertex_count == 1
-        return report(
-            ok,
-            None if ok else {"orbit_not_single_point": orbit_ball.keys[:4]},
-            {"vertices": orbit_ball.vertex_count, "pairs_checked": 0},
-        )
     word_ball = build_ball(
         cayley_action(backend.backend_id, gens), _identity_like(gens), radius, max_vertices=max_vertices
     )
@@ -542,8 +538,7 @@ def verify_free_action_isometry(
 
 
 def _check_basepoint(q: FiniteQuandle, basepoint) -> None:
-    """ValueError unless ``basepoint`` is a point 0..n-1 of q: an int or
-    numpy integer, and not a bool."""
-    integer = isinstance(basepoint, (int, np.integer)) and not isinstance(basepoint, bool)
-    if not (integer and 0 <= basepoint < q.size):
+    """ValueError unless ``basepoint`` is a point 0..n-1 of q (see
+    ``perms._is_integer``)."""
+    if not (_is_integer(basepoint) and 0 <= basepoint < q.size):
         raise ValueError(f"basepoint {basepoint!r} is not a point of {q!r}: it must be in 0..{q.size - 1}")

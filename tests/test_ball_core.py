@@ -700,3 +700,23 @@ def test_rewired_edge_list_replaces_the_neighbor_table():
     ball = rewired(built, built.edges + [("-4", "2", "shortcut")])
     assert ball.distances_from("2").get("-4") == 1
     assert '"-4" -- "2" [label="shortcut"];' in ball_to_dot(ball)
+
+
+@pytest.mark.parametrize("basepoint", [-1, True, 5, 2.0, "2", (2,)])
+def test_a_finite_ball_at_a_non_point_raises(basepoint):
+    """Every finite point action takes ``perms.walk``, and a basepoint
+    that is not a point of it is a ValueError, not another walk."""
+    with pytest.raises(ValueError, match="not a point"):
+        build_ball(inner_action(dihedral_quandle(5)), basepoint, 2)
+
+
+def test_a_finite_action_of_two_degrees_raises():
+    gens = [("a", dihedral_quandle(5).inner_generators()[1][1]), ("b", dihedral_quandle(4).inner_generators()[1][1])]
+    with pytest.raises(ValueError, match="one degree"):
+        build_ball(SchreierAction("mixed", gens, str), 0, 2)
+
+
+def test_a_finite_ball_finds_no_bool():
+    ball = build_ball(inner_action(dihedral_quandle(5)), 0, 2)
+    assert ball.find(1) == ball.keys.index("1")
+    assert ball.find(True) is None and ball.find(np.int64(1)) == ball.find(1)

@@ -1,8 +1,13 @@
 import math
 import random
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quandles.families import galex_lattice
 
 from quandles.lattice import (
     IntegerLattice,
@@ -18,6 +23,7 @@ from quandles.lattice import (
     one_minus_inverse,
     xgcd,
 )
+from quandles.schreier import _identity_like, build_ball, cayley_action
 
 ROT90 = [[0, -1], [1, 0]]
 SHEAR = [[1, 1], [0, 1]]
@@ -234,3 +240,112 @@ def test_index_matches_det():
 def test_mat_vec():
     assert mat_vec(ROT90, (1, 0)) == (0, 1)
     assert mat_vec(ROT90, (0, 1)) == (-1, 0)
+
+
+def test_products_across_two_t_are_the_composed_maps():
+    rot, cat = UnimodularMatrix(ROT90), UnimodularMatrix([[2, 1], [1, 1]])
+    f, g = LatticeAffine.of(rot, 1, (1, -2)), LatticeAffine.of(cat, 1, (0, 3))
+    assert (f * g).matrix == ((1, -2), (1, -1))
+    assert (g * f).matrix == ((-1, -1), (2, 1))
+    for v in product(range(-3, 4), repeat=2):
+        assert (f * g).act(v) == g.act(f.act(v))
+        assert (g * f).act(v) == f.act(g.act(v))
+        assert (f * g).inverse().act((f * g).act(v)) == v
+
+
+def test_equal_maps_built_on_different_t_compose_alike():
+    rot, cat = UnimodularMatrix(ROT90), UnimodularMatrix([[2, 1], [1, 1]])
+    a, b = LatticeAffine.of(rot, 4, (1, 2)), LatticeAffine.translation(cat, (1, 2))
+    g = LatticeAffine.of(cat, 1, (3, -1))
+    assert a == b and hash(a) == hash(b)
+    assert a * g == b * g and g * a == g * b
+
+
+def test_products_of_different_dimensions_raise():
+    f = LatticeAffine.of(UnimodularMatrix(ROT90), 1, (0, 0))
+    g = LatticeAffine.of(UnimodularMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 1, (0, 0, 0))
+    for x, y in ((f, g), (g, f)):
+        with pytest.raises(ValueError):
+            x * y
+    with pytest.raises(ValueError):
+        mat_mul(((1, 0, 0),), ((1, 0), (0, 1)))
+
+
+@dataclass(frozen=True)
+class _TwoEncodingAffine:
+    """A frozen copy of ``LatticeAffine`` as it was when it stored its map
+    twice, as a power of a fixed t and as a matrix: the oracle for maps
+    built on one t."""
+
+    t: UnimodularMatrix
+    power: int
+    matrix: tuple
+    shift: tuple
+
+    @staticmethod
+    def of(t, power, shift):
+        m = t.power(power)
+        if m == mat_identity(t.n):
+            power = 0
+        return _TwoEncodingAffine(t, power, m, tuple(int(v) for v in shift))
+
+    def act(self, v):
+        return tuple(a + b for a, b in zip(mat_vec(self.matrix, v), self.shift))
+
+    def __mul__(self, other):
+        shift = tuple(a + b for a, b in zip(mat_vec(other.matrix, self.shift), other.shift))
+        return _TwoEncodingAffine.of(self.t, self.power + other.power, shift)
+
+    def inverse(self):
+        shift = tuple(-v for v in mat_vec(self.t.power(-self.power), self.shift))
+        return _TwoEncodingAffine.of(self.t, -self.power, shift)
+
+    def is_identity(self):
+        return self.matrix == mat_identity(self.t.n) and not any(self.shift)
+
+    def key(self):
+        flat = ";".join(",".join(str(v) for v in row) for row in self.matrix)
+        return f"[{flat}]+({','.join(str(v) for v in self.shift)})"
+
+    def __eq__(self, other):
+        return self.matrix == other.matrix and self.shift == other.shift
+
+    def __hash__(self):
+        return hash((self.matrix, self.shift))
+
+
+_ORACLE_TS = [ROT90, [[2, 1], [1, 1]], [[0, -1], [1, -1]], SHEAR, [[0, 0, 1], [1, 0, 0], [0, 1, 1]]]
+
+
+@st.composite
+def _maps_on_one_t(draw):
+    t = UnimodularMatrix(draw(st.sampled_from(_ORACLE_TS)))
+    shifts = st.tuples(*[st.integers(-5, 5)] * t.n)
+    pairs = [(draw(st.integers(-6, 6)), draw(shifts)) for _ in range(2)]
+    return t, pairs, draw(shifts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps_on_one_t())
+def test_lattice_affine_agrees_with_the_two_encoding_copy(case):
+    t, pairs, v = case
+    (f, g), (F, G) = ([cls.of(t, k, c) for k, c in pairs] for cls in (LatticeAffine, _TwoEncodingAffine))
+    for new, old in ((f, F), (g, G), (f * g, F * G), (g * f, G * F), (f.inverse(), F.inverse())):
+        assert (new.matrix, new.shift, new.key(), hash(new)) == (old.matrix, old.shift, old.key(), hash(old))
+        assert new.act(v) == old.act(v) and new.is_identity() == old.is_identity()
+    assert (f == g) == (F == G)
+
+
+@pytest.mark.parametrize("t", _ORACLE_TS[:4] + [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]])
+def test_lattice_cayley_balls_match_the_two_encoding_copy(t):
+    """Cayley balls of the inner and displacement generators, built on the
+    copy's maps, have the same keys, depths and edges at R = 0..4."""
+    q = galex_lattice(t)
+    inner = [(name, _TwoEncodingAffine.of(q.t, 1, aut.shift)) for name, aut in q.inner_generators()]
+    s0_inv = inner[0][1].inverse()
+    displacement = [(f"{name}*s0^-1", g * s0_inv) for name, g in inner[1:] if not (g * s0_inv).is_identity()]
+    assert [name for name, _ in displacement] == [name for name, _ in q.displacement_generators()]
+    for new, old in ((q.inner_generators(), inner), (q.displacement_generators(), displacement)):
+        for radius in range(5):
+            a, b = (build_ball(cayley_action("lattice", gens), _identity_like(gens), radius) for gens in (new, old))
+            assert a.keys == b.keys and a.depth.tolist() == b.depth.tolist() and a.edges == b.edges

@@ -839,3 +839,20 @@ def test_free_action_reports_a_pair_whose_distances_differ(monkeypatch, q, basep
     assert set(report.witness) == {"pair", "word_distance", "orbit_distance"}
     assert report.witness == oracle
     assert report.witness["orbit_distance"] < report.witness["word_distance"]
+
+
+@pytest.mark.parametrize(
+    "backend,basepoint",
+    [(dihedral_quandle(5), 2), (galex_lattice(ROT90), (1, -1)), (dihedral_quandle("inf"), 3)],
+    ids=["r5", "rot90", "dihedral-inf"],
+)
+def test_free_action_isometry_of_no_generators_builds_no_ball(monkeypatch, backend, basepoint):
+    """The orbit of no generators is the basepoint alone, so the report is
+    read off without a ball."""
+    built = []
+    monkeypatch.setattr(verify, "build_ball", lambda *args, **kwargs: built.append(args) or build_ball(*args, **kwargs))
+    rep = verify_free_action_isometry(backend, basepoint, 4, generators=[])
+    assert built == []
+    assert rep == TheoremReport(
+        "free-displacement-action-gives-isometry", repr(backend), True, None, {"vertices": 1, "pairs_checked": 0}
+    )

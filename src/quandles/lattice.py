@@ -5,7 +5,7 @@ grow without bound and must stay exact.  The one exact elimination is
 Bareiss's fraction-free one in ``mat_det`` (E. H. Bareiss, Math. Comp.
 22, 1968); the inverse is the adjugate of its cofactors, with no
 ``Fraction``.  The one exception is the walk of Schreier balls,
-``offset_walk``, which runs in int64 numpy only while the offsets it
+``offset_walk``, which makes int64 points only while the offsets it
 reaches prove that no value can overflow.  An affine map of Z^n,
 ``LatticeAffine``, is its matrix and its shift alone, whatever t it was
 built from, so maps built on different t compose and compare as maps.
@@ -299,11 +299,11 @@ def dis_lattice(t: UnimodularMatrix) -> IntegerLattice:
 
 
 def offset_walk(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int, max_vertices: int):
-    """``perms.walk`` for the affine ``moves`` of Z^n at ``basepoint``, over
-    int64 offsets from it, with its numbering and cap: returns (offsets,
-    sphere sizes, table), where ``table`` makes the (vertex x move) table
-    of vertex numbers, V off the ball; or None if an offset it reaches
-    fails the check below.
+    """``perms.walk`` for the affine ``moves`` of Z^n at ``basepoint``, a
+    tuple of Python ints, with its numbering and cap: returns the int64
+    (vertex x coordinate) points, the sphere sizes and ``table``, which
+    makes the (vertex x move) table of vertex numbers, V off the ball; or
+    None if an offset from the basepoint fails the check below.
 
     Offsets u = x - b turn the move x -> A x + c into u -> A u + k, with
     k = A b + c - b, so a frontier's targets are ``frontier @ step`` plus
@@ -315,7 +315,8 @@ def offset_walk(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int, 
     A sphere is moved a chunk of about ``perms.WALK_CELLS`` cells at a
     time, each chunk keeping only its rows and the codes it did not find;
     those, numbered in first-occurrence order, are the next sphere,
-    decoded from them.  ``table`` copies the rows inside ``radius`` into
+    decoded from them, and the basepoint is added to them all once, in
+    place, at the end.  ``table`` copies the rows inside ``radius`` into
     one array, dropping each once copied, and moves the last sphere in
     chunks too.
 
@@ -395,4 +396,6 @@ def offset_walk(moves: Sequence[LatticeAffine], basepoint: Vector, radius: int, 
             out[done + c0 : done + c0 + rows] = row.reshape(-1, m)
         return out
 
-    return np.concatenate(spheres), [len(s) for s in spheres], table
+    points = np.concatenate(spheres)
+    points += basepoint  # in place: a sum would copy every point
+    return points, [len(s) for s in spheres], table

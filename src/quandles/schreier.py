@@ -36,18 +36,21 @@ when they are the columns of one table (a finite quandle's inner
 symmetries) and stacked once otherwise (``_finite_moves``); a basepoint
 that is no point (``perms._is_integer``, in 0..n-1) is a ValueError.  When
 every move is a ``LatticeAffine`` on Z^n with n >= 2 (the lattice
-quandles), it is ``lattice.offset_walk``, int64 matrix products a chunk
-of each sphere at a time, unless the offsets it reaches fail its int64
-check.  Otherwise ``_generic_bfs`` applies one move at a time and finds
-each target in a dict from point to vertex.  Each walk hands the ball
-one function that makes the whole table, called once, when edges, pair
-queries or ends first need it: for ``perms.walk`` one more gather,
-``perms.walk_table``; the other two keep the rows inside radius R as
-they go, and the function writes them and the last sphere's rows, the
-only ones that can hold V, into one array.  Lattice points are tuples
-on both lattice paths.  All three walks share those moves, so they
-discover vertices in the same order.  An edge list (JSON input) is
-converted once into the same kind of table, padded with V.
+quandles) and the basepoint is a tuple of integers, it is
+``lattice.offset_walk``, int64 matrix products a chunk of each sphere at
+a time, unless the offsets it reaches fail its int64 check.  Otherwise
+``_generic_bfs`` applies one move at a time and finds each target in a
+dict from point to vertex.  Both int64 walks hand over one int64 array
+of points, where ``find`` takes a point to be an integer, or a tuple of
+one integer per column.  Each walk hands the ball one function that
+makes the whole table, and the ball holds the table, made once, when
+edges, pair queries or ends first need it: for ``perms.walk`` the
+function is one more gather, ``perms.walk_table``; the other two keep
+the rows inside radius R as they go, and the function writes them and
+the last sphere's rows, the only ones that can hold V, into one array.
+All three walks share those moves, so they discover vertices in the
+same order.  An edge list (JSON input) is converted once into the same
+kind of table, padded with V.
 
 Pair queries walk that table directly, with the ``depth`` array of
 basepoint distances beside it; self-loops, parallel moves and V need no
@@ -91,7 +94,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import BoundExceededError
-from .lattice import _INT64_ROOM, LatticeAffine, offset_walk
+from .lattice import LatticeAffine, offset_walk
 from .perms import Permutation, _distinct, _is_integer, _named, walk, walk_table
 
 DEFAULT_VERTEX_BOUND = 1_000_000
@@ -177,25 +180,35 @@ class LabeledBall:
     a ball read back from JSON).  A built ball is given a ``_WalkPoints``
     for its keys, and makes ``keys``, ``elements`` and ``index`` (key ->
     vertex) from it on first use; ``basepoint`` (its key), ``vertex_count``
-    and ``sphere_sizes`` never do.  The one graph is a ``_NeighborTable``
-    over the vertex numbers, recorded by ``build_ball`` or converted from
-    an edge list by ``ball_from_json_lines``; ``edges`` renders it, on
-    first use, as the sorted, distinct ``(key_u, key_v, name)`` with
-    key_u <= key_v, self-loops included, and pair queries, ends and the
-    forest check walk the table itself.
+    and ``sphere_sizes`` never do.  Its one graph is ``neighbors``, a
+    (vertex x slot) table of vertex numbers, V where a move leaves the
+    ball, with ``labels`` indexing the sorted ``label_names``.  The ball
+    is given the table, or the one function that makes it (a built
+    ball's walk hands one over), and makes it once, on first use.
+    ``edges`` renders the table, on first use, as the sorted, distinct
+    ``(key_u, key_v, name)`` with key_u <= key_v, self-loops included, and
+    pair queries, ends and the forest check walk the table itself.
     """
 
     def __init__(self, backend_id: str, radius: int, generator_names: list[str], keys: "list[str] | _WalkPoints",
-                 depth: np.ndarray, neighbors: "_NeighborTable"):
+                 depth: np.ndarray, neighbors: "np.ndarray | Callable[[], np.ndarray]", labels: np.ndarray,
+                 label_names: list[str]):
         self.backend_id = backend_id
         self.radius = radius
         self.generator_names = generator_names
         self.depth = depth
-        self._neighbors = neighbors
+        self._make_neighbors = neighbors if callable(neighbors) else lambda: neighbors
+        self._labels, self._label_names = labels, label_names
         self._walked = keys if isinstance(keys, _WalkPoints) else None
         if self._walked is None:
             self.keys = keys  # fills the cached property
         self.basepoint: str = self._walked.basepoint if self._walked else keys[0]
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        table = self._make_neighbors()
+        del self._make_neighbors  # and with it what the walk kept for the table
+        return table
 
     @cached_property
     def keys(self) -> list[str]:
@@ -209,9 +222,40 @@ class LabeledBall:
     def index(self) -> dict[str, int]:
         return {k: i for i, k in enumerate(self.keys)}
 
+    def _codes(self, rank: Optional[np.ndarray] = None) -> np.ndarray:
+        """One sorted code per distinct edge, (lo * V + hi) * g + label for
+        g label names, lo <= hi its ends renumbered by ``rank``."""
+        table = self.neighbors
+        n = table.shape[0]
+        u, slot = np.nonzero(table < n)
+        v = table[u, slot]
+        label = np.broadcast_to(self._labels, table.shape)[u, slot]
+        if rank is not None:
+            u, v = rank[u], rank[v]
+        # n*n*g stays inside int64 for any ball that fits in memory
+        codes = np.minimum(u, v)
+        np.maximum(u, v, out=v)
+        codes *= n
+        codes += v
+        codes *= len(self._label_names)
+        codes += label
+        return _distinct(codes)
+
     @cached_property
     def edges(self) -> list[Edge]:
-        return self._neighbors.edges(self.keys)
+        keys = self.keys
+        n = len(keys)
+        order = sorted(range(n), key=keys.__getitem__)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        # codes sort as (key_u, key_v, name): ranks follow key order and
+        # labels follow name order
+        pair, label = np.divmod(self._codes(rank), len(self._label_names))
+        lo, hi = np.divmod(pair, n)
+        # object arrays hand out the existing strings, not new ints
+        by_rank = np.array([keys[i] for i in order], dtype=object)
+        names = np.array(self._label_names, dtype=object)
+        return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
 
     @property
     def vertex_count(self) -> int:
@@ -226,7 +270,7 @@ class LabeledBall:
         return np.bincount(self.depth, minlength=self.radius + 1).tolist()
 
     def _block_rows(self) -> int:
-        n, width = self._neighbors.array().shape
+        n, width = self.neighbors.shape
         return max(1, _BLOCK_CELLS // ((n + 1) * max(1, width)))
 
     def _certified(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -235,7 +279,7 @@ class LabeledBall:
         R = self.radius
         dx = self.depth[rows]
         # certified pairs lie at most R apart (see the module docstring)
-        found = _bfs(self._neighbors.array(), rows, R, (dx > 0) & (dx < R))
+        found = _bfs(self.neighbors, rows, R, (dx > 0) & (dx < R))
         # the columns are read in place when they are one ascending run, as
         # in ``certified_pairs``, and gathered once otherwise
         if cols.size and cols[-1] - cols[0] == cols.size - 1 and (np.diff(cols) == 1).all():
@@ -248,7 +292,7 @@ class LabeledBall:
         """BFS distances inside the ball subgraph from one vertex."""
         if key not in self.index:
             raise KeyError(f"vertex {key!r} not in ball")
-        row = _bfs(self._neighbors.array(), np.array([self.index[key]]), self.vertex_count)[0].tolist()
+        row = _bfs(self.neighbors, np.array([self.index[key]]), self.vertex_count)[0].tolist()
         return {k: d for k, d in zip(self.keys, row) if d >= 0}
 
     def distance(self, x: str, y: str) -> Optional[int]:
@@ -284,9 +328,10 @@ class LabeledBall:
 
 class _WalkPoints:
     """A built ball's points as its walk made them: the int array of
-    ``perms.walk``, the int64 (vertex x coordinate) offsets from the
-    basepoint of ``lattice.offset_walk``, or the element list of
-    ``_generic_bfs``.  Only the basepoint is keyed up front."""
+    ``perms.walk``, the int64 (vertex x coordinate) array of
+    ``lattice.offset_walk``, or the element list of ``_generic_bfs``.
+    Only the basepoint is keyed up front, and the first element is the
+    basepoint as it was given."""
 
     def __init__(self, points, base, key: Callable[[object], str]):
         self.points, self.base, self.key = points, base, key
@@ -300,7 +345,7 @@ class _WalkPoints:
             return points[1:].tolist()
         # zipping the columns makes the tuples of Python ints without a
         # list per row, which keeps the peak memory down
-        return zip(*(points[1:] + np.array(self.base, dtype=np.int64)).T.tolist())
+        return zip(*points[1:].T.tolist())
 
     def elements(self) -> list:
         return self.points if isinstance(self.points, list) else [self.base, *self._rest()]
@@ -309,17 +354,18 @@ class _WalkPoints:
         return [self.basepoint, *map(self.key, self._rest())]
 
     def find(self, point) -> Optional[int]:
-        points, hits = self.points, []
+        points = self.points
         if isinstance(points, list):
             with suppress(ValueError):  # one scan; absent points fall through
                 return points.index(point)
-        elif points.ndim == 1 and _is_integer(point):
-            hits = np.flatnonzero(points == point)
-        elif points.ndim == 2 and isinstance(point, tuple) and len(point) == points.shape[1]:
-            offset = [v - b for v, b in zip(point, self.base) if type(v) is int]
-            # every offset of the walk lies below ``_INT64_ROOM`` (``lattice.offset_walk``)
-            if len(offset) == len(point) and max(map(abs, offset)) < _INT64_ROOM:
-                hits = np.flatnonzero((points == offset).all(axis=1))
+            return None
+        # a point is an integer, or a tuple of one integer per column; numpy
+        # finds an int outside int64 unequal to every entry, without raising
+        columns = points.reshape(len(points), -1)
+        coords = point if points.ndim == 2 else (point,)
+        if not (isinstance(coords, tuple) and len(coords) == columns.shape[1] and all(map(_is_integer, coords))):
+            return None
+        hits = np.flatnonzero((columns == coords).all(axis=1))
         return int(hits[0]) if len(hits) else None
 
 
@@ -414,82 +460,28 @@ def first_failing_pair(ball_a: LabeledBall, rows_a, ball_b: LabeledBall, rows_b,
     return checked, None
 
 
-class _NeighborTable:
-    """A ball's graph: a (vertex x slot) table of neighbor indices, with
-    the vertex count V where a move leaves the ball, and a label per cell
-    that indexes ``names``, which is sorted.
-
-    ``table`` is the int64 array, or the one function that makes it,
-    which ``array()`` calls once, on first use: a built ball's walk hands
-    over such a function, and its labels are its moves' generator
-    indices, broadcast over the rows.  An edge list is converted once,
-    by ``from_edges``, into a full table padded with V.
-    """
-
-    def __init__(self, table: "np.ndarray | Callable[[], np.ndarray]", labels: np.ndarray, names: list[str]):
-        self._table, self._labels, self.names = table, labels, names
-
-    @classmethod
-    def from_edges(cls, index: dict[str, int], edges: Iterable[Edge]) -> "_NeighborTable":
-        """Edge (u, v, name) fills one slot of row u and, unless it is a
-        self-loop, one of row v."""
-        edges = list(edges)
-        names = sorted({name for _u, _v, name in edges})
-        label = {name: i for i, name in enumerate(names)}
-        cells = [(index[u], index[v], label[name]) for u, v, name in edges]
-        u, v, lab = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-        back = u != v
-        src, dst = np.concatenate([u, v[back]]), np.concatenate([v, u[back]])
-        lab = np.concatenate([lab, lab[back]])
-        order = np.argsort(src, kind="stable")
-        src, dst, lab = src[order], dst[order], lab[order]
-        n = len(index)
-        degree = np.bincount(src, minlength=n)
-        slot = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
-        table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
-        table[src, slot] = dst
-        labels = np.zeros_like(table)
-        labels[src, slot] = lab
-        return cls(table, labels, names)
-
-    def array(self) -> np.ndarray:
-        if callable(self._table):
-            self._table = self._table()
-        return self._table
-
-    def codes(self, rank: Optional[np.ndarray] = None) -> np.ndarray:
-        """One sorted code per distinct edge, (lo * V + hi) * g + label
-        for g names, where lo <= hi are its ends renumbered by ``rank``."""
-        table = self.array()
-        n = table.shape[0]
-        u, slot = np.nonzero(table < n)
-        v = table[u, slot]
-        label = np.broadcast_to(self._labels, table.shape)[u, slot]
-        if rank is not None:
-            u, v = rank[u], rank[v]
-        # n*n*g stays inside int64 for any ball that fits in memory
-        codes = np.minimum(u, v)
-        np.maximum(u, v, out=v)
-        codes *= n
-        codes += v
-        codes *= len(self.names)
-        codes += label
-        return _distinct(codes)
-
-    def edges(self, keys: list[str]) -> list[Edge]:
-        """Sorted, distinct ``(key_u, key_v, name)`` with key_u <= key_v."""
-        n = len(keys)
-        order = sorted(range(n), key=keys.__getitem__)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        # codes sort as (key_u, key_v, name): ranks follow key order and
-        # labels follow name order
-        pair, label = np.divmod(self.codes(rank), len(self.names))
-        lo, hi = np.divmod(pair, n)
-        # object arrays hand out the existing strings, not new ints
-        by_rank = np.array([keys[i] for i in order], dtype=object)
-        names = np.array(self.names, dtype=object)
-        return list(zip(by_rank[lo].tolist(), by_rank[hi].tolist(), names[label].tolist()))
+def _table_from_edges(index: dict[str, int], edges: Iterable[Edge]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """A ball's neighbor table, labels and sorted label names: edge (u, v,
+    name) fills one slot of row u and, unless it is a self-loop, one of
+    row v, and rows are padded with V."""
+    edges = list(edges)
+    names = sorted({name for _u, _v, name in edges})
+    label = {name: i for i, name in enumerate(names)}
+    cells = [(index[u], index[v], label[name]) for u, v, name in edges]
+    u, v, lab = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    back = u != v
+    src, dst = np.concatenate([u, v[back]]), np.concatenate([v, u[back]])
+    lab = np.concatenate([lab, lab[back]])
+    order = np.argsort(src, kind="stable")
+    src, dst, lab = src[order], dst[order], lab[order]
+    n = len(index)
+    degree = np.bincount(src, minlength=n)
+    slot = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
+    table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+    table[src, slot] = dst
+    labels = np.zeros_like(table)
+    labels[src, slot] = lab
+    return table, labels, names
 
 
 def _finite_moves(moves: list) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -549,9 +541,11 @@ def _walk(action: SchreierAction, moves: list, basepoint, radius: int, max_verti
         return points, sizes, partial(walk_table, table, points, columns)
     if kind is LatticeAffine:
         n = len(auts[0].shift)
+        # a 1x1 lattice's balls are paths, where numpy's cost per sphere
+        # makes this walk 4 to 10 times slower than the generic one
         same = n >= 2 and all(len(a.matrix) == n and len(a.shift) == n for a in auts)
-        if same and isinstance(basepoint, tuple) and len(basepoint) == n and all(type(v) is int for v in basepoint):
-            if (walked := offset_walk(moves, basepoint, radius, max_vertices)) is not None:
+        if same and isinstance(basepoint, tuple) and len(basepoint) == n and all(map(_is_integer, basepoint)):
+            if (walked := offset_walk(moves, tuple(map(int, basepoint)), radius, max_vertices)) is not None:
                 return walked
     return _generic_bfs(action.apply, moves, basepoint, radius, max_vertices)
 
@@ -574,8 +568,8 @@ def build_ball(action: SchreierAction, basepoint, radius: int, max_vertices: int
     points, sizes, table = _walk(action, moves, basepoint, radius, max_vertices)
     names = [name for name, _ in action.generators]
     depth = np.repeat(np.arange(len(sizes)), sizes)
-    neighbors = _NeighborTable(table, move_gen, names)
-    return LabeledBall(action.backend_id, radius, names, _WalkPoints(points, basepoint, action.key), depth, neighbors)
+    walked = _WalkPoints(points, basepoint, action.key)
+    return LabeledBall(action.backend_id, radius, names, walked, depth, table, move_gen, names)
 
 
 def _generic_bfs(apply, moves: list, basepoint, radius: int, max_vertices: int):
@@ -645,7 +639,7 @@ def ends_estimate(ball: LabeledBall, inner_radius: int) -> int:
     """
     if not 0 <= inner_radius < ball.radius:
         raise ValueError("need 0 <= inner_radius < ball radius")
-    label = _component_labels(ball._neighbors.array(), ball.depth > inner_radius)
+    label = _component_labels(ball.neighbors, ball.depth > inner_radius)
     return int(np.count_nonzero(np.bincount(label[ball.depth == ball.radius])))
 
 
@@ -657,9 +651,9 @@ def loopless_forest_check(ball: LabeledBall) -> bool:
     while a generator and its inverse never double-count.
     """
     n = ball.vertex_count
-    pair = ball._neighbors.codes() // max(1, len(ball._neighbors.names))
+    pair = ball._codes() // max(1, len(ball._label_names))
     simple = np.count_nonzero(pair // n != pair % n)
-    components = np.count_nonzero(_component_labels(ball._neighbors.array(), np.ones(n, dtype=bool)) == np.arange(n))
+    components = np.count_nonzero(_component_labels(ball.neighbors, np.ones(n, dtype=bool)) == np.arange(n))
     return simple == n - components
 
 
@@ -829,7 +823,7 @@ def ball_from_json_lines(text: str) -> LabeledBall:
     stray = [k for edge in edges for k in edge[:2] if k not in index]
     if stray:
         raise ValueError(f"edge endpoint {stray[0]!r} has no vertex record")
-    return LabeledBall(backend, radius, list(generators), keys, depth, _NeighborTable.from_edges(index, edges))
+    return LabeledBall(backend, radius, list(generators), keys, depth, *_table_from_edges(index, edges))
 
 
 def _dot_quote(s: str) -> str:

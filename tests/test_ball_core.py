@@ -36,10 +36,10 @@ from quandles.groups import dihedral_group, symmetric_group
 from quandles.quandle import FiniteQuandle
 from quandles.schreier import (
     SchreierAction,
-    _NeighborTable,
     _component_labels,
     _identity_like,
     _moves,
+    _table_from_edges,
     ball_from_json_lines,
     ball_to_dot,
     ball_to_json_lines,
@@ -92,7 +92,7 @@ def _generic(action):
 
 def _walk_of(ball):
     """The walk that built ``ball``, read from the form of its points: the
-    int array of ``perms.walk``, the int64 offsets of the lattice walk or
+    int array of ``perms.walk``, the int64 points of the lattice walk or
     the list of the generic walk."""
     points = ball._walked.points
     if isinstance(points, list):
@@ -342,7 +342,7 @@ def test_each_input_takes_one_walk(name, action, base, radius, walk):
     path = _walk_of(ball)
     if path == "permutation":
         # the finite table maker is ``walk_table`` over (moves, points, columns)
-        moves, _, columns = ball._neighbors._table.args
+        moves, _, columns = ball._make_neighbors.args
         path = "stacked" if columns is None else "columns"
         assert np.shares_memory(moves, action.generators[0][1].images) == (path == "columns")
     assert path == walk
@@ -550,7 +550,7 @@ def _table_of(n, edges):
     as a ball read back from JSON holds it: each edge in the rows of both
     ends (a self-loop once), rows padded with the sentinel n."""
     index = {str(i): i for i in range(n)}
-    return _NeighborTable.from_edges(index, [(str(u), str(v), name) for u, v, name in edges]).array()
+    return _table_from_edges(index, [(str(u), str(v), name) for u, v, name in edges])[0]
 
 
 @st.composite
@@ -645,11 +645,11 @@ def test_growth_and_basepoint_distances_build_no_edges(path):
     far = ball.keys[-1]
     assert ball.distance(ball.basepoint, far) == ball.depth[-1] == 3
     # neither the edge list nor the neighbor table was needed: the
-    # table is still the function that makes it
+    # ball has not made its table
     assert "edges" not in vars(ball)
-    assert callable(ball._neighbors._table)
+    assert "neighbors" not in vars(ball)
     assert ball.edges == _two_pass_ball(action, base, 3)[1]
-    assert not callable(ball._neighbors._table)
+    assert "neighbors" in vars(ball)
 
 
 def test_the_lattice_walk_peaks_near_what_its_ball_holds():
@@ -668,7 +668,7 @@ def test_the_lattice_walk_peaks_near_what_its_ball_holds():
 
 def test_first_lattice_table_holds_the_table_about_once():
     ball = build_ball(inner_action(galex_lattice(CAT)), (0, 0), 10)
-    table, peak = traced_peak(ball._neighbors.array)
+    table, peak = traced_peak(lambda: ball.neighbors)
     assert table.shape == (ball.vertex_count, 6)
     # one preallocated table and one chunk of the last sphere's lookups
     assert peak < 1.3 * table.nbytes
@@ -689,7 +689,7 @@ def test_lattice_tables_do_not_depend_on_the_chunk_size(name, path, action, base
     ball = build_ball(action, base, radius)
     assert np.array_equal(ball._walked.points, expected._walked.points)
     assert ball.sphere_sizes() == expected.sphere_sizes()
-    assert np.array_equal(ball._neighbors.array(), expected._neighbors.array())
+    assert np.array_equal(ball.neighbors, expected.neighbors)
     assert ball.edges == expected.edges == _two_pass_ball(action, base, radius)[1]
 
 
@@ -720,3 +720,35 @@ def test_a_finite_ball_finds_no_bool():
     ball = build_ball(inner_action(dihedral_quandle(5)), 0, 2)
     assert ball.find(1) == ball.keys.index("1")
     assert ball.find(True) is None and ball.find(np.int64(1)) == ball.find(1)
+
+
+def test_a_numpy_integer_lattice_basepoint_takes_the_lattice_walk():
+    """The lattice walk takes a basepoint by the one integer rule, and
+    hands back the basepoint object it was given as the first element."""
+    action = inner_action(galex_lattice(ROT90))
+    base = (np.int64(0), 0)
+    ball, plain = build_ball(action, base, 3), build_ball(action, (0, 0), 3)
+    assert _walk_of(ball) == "lattice"
+    assert ball.elements[0] is base
+    assert ball.keys == plain.keys
+    assert ball.depth.tolist() == plain.depth.tolist()
+    assert np.array_equal(ball.neighbors, plain.neighbors)
+
+
+@pytest.mark.parametrize("path", ["permutation", "lattice"])
+def test_int64_walks_find_no_bool_float_or_misfit_point(path):
+    """On both int64 walks a point is an integer, or a tuple of one
+    integer per column; anything else, or an integer out of int64's
+    range, is found nowhere, and nothing raises."""
+    if path == "permutation":
+        ball = build_ball(inner_action(dihedral_quandle(5)), 0, 2)
+        point, found, key = 3, np.int64(3), "3"
+        misses = [True, -1.0, 3.0, 2**70, -(2**70), (3,)]
+    else:
+        ball = build_ball(inner_action(galex_lattice(ROT90)), (0, 0), 3)
+        point, found, key = (-1, 1), (np.int64(-1), 1), "(-1,1)"
+        misses = [3, (-1,), (-1, 1, 0)]
+    assert _walk_of(ball) == path
+    assert ball.find(found) == ball.find(point) == ball.keys.index(key)
+    for point in misses + [(True, 1), (-1.0, 1), (2**70, 0), (0, -(2**70))]:
+        assert ball.find(point) is None, point

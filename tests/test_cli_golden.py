@@ -55,6 +55,8 @@ CASES = {
     "components-rot90-window": ["components", "rot90.json", "--window", "2"],
     "dis-lattice-rot90": ["dis-lattice", "rot90.json"],
     "compare-gensets-pass": ["compare-gensets", "dinf.json", "--genset-a", "s:0,s:1", "--genset-b", "s:0,s:1,s:2", "--radius", "6"],
+    "compare-gensets-inconclusive": ["compare-gensets", "dinf.json", "--genset-a", "s:0,s:1", "--genset-b", "s:0,s:1,s:2",
+                                     "--radius", "0"],
     "compare-gensets-fail": ["compare-gensets", "rot90.json", "--genset-a", "s:(0,0),s:(1,0),s:(0,1)",
                              "--genset-b", "s:(0,0),s:(1,0),s:(0,1),s:(1,1)", "--radius", "3", "--constant", "1"],
     "growth-free": ["growth", "free_ab.json", "--radius", "3"],

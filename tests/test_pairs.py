@@ -353,7 +353,7 @@ def test_isometry_pair_pass_holds_about_one_block_per_ball():
     orbit = build_ball(action, (0, 0), 20)
     word = build_ball(cayley_action(q.backend_id, action.generators), _identity_like(action.generators), 20)
     image = np.array([orbit.index[q.key(g.act((0, 0)))] for g in word.elements], dtype=np.int64)
-    word._neighbors.array(), orbit._neighbors.array()
+    word.neighbors, orbit.neighbors
     rows = np.arange(word.vertex_count)
     (checked, failure), peak = traced_peak(
         lambda: first_failing_pair(word, rows, orbit, image, lambda dw, do: dw != do)
@@ -368,7 +368,7 @@ def test_isometry_pair_pass_holds_about_one_block_per_ball():
 def test_certified_pairs_hold_about_one_block():
     fq = free_quandle(["a", "b"])
     ball = build_ball(inner_action(fq), fq.parse_key("a^1"), 7)
-    ball.keys, ball._neighbors.array()
+    ball.keys, ball.neighbors
     assert ball._block_rows() < ball.vertex_count  # the pass takes several blocks
     count, peak = traced_peak(lambda: sum(1 for _ in ball.certified_pairs()))
     assert count > 0

@@ -14,6 +14,7 @@ from quandles.families import conjugation_quandle, dihedral_quandle, free_quandl
 from quandles.groups import symmetric_group
 from quandles.perms import Permutation
 from quandles.schreier import (
+    ComparisonResult,
     SchreierAction,
     _finite_moves,
     _moves,
@@ -380,6 +381,19 @@ def test_bilipschitz_compare():
     assert da > 1 * db or db > 1 * da
     with pytest.raises(ValueError):
         bilipschitz_compare(ball_a, build_ball(SchreierAction("dih:b", gens_b, dq.key), 2, 4), 3)
+
+
+def test_bilipschitz_compare_without_a_certified_pair_is_inconclusive():
+    """Radius-0 balls hold their basepoint alone, so no pair is certified
+    in both, and the comparison decides nothing: neither pass nor fail."""
+    dq = dihedral_quandle("inf")
+    gens_a = dq.inner_generators()
+    gens_b = gens_a + [("s2", dq.symmetry(2))]
+    ball_a = build_ball(SchreierAction("dih:a", gens_a, dq.key), 0, 0)
+    ball_b = build_ball(SchreierAction("dih:b", gens_b, dq.key), 0, 0)
+    result = bilipschitz_compare(ball_a, ball_b, 3)
+    assert result == ComparisonResult("inconclusive", 3, None, 0)
+    assert not result.passed
 
 
 def test_cayley_action_line():
